@@ -23,16 +23,24 @@
 // near-equal time — the live form of the paper's B_opt trade-off
 // (docs/RUNTIME.md).
 //
-//   bench_rt --nmin 4 --nmax 8 [--pps 4] [--ppd 2] [--block 32,1024]
-//            [--threads T (0 sweeps 1,2,4,hw)] [--reps 3] [--min-time 0.1]
-//            [--json <path>] [--trace-out <path>]
+// The four move workloads deliver zero-copy, so the async engine always
+// runs them serial; the combine-mode `reduce` copies and accumulates every
+// block, which is where the async engine steals (8 KiB blocks and up, see
+// rt/async_player.hpp).
 //
-// --block takes a comma-separated list of block sizes (doubles); the
-// default "32,1024" covers both regimes in one run. Each JSON row also
-// reports bytes_copied (payload memcpys the engine performed — 0 on the
-// zero-copy delivery path), checksum_gbs (the standalone digest throughput
-// of the dispatched checksum kernel at that block size), and mode (how the
-// engine actually executed: barrier, serial, or stealing).
+//   bench_rt --nmin 4 --nmax 8 [--pps 4] [--ppd 2] [--block 32,1024]
+//            [--threads 1,4 (default sweeps 1,2,4,hw)] [--reps 3]
+//            [--min-time 0.1] [--json <path>] [--trace-out <path>]
+//
+// --block and --threads take comma-separated lists; the default blocks
+// "32,1024" cover both regimes in one run. Each JSON row also reports
+// bytes_copied (payload memcpys the engine performed — 0 on the zero-copy
+// delivery path), checksum_gbs (the standalone digest throughput of the
+// dispatched checksum kernel at that block size), and mode (how the
+// engine actually executed: barrier, serial, or stealing). Async rows at
+// more than one thread add speedup_vs_serial: the 1-thread async row's
+// seconds (always the serial walk) over this row's, at the same workload,
+// n and block.
 //
 // --trace-out writes a chrome://tracing (Perfetto-compatible) JSON file:
 // one extra instrumented run per (workload, n, threads, engine)
@@ -77,8 +85,11 @@ using hcube::sim::Schedule;
 
 struct Workload {
     std::string name;
-    std::string op;   ///< broadcast | scatter
+    std::string op;   ///< broadcast | scatter | reduce
     std::string algo; ///< sbt | msbt | bst
+    hcube::rt::DataMode mode;
+    /// The schedule to play; for a combine-mode workload, the broadcast
+    /// whose time reversal is played (its feasibility proof and makespan).
     std::function<Schedule(dim_t)> generate;
     /// Closed-form routing-step count from model::, 0 if none applies.
     std::function<double(dim_t, packet_t)> model_steps;
@@ -107,13 +118,15 @@ struct Row {
     double gbps = 0;
     double checksum_gbs = 0; ///< standalone digest kernel throughput
     double speedup = 0; ///< async rows: barrier seconds / async seconds
+    double vs_serial = 0; ///< async rows: 1-thread async seconds / seconds
     std::string mode; ///< barrier | serial | stealing (last rep's choice)
     std::string transport = "ring"; ///< medium the blocks moved over
     bool verified = false;
 };
 
-/// Parses "--block 32,1024,4096" into a deduplicated size list.
-std::vector<std::size_t> parse_block_list(const std::string& spec) {
+/// Parses "--block 32,1024,4096" into a deduplicated list of positive
+/// sizes.
+std::vector<std::size_t> parse_size_list(const std::string& spec) {
     std::vector<std::size_t> out;
     std::size_t pos = 0;
     while (pos < spec.size()) {
@@ -169,9 +182,11 @@ double checksum_throughput(std::size_t block_elems) {
            1e-9;
 }
 
-/// The worker counts to sweep: {1, 2, 4, auto} clamped/deduplicated via
-/// the shared pick_worker_threads policy, or just the explicit request.
-std::vector<std::uint32_t> thread_counts(dim_t n, std::uint32_t requested) {
+/// The worker counts to run, ascending and clamped/deduplicated via the
+/// shared pick_worker_threads policy: the explicit requests, or the sweep
+/// {1, 2, 4, auto} when there are none.
+std::vector<std::uint32_t>
+thread_counts(dim_t n, const std::vector<std::size_t>& requested) {
     std::vector<std::uint32_t> out;
     const auto add = [&out, n](std::uint32_t t) {
         const std::uint32_t picked = hcube::rt::pick_worker_threads(n, t);
@@ -179,14 +194,15 @@ std::vector<std::uint32_t> thread_counts(dim_t n, std::uint32_t requested) {
             out.push_back(picked);
         }
     };
-    if (requested != 0) {
-        add(requested);
-        return out;
+    for (const std::size_t t : requested) {
+        add(static_cast<std::uint32_t>(t));
     }
-    add(1);
-    add(2);
-    add(4);
-    add(0); // auto: max(2, hardware_concurrency), clamped to 2^n
+    if (requested.empty()) {
+        add(1);
+        add(2);
+        add(4);
+        add(0); // auto: max(2, hardware_concurrency), clamped to 2^n
+    }
     std::ranges::sort(out);
     return out;
 }
@@ -216,13 +232,14 @@ int main(int argc, char** argv) {
     const auto pps = static_cast<packet_t>(options.get_int("pps", 4));
     const auto ppd = static_cast<packet_t>(options.get_int("ppd", 2));
     const std::vector<std::size_t> blocks =
-        parse_block_list(options.get_string("block", "32,1024"));
+        parse_size_list(options.get_string("block", "32,1024"));
     if (blocks.empty()) {
         std::fprintf(stderr, "--block needs a comma-separated size list\n");
         return 1;
     }
-    const auto threads =
-        static_cast<std::uint32_t>(options.get_int("threads", 0));
+    // Empty (the default, or "0") sweeps 1,2,4,auto.
+    const std::vector<std::size_t> threads =
+        parse_size_list(options.get_string("threads", ""));
     const auto reps = static_cast<int>(options.get_int("reps", 3));
     const double min_time = options.get_double("min-time", 0.1);
     const std::string json_path = options.get_string("json", "");
@@ -242,15 +259,18 @@ int main(int argc, char** argv) {
     hcube::bench::banner(
         "Runtime throughput",
         "barrier vs dataflow engines: GB/s and wall-clock speedups");
-    std::string block_list;
-    for (const std::size_t b : blocks) {
-        block_list += (block_list.empty() ? "" : ",") + std::to_string(b);
-    }
+    const auto join = [](const std::vector<std::size_t>& list) {
+        std::string out;
+        for (const std::size_t v : list) {
+            out += (out.empty() ? "" : ",") + std::to_string(v);
+        }
+        return out;
+    };
     std::printf("  threads=%s blocks=%s doubles  checksum dispatch=%s "
                 "(timed region: play() only, best of >= %d reps)\n\n",
-                threads == 0 ? "1,2,4,auto"
-                             : std::to_string(threads).c_str(),
-                block_list.c_str(), hcube::rt::simd::dispatch_name(), reps);
+                threads.empty() ? "1,2,4,auto" : join(threads).c_str(),
+                join(blocks).c_str(), hcube::rt::simd::dispatch_name(),
+                reps);
 
     // The digest kernel's standalone throughput per block size — attached
     // to every row of that size so the JSON carries the checksum cost
@@ -266,9 +286,12 @@ int main(int argc, char** argv) {
     // Broadcast pair uses the same total packet count P = n * pps for both
     // algorithms (the MSBT needs P divisible by n), so byte-for-byte the
     // same message crosses the cube. Scatter pair uses ppd packets per
-    // destination on both trees.
+    // destination on both trees. The reduce sums 2 blocks from every node
+    // into node 0 over the reversed SBT broadcast: the fewest packets that
+    // give n=6 the 32 actions per worker stealing needs on 4 workers.
+    using hcube::rt::DataMode;
     const std::vector<Workload> workloads = {
-        {"sbt_bcast", "broadcast", "sbt",
+        {"sbt_bcast", "broadcast", "sbt", DataMode::move,
          [pps](dim_t n) {
              return hcube::routing::make_tree_broadcast(
                  hcube::trees::build_sbt(n, 0),
@@ -279,7 +302,7 @@ int main(int argc, char** argv) {
          [](dim_t n, packet_t packets) {
              return static_cast<double>(n) * packets;
          }},
-        {"msbt_bcast", "broadcast", "msbt",
+        {"msbt_bcast", "broadcast", "msbt", DataMode::move,
          [pps](dim_t n) {
              return hcube::routing::make_msbt_broadcast(
                  n, 0, static_cast<packet_t>(n) * pps,
@@ -288,7 +311,7 @@ int main(int argc, char** argv) {
          [](dim_t n, packet_t packets) {
              return static_cast<double>(packets) + n;
          }},
-        {"sbt_scatter", "scatter", "sbt",
+        {"sbt_scatter", "scatter", "sbt", DataMode::move,
          [ppd](dim_t n) {
              return hcube::routing::make_tree_scatter(
                  hcube::trees::build_sbt(n, 0),
@@ -296,7 +319,7 @@ int main(int argc, char** argv) {
                  PortModel::one_port_full_duplex);
          },
          [](dim_t, packet_t) { return 0.0; }},
-        {"bst_scatter", "scatter", "bst",
+        {"bst_scatter", "scatter", "bst", DataMode::move,
          [ppd](dim_t n) {
              return hcube::routing::make_tree_scatter(
                  hcube::trees::build_bst(n, 0),
@@ -304,27 +327,42 @@ int main(int argc, char** argv) {
                  PortModel::one_port_full_duplex);
          },
          [](dim_t, packet_t) { return 0.0; }},
+        {"reduce", "reduce", "sbt", DataMode::combine,
+         [](dim_t n) {
+             return hcube::routing::make_tree_broadcast(
+                 hcube::trees::build_sbt(n, 0),
+                 hcube::routing::BroadcastDiscipline::port_oriented, 2,
+                 PortModel::one_port_full_duplex);
+         },
+         [](dim_t n, packet_t packets) {
+             return static_cast<double>(n) * packets;
+         }},
     };
 
     std::printf("%-12s %3s %5s %4s %-8s %8s %7s %10s %9s %9s %-8s %8s "
-                "%5s\n",
+                "%8s %5s\n",
                 "workload", "n", "blk", "thr", "engine", "packets",
-                "cycles", "blocks", "ms", "GB/s", "mode", "speedup", "ok");
+                "cycles", "blocks", "ms", "GB/s", "mode", "speedup",
+                "vs-1thr", "ok");
 
     std::vector<Row> rows;
     for (const Workload& w : workloads) {
         for (dim_t n = nmin; n <= nmax; ++n) {
-            const Schedule schedule = w.generate(n);
+            const Schedule generated = w.generate(n);
             const auto sim_stats = hcube::sim::execute_schedule(
-                schedule, PortModel::one_port_full_duplex);
+                generated, PortModel::one_port_full_duplex);
+            const Schedule schedule =
+                w.mode == DataMode::combine
+                    ? hcube::routing::reverse_broadcast_for_reduce(generated,
+                                                                   0)
+                    : generated;
 
             for (std::size_t bi = 0; bi < blocks.size(); ++bi) {
             const std::size_t block = blocks[bi];
             for (const std::uint32_t use_threads :
                  thread_counts(n, threads)) {
                 const hcube::rt::Plan plan = hcube::rt::compile_plan(
-                    schedule, hcube::rt::DataMode::move, block,
-                    use_threads);
+                    schedule, w.mode, block, use_threads);
                 hcube::rt::Player barrier_player(plan);
                 hcube::rt::AsyncPlayer async_player(plan);
                 // Both engines replay on one persistent pool, so the rows
@@ -397,6 +435,18 @@ int main(int argc, char** argv) {
                     identical_memory(plan, barrier_player, async_player);
                 async_row.speedup =
                     barrier_row.seconds / async_row.seconds;
+                // Thread counts run ascending, so the 1-thread async row
+                // of this (workload, n, block), if requested, is in.
+                const auto serial_row =
+                    std::ranges::find_if(rows, [&](const Row& r) {
+                        return r.engine == "async" && r.threads == 1 &&
+                               r.workload == w.name && r.n == n &&
+                               r.block_elems == block;
+                    });
+                if (use_threads > 1 && serial_row != rows.end()) {
+                    async_row.vs_serial =
+                        serial_row->seconds / async_row.seconds;
+                }
 
                 for (const Row* row : {&barrier_row, &async_row}) {
                     std::printf("%-12s %3d %5zu %4u %-8s %8u %7u %10llu "
@@ -408,10 +458,12 @@ int main(int argc, char** argv) {
                                     row->blocks_delivered),
                                 row->seconds * 1e3, row->gbps,
                                 row->mode.c_str());
-                    if (row->speedup > 0) {
-                        std::printf("%7.2fx ", row->speedup);
-                    } else {
-                        std::printf("%8s ", "-");
+                    for (const double ratio : {row->speedup, row->vs_serial}) {
+                        if (ratio > 0) {
+                            std::printf("%7.2fx ", ratio);
+                        } else {
+                            std::printf("%8s ", "-");
+                        }
                     }
                     std::printf("%5s\n", row->verified ? "yes" : "NO");
                 }
@@ -522,6 +574,9 @@ int main(int argc, char** argv) {
             json.field("pool_reused", true);
             if (r.engine == "async") {
                 json.field("speedup_vs_barrier", r.speedup);
+                if (r.vs_serial > 0) {
+                    json.field("speedup_vs_serial", r.vs_serial);
+                }
                 json.field("steals", r.steals);
             }
             json.field("verified", r.verified);

@@ -19,8 +19,14 @@ namespace {
 constexpr std::uint32_t kNoAction = ~std::uint32_t{0};
 
 /// Below this many actions per worker the queue/steal machinery costs more
-/// than it buys; such plans take the serial fast path unconditionally.
+/// than it buys; such plans take the serial fast path.
 constexpr std::uint32_t kSerialActionsPerWorker = 32;
+
+/// Smallest block whose per-hop copy pays back stealing's fixed dispatch
+/// cost (pool wake-up, deque locks, atomic dependency counters): the two
+/// modes cross over near 8 KiB on copy-through plays (crossover table in
+/// docs/RUNTIME.md).
+constexpr std::uint64_t kStealBlockBytes = 8192;
 
 void cpu_relax() noexcept {
 #if defined(__x86_64__)
@@ -93,14 +99,8 @@ void AsyncPlayer::prepare_views() {
 std::span<const double> AsyncPlayer::block(node_t node,
                                            packet_t packet) const {
     const std::uint64_t slot = plan_.slot_of(node, packet);
-    if (slot == Plan::kNoSlot) {
-        return {};
-    }
-    const double* view = views_[static_cast<std::size_t>(slot)];
-    if (view == nullptr) {
-        return {};
-    }
-    return {view, plan_.block_elems};
+    return slot == Plan::kNoSlot ? std::span<const double>{}
+                                 : slot_block(slot);
 }
 
 std::uint64_t AsyncPlayer::resident_bytes() const noexcept {
@@ -285,15 +285,13 @@ PlayStats AsyncPlayer::play(WorkerPool* pool) {
     }
 
     const std::uint32_t total = plan_.action_count();
-    // Mode selection: tiny plans always run serial; otherwise follow the
-    // tuner (probe stealing first, fall back per measurement).
-    const bool forced_serial =
-        plan_.workers == 1 ||
+    // A pure function of the run (see the header): steal only where the
+    // per-hop copies of a copy-through play can pay for the dispatch.
+    const bool serial =
+        !copy_through_ || plan_.workers == 1 ||
+        plan_.block_elems * sizeof(double) < kStealBlockBytes ||
         std::uint64_t{total} <
             std::uint64_t{kSerialActionsPerWorker} * plan_.workers;
-    const bool serial =
-        forced_serial ||
-        tune_ == Tune::probe_serial || tune_ == Tune::locked_serial;
 
     std::vector<Worker> workers(serial ? 1 : plan_.workers);
     if (!serial) {
@@ -362,8 +360,6 @@ PlayStats AsyncPlayer::play(WorkerPool* pool) {
         obs::registry().counter("rt.bytes_copied");
     static obs::Counter& m_checksum =
         obs::registry().counter("rt.checksum_bytes");
-    static obs::Counter& m_fallbacks =
-        obs::registry().counter("rt.exec_fallbacks");
     static obs::Histogram& m_play_ns =
         obs::registry().histogram("rt.play_ns");
     (serial ? m_plays_serial : m_plays_stealing).inc();
@@ -372,28 +368,6 @@ PlayStats AsyncPlayer::play(WorkerPool* pool) {
     m_copied.inc(stats.bytes_copied);
     m_checksum.inc(stats.payload_bytes);
     m_play_ns.record_seconds(stats.seconds);
-
-    // Advance the tuner on clean, tuner-driven runs only (forced-serial
-    // runs and faulted runs say nothing about the stealing/serial choice).
-    if (!forced_serial && stats.clean() && !arbiter_.aborted()) {
-        if (tune_ == Tune::probe_parallel) {
-            if (stats.steals * 2 <= total) {
-                tune_ = Tune::locked_parallel;
-            } else {
-                probe_parallel_seconds_ = stats.seconds;
-                tune_ = Tune::probe_serial;
-            }
-        } else if (tune_ == Tune::probe_serial) {
-            tune_ = stats.seconds <= probe_parallel_seconds_
-                        ? Tune::locked_serial
-                        : Tune::locked_parallel;
-        }
-        if (tune_ == Tune::locked_serial) {
-            // The stealing probe lost: the engine just fell back to serial
-            // execution for this plan shape.
-            m_fallbacks.inc();
-        }
-    }
     return stats;
 }
 

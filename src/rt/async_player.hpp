@@ -25,11 +25,17 @@
 // Not every plan is worth stealing for. (cycle, sends-before-recvs,
 // lowered index) is a topological order of the dependency graph, so a
 // single thread walking the flat arrays in that order executes the plan
-// with zero queue/atomic bookkeeping — the *serial fast path*. Plans too
-// small to amortize parallelism take it unconditionally; for the rest an
-// adaptive probe (see Tune below) locks in whichever of stealing/serial
-// measured faster on this player's plan. PlayStats::mode reports the
-// choice per run.
+// with zero queue/atomic bookkeeping — the *serial fast path*. Stealing
+// pays a fixed dispatch cost per play (pool wake-up, deque locks, atomic
+// dependency counters) that only a per-hop copy of B doubles pays back;
+// on a zero-copy hop the paper's B·t_c term is zero. So play() steals only
+// on a copy-through run (combine mode or a fault hook) whose block is at
+// least 8 KiB, with at least 32 actions per worker and more than one
+// worker; every other run, zero-copy, trace-only and detect-only ones
+// included, takes the serial walk. The choice is a pure function of the
+// plan and the run's configuration — nothing carries over between plays —
+// and PlayStats::mode reports it (docs/RUNTIME.md § The serial fast path
+// and the mode rule).
 #pragma once
 
 #include "ft/fault_model.hpp"
@@ -95,6 +101,18 @@ public:
     [[nodiscard]] std::span<const double> block(node_t node,
                                                 packet_t packet) const;
 
+    /// Post-run view of slot `slot` (< plan.total_slots): block() of
+    /// (plan.slot_node[slot], plan.slot_packet[slot]) without the key
+    /// search, for callers that walk the slots in order.
+    [[nodiscard]] std::span<const double>
+    slot_block(std::uint64_t slot) const noexcept {
+        const double* view = views_[static_cast<std::size_t>(slot)];
+        if (view == nullptr) {
+            return {};
+        }
+        return {view, plan_.block_elems};
+    }
+
     /// Exact heap bytes this engine keeps resident between runs (channel
     /// rings, slot views, copy-through storage, checksum table, live dep
     /// counters) — what a byte-budgeted cache charges for keeping the
@@ -103,19 +121,6 @@ public:
 
 private:
     struct Worker;
-
-    /// Adaptive engine-mode tuner. Work-stealing pays off only when a plan
-    /// has enough parallel slack; on steal-thrashed shapes (MSBT broadcast:
-    /// long per-channel chains, tiny frontier) the serial fast path wins
-    /// outright. The first eligible run probes stealing; if steals dominate
-    /// the action count, the next run probes serial and the faster of the
-    /// two is locked in for the player's lifetime.
-    enum class Tune {
-        probe_parallel,
-        probe_serial,
-        locked_parallel,
-        locked_serial,
-    };
 
     void prepare_views();
     void run_serial(PlayStats& stats);
@@ -136,8 +141,6 @@ private:
     std::vector<std::atomic<std::uint32_t>> deps_; ///< live dep counters
     std::atomic<std::uint64_t> completed_{0};
     bool copy_through_ = false; ///< decided per run in prepare_views()
-    Tune tune_ = Tune::probe_parallel;
-    double probe_parallel_seconds_ = 0; ///< the stealing probe's wall clock
     ft::DetectConfig detect_{};
     FaultArbiter arbiter_;
     TraceRecorder* trace_ = nullptr;

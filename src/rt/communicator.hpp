@@ -112,8 +112,8 @@ struct Result {
     bool pool_reused = false;
     Engine engine = Engine::barrier; ///< engine the stats above came from
     /// How the reported engine's run actually executed: barrier phases,
-    /// the AsyncPlayer's serial fast path, or its work-stealing mode (the
-    /// adaptive tuner's per-run choice).
+    /// the AsyncPlayer's serial fast path, or its work-stealing mode (a
+    /// pure function of the plan and run; see rt/async_player.hpp).
     ExecMode exec_mode = ExecMode::barrier;
     /// Medium the reported engine moved blocks over ("ring" for the
     /// in-process bank; "uds"/"tcp" when a net-backend result is folded

@@ -73,14 +73,8 @@ void Player::prepare_views() {
 
 std::span<const double> Player::block(node_t node, packet_t packet) const {
     const std::uint64_t slot = plan_.slot_of(node, packet);
-    if (slot == Plan::kNoSlot) {
-        return {};
-    }
-    const double* view = views_[static_cast<std::size_t>(slot)];
-    if (view == nullptr) {
-        return {};
-    }
-    return {view, plan_.block_elems};
+    return slot == Plan::kNoSlot ? std::span<const double>{}
+                                 : slot_block(slot);
 }
 
 std::uint64_t Player::resident_bytes() const noexcept {

@@ -40,8 +40,8 @@ class WorkerPool;
 
 /// How a play() actually executed: the barrier engine's lockstep phases,
 /// the dataflow engine's single-thread serial walk, or its work-stealing
-/// multi-worker mode (the AsyncPlayer picks between the latter two
-/// adaptively; see async_player.hpp).
+/// multi-worker mode (the AsyncPlayer picks between the latter two per
+/// run; see async_player.hpp).
 enum class ExecMode {
     barrier,
     serial,
@@ -123,6 +123,18 @@ public:
     /// node has no slot for the packet.
     [[nodiscard]] std::span<const double> block(node_t node,
                                                packet_t packet) const;
+
+    /// Post-run view of slot `slot` (< plan.total_slots): block() of
+    /// (plan.slot_node[slot], plan.slot_packet[slot]) without the key
+    /// search, for callers that walk the slots in order.
+    [[nodiscard]] std::span<const double>
+    slot_block(std::uint64_t slot) const noexcept {
+        const double* view = views_[static_cast<std::size_t>(slot)];
+        if (view == nullptr) {
+            return {};
+        }
+        return {view, plan_.block_elems};
+    }
 
     /// Exact heap bytes this engine keeps resident between runs (channel
     /// rings, slot views, copy-through storage, checksum table) — what a

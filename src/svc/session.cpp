@@ -28,8 +28,7 @@ std::vector<double> snapshot_memory(const rt::Plan& plan, const P& player) {
     std::vector<double> image;
     image.reserve(plan.total_slots * plan.block_elems);
     for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const std::span<const double> b =
-            player.block(plan.slot_node[s], plan.slot_packet[s]);
+        const std::span<const double> b = player.slot_block(s);
         image.insert(image.end(), b.begin(), b.end());
     }
     return image;
@@ -43,8 +42,7 @@ bool matches_image(const rt::Plan& plan, const P& player,
     }
     std::size_t off = 0;
     for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const std::span<const double> b =
-            player.block(plan.slot_node[s], plan.slot_packet[s]);
+        const std::span<const double> b = player.slot_block(s);
         if (b.size() != plan.block_elems ||
             std::memcmp(b.data(), image.data() + off,
                         plan.block_elems * sizeof(double)) != 0) {
@@ -63,8 +61,7 @@ bool matches_image(const rt::Plan& plan, const P& player,
 template <class P>
 bool matches_arena(const rt::Plan& plan, const P& player) {
     for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const std::span<const double> b =
-            player.block(plan.slot_node[s], plan.slot_packet[s]);
+        const std::span<const double> b = player.slot_block(s);
         if (b.size() != plan.block_elems) {
             return false;
         }
@@ -100,10 +97,8 @@ std::uint64_t arena_fingerprint(const rt::Plan& plan) {
 bool identical_memory(const rt::Plan& plan, const rt::Player& ref,
                       const rt::AsyncPlayer& dut) {
     for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const std::span<const double> a =
-            ref.block(plan.slot_node[s], plan.slot_packet[s]);
-        const std::span<const double> b =
-            dut.block(plan.slot_node[s], plan.slot_packet[s]);
+        const std::span<const double> a = ref.slot_block(s);
+        const std::span<const double> b = dut.slot_block(s);
         if (a.size() != b.size() ||
             std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) !=
                 0) {

@@ -6,12 +6,16 @@
 // combine-mode reduction, where the plan's slot-ordering edges pin the
 // floating-point accumulation order to the barrier oracle's.
 //
+// The AsyncPlayer steals only on copy-through runs with blocks of at
+// least 8 KiB (async_player.hpp); every other case below pins the serial
+// walk, and the copy-through cases with 1024-double blocks pin stealing.
 // These suites are named Rt* so the tsan CI job (ctest -R '^Rt') runs
 // them under ThreadSanitizer, which is where the work-stealing engine's
 // synchronization actually gets exercised.
 #include "rt/async_player.hpp"
 
 #include "common/check.hpp"
+#include "ft/injector.hpp"
 #include "rt/plan.hpp"
 #include "rt/player.hpp"
 #include "rt/threads.hpp"
@@ -34,26 +38,45 @@ using sim::PortModel;
 using sim::Schedule;
 
 constexpr std::size_t kBlock = 8;
+/// The smallest block the AsyncPlayer steals for: 1024 doubles = 8 KiB.
+constexpr std::size_t kStealBlock = 1024;
 
-/// Runs `schedule` through both engines and asserts clean stats plus a
-/// byte-identical final memory image, slot by slot.
+/// Runs `schedule` through both engines and asserts clean stats, a
+/// byte-identical final memory image, slot by slot, and that the async
+/// engine ran in `expected` mode. `hooked` installs an inert fault hook
+/// (the injector of an empty FaultPlan) on both engines, which makes a
+/// move plan deliver copy-through.
 void expect_engines_agree(const Schedule& schedule, DataMode mode,
-                          std::uint32_t threads,
-                          const std::string& label) {
-    SCOPED_TRACE(label + " threads=" + std::to_string(threads));
-    const Plan plan = compile_plan(schedule, mode, kBlock, threads);
+                          std::uint32_t threads, const std::string& label,
+                          ExecMode expected = ExecMode::serial,
+                          std::size_t block = kBlock, bool hooked = false) {
+    SCOPED_TRACE(label + " threads=" + std::to_string(threads) +
+                 " block=" + std::to_string(block) +
+                 (hooked ? " hooked" : ""));
+    const Plan plan = compile_plan(schedule, mode, block, threads);
+    ft::FaultInjector barrier_hook{ft::FaultPlan{}};
+    ft::FaultInjector async_hook{ft::FaultPlan{}};
+    barrier_hook.arm(plan);
+    async_hook.arm(plan);
 
     Player barrier_player(plan);
+    if (hooked) {
+        barrier_player.set_fault_hook(&barrier_hook);
+    }
     const PlayStats ref = barrier_player.play();
     EXPECT_TRUE(ref.clean());
     EXPECT_EQ(ref.channel_faults, 0u);
     EXPECT_EQ(ref.blocks_delivered, schedule.sends.size());
 
     AsyncPlayer async_player(plan);
+    if (hooked) {
+        async_player.set_fault_hook(&async_hook);
+    }
     const PlayStats dut = async_player.play();
     EXPECT_TRUE(dut.clean());
     EXPECT_EQ(dut.channel_faults, 0u);
     EXPECT_EQ(dut.blocks_delivered, schedule.sends.size());
+    EXPECT_EQ(dut.mode, expected);
 
     for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
         const auto a =
@@ -151,9 +174,10 @@ TEST(RtAsyncVsBarrier, ReduceCombinesInChannelSequenceOrder) {
 /// Recursive-doubling allreduce: in cycle d every node exchanges its
 /// running partial for packet 0 with its neighbor across dimension d.
 /// Listing nodes in ascending order makes the higher node of each pair
-/// lower its receive before its same-cycle send, so the engines only
-/// agree if the plan's send-side ordering edge pins the send to the
-/// slot's pre-accumulation value (the barrier oracle's sends-first rule).
+/// lower its receive before its same-cycle send, so under stealing the
+/// engines only agree if the plan's send-side ordering edge pins the send
+/// to the slot's pre-accumulation value (the barrier oracle's sends-first
+/// rule). Small blocks run serial; CombineLargeBlocksSteal steals it.
 Schedule recursive_doubling_allreduce(hc::dim_t n) {
     Schedule s;
     s.n = n;
@@ -190,9 +214,66 @@ TEST(RtAsyncVsBarrier, AllgatherAndAlltoall) {
     }
 }
 
+TEST(RtAsyncVsBarrier, ZeroCopyRunsSerialAtAnySize) {
+    // A zero-copy hop moves no bytes, so no block or plan size pays for
+    // stealing: even an n=10 MSBT broadcast of 8 KiB blocks on 4 workers
+    // takes the serial walk.
+    expect_engines_agree(
+        routing::make_msbt_broadcast(10, 0, 20,
+                                     PortModel::one_port_full_duplex),
+        DataMode::move, 4, "msbt_bcast n=10", ExecMode::serial, kStealBlock);
+}
+
+TEST(RtAsyncVsBarrier, CombineLargeBlocksSteal) {
+    for (hc::dim_t n = 4; n <= 6; ++n) {
+        const Schedule forward = routing::make_tree_broadcast(
+            trees::build_sbt(n, 0), BroadcastDiscipline::port_oriented, 6,
+            PortModel::one_port_full_duplex);
+        const Schedule reduce =
+            routing::reverse_broadcast_for_reduce(forward, 0);
+        for (const std::uint32_t threads : {3u, 4u}) {
+            expect_engines_agree(reduce, DataMode::combine, threads,
+                                 "reduce n=" + std::to_string(n),
+                                 ExecMode::stealing, kStealBlock);
+            expect_engines_agree(recursive_doubling_allreduce(n),
+                                 DataMode::combine, threads,
+                                 "allreduce n=" + std::to_string(n),
+                                 ExecMode::stealing, kStealBlock);
+        }
+    }
+}
+
+TEST(RtAsyncVsBarrier, HookedMoveLargeBlocksSteal) {
+    for (hc::dim_t n = 4; n <= 6; ++n) {
+        const std::string at = " n=" + std::to_string(n);
+        for (const std::uint32_t threads : {3u, 4u}) {
+            expect_engines_agree(
+                routing::make_msbt_broadcast(
+                    n, 0, static_cast<packet_t>(n) * 2,
+                    PortModel::one_port_full_duplex),
+                DataMode::move, threads, "msbt_bcast" + at,
+                ExecMode::stealing, kStealBlock, /*hooked=*/true);
+            expect_engines_agree(
+                routing::make_tree_scatter(trees::build_sbt(n, 0),
+                                           ScatterPolicy::descending, 2,
+                                           PortModel::one_port_full_duplex),
+                DataMode::move, threads, "sbt_scatter" + at,
+                ExecMode::stealing, kStealBlock, /*hooked=*/true);
+            expect_engines_agree(
+                routing::make_tree_gather(trees::build_bst(n, 0),
+                                          ScatterPolicy::cyclic, 2,
+                                          PortModel::one_port_full_duplex),
+                DataMode::move, threads, "bst_gather" + at,
+                ExecMode::stealing, kStealBlock, /*hooked=*/true);
+        }
+    }
+}
+
 TEST(RtAsyncVsBarrier, OddWorkerCountsAndSerialPath) {
-    // One worker takes the serial fast path; three exercises uneven node
-    // ownership (2^5 nodes over 3 workers) and therefore stealing.
+    // One worker always takes the serial fast path. Three workers give
+    // uneven node ownership (2^5 nodes over 3 workers); the zero-copy run
+    // stays serial, and the same schedule delivered copy-through with
+    // 8 KiB blocks steals across the uneven split.
     const Schedule schedule = routing::make_tree_scatter(
         trees::build_sbt(5, 0), ScatterPolicy::descending, 2,
         PortModel::one_port_full_duplex);
@@ -200,6 +281,66 @@ TEST(RtAsyncVsBarrier, OddWorkerCountsAndSerialPath) {
         expect_engines_agree(schedule, DataMode::move, threads,
                              "odd_workers");
     }
+    expect_engines_agree(schedule, DataMode::move, 3, "odd_workers",
+                         ExecMode::stealing, kStealBlock, /*hooked=*/true);
+}
+
+TEST(RtAsyncVsBarrier, ModeIsAPureFunctionOfTheRun) {
+    // Nothing carries over between plays: each run's mode follows from
+    // the plan and the run's configuration alone, run after run.
+    const Plan plan = compile_plan(
+        routing::make_msbt_broadcast(5, 0, 10,
+                                     PortModel::one_port_full_duplex),
+        DataMode::move, kStealBlock, 4);
+    AsyncPlayer player(plan);
+    ft::FaultInjector hook{ft::FaultPlan{}};
+    hook.arm(plan);
+    for (int round = 0; round < 2; ++round) {
+        for (int run = 0; run < 3; ++run) {
+            EXPECT_EQ(player.play().mode, ExecMode::serial); // zero-copy
+        }
+        player.set_fault_hook(&hook);
+        for (int run = 0; run < 3; ++run) {
+            hook.rewind();
+            const PlayStats stats = player.play();
+            EXPECT_TRUE(stats.clean());
+            EXPECT_EQ(stats.mode, ExecMode::stealing); // copy-through
+        }
+        player.set_fault_hook(nullptr);
+    }
+    // Detect-only and trace-only runs stay zero-copy, hence serial.
+    player.set_detection(
+        {.arrival_timeout_us = 500000, .abort_on_fault = true});
+    EXPECT_EQ(player.play().mode, ExecMode::serial);
+    player.set_detection({});
+    TraceRecorder trace(plan.workers);
+    player.set_trace(&trace);
+    EXPECT_EQ(player.play().mode, ExecMode::serial);
+
+    // Copy-through runs below every other threshold stay serial: blocks
+    // one double short of 8 KiB, a single worker, fewer than 32 actions
+    // per worker.
+    const Schedule reduce = routing::reverse_broadcast_for_reduce(
+        routing::make_tree_broadcast(trees::build_sbt(5, 0),
+                                     BroadcastDiscipline::port_oriented, 6,
+                                     PortModel::one_port_full_duplex),
+        0);
+    const auto mode_of = [](const Schedule& schedule, std::size_t block,
+                            std::uint32_t threads) {
+        const Plan p = compile_plan(schedule, DataMode::combine, block,
+                                    threads);
+        AsyncPlayer dut(p);
+        return dut.play().mode;
+    };
+    EXPECT_EQ(mode_of(reduce, kStealBlock, 4), ExecMode::stealing);
+    EXPECT_EQ(mode_of(reduce, kStealBlock - 1, 4), ExecMode::serial);
+    EXPECT_EQ(mode_of(reduce, kStealBlock, 1), ExecMode::serial);
+    const Schedule tiny = routing::reverse_broadcast_for_reduce(
+        routing::make_tree_broadcast(trees::build_sbt(3, 0),
+                                     BroadcastDiscipline::port_oriented, 1,
+                                     PortModel::one_port_full_duplex),
+        0);
+    EXPECT_EQ(mode_of(tiny, kStealBlock, 4), ExecMode::serial);
 }
 
 TEST(RtAsyncVsBarrier, AsyncPlayerIsReusableAcrossRuns) {

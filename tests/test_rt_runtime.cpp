@@ -203,9 +203,14 @@ TEST(RtPool, RunsJobsOnResidentThreads) {
 }
 
 TEST(RtPool, PlayOnPoolMatchesSpawnedThreads) {
-    const sim::Schedule schedule = routing::make_msbt_broadcast(
-        3, 0, 6, PortModel::one_port_full_duplex);
-    const Plan plan = compile_plan(schedule, DataMode::move, 16, 2);
+    // A combine-mode reduce with 8 KiB blocks is stealing-eligible, so the
+    // async play is dispatched onto the pool as well: one job per engine.
+    const sim::Schedule schedule = routing::reverse_broadcast_for_reduce(
+        routing::make_tree_broadcast(trees::build_sbt(4, 0),
+                                     BroadcastDiscipline::port_oriented, 3,
+                                     PortModel::one_port_full_duplex),
+        0);
+    const Plan plan = compile_plan(schedule, DataMode::combine, 1024, 2);
     WorkerPool pool(2);
     Player player(plan);
     const PlayStats pooled = player.play(&pool);
@@ -216,6 +221,7 @@ TEST(RtPool, PlayOnPoolMatchesSpawnedThreads) {
     AsyncPlayer dut(plan);
     const PlayStats async_pooled = dut.play(&pool);
     EXPECT_TRUE(async_pooled.clean());
+    EXPECT_EQ(async_pooled.mode, ExecMode::stealing);
     EXPECT_EQ(async_pooled.blocks_delivered, pooled.blocks_delivered);
     EXPECT_EQ(pool.jobs_run(), 2u);
 }
