@@ -1,18 +1,21 @@
 // Recovery-latency and degraded-throughput benchmark of the self-healing
 // collectives (hcube::ft): for each op and engine, deterministic link
 // kills are injected mid-stream and the full inject → detect → recover
-// loop runs to byte-verified completion against the cached fault-free
-// oracle. Per row:
-//   * oracle ms    — the fault-free ground-truth run (paid once per op,
-//                    amortized across the fault sweep),
+// loop runs to byte-verified completion against the op's expected state:
+// its contract, checked once against the cycle executor's holdings of the
+// fault-free schedule, with every pair holding its canonical block. Per
+// row:
+//   * oracle ms    — time the row's call spent building that expected
+//                    state (the cycle executor plus the contract check);
+//                    paid by the fault-0 row, 0 on the rows that reuse it,
 //   * recovery ms  — failed attempts + replanning, the price of healing,
 //   * final ms     — the clean run on the replanned schedule,
 //   * GB/s         — delivered throughput of that final run: with faults
 //                    this is the *degraded* figure (the MSBT loses one
 //                    edge-disjoint tree per dead link and pipelines
 //                    deeper; the SBT family swaps in a replacement tree).
-// `verified` is the differential check — the recovered run's contract
-// memory byte-identical to the oracle's — and the binary exits non-zero if
+// `verified` is the recovered run's contract memory byte-identical to the
+// canonical blocks — and the binary exits non-zero if
 // any row fails it (CI greps the JSON for `"verified": false` as well).
 //
 // Faults are chosen deterministically: the k kills land on evenly spaced
@@ -133,7 +136,7 @@ int main(int argc, char** argv) {
     hcube::bench::banner(
         "Fault recovery",
         "inject -> detect -> recover, byte-verified against the "
-        "fault-free oracle");
+        "expected state");
     std::printf("  block=%zu doubles, kills at half push count on evenly "
                 "spaced links\n\n",
                 block);
@@ -199,8 +202,9 @@ int main(int argc, char** argv) {
                 }
 
                 // Fault count 0 measures the healthy baseline (and the
-                // oracle build); each further count reuses the cached
-                // oracle, so the sweep isolates the cost of healing.
+                // expected-state build); each further count reuses the
+                // cached contract, so the sweep isolates the cost of
+                // healing.
                 for (std::uint32_t faults = 0; faults <= faults_max;
                      ++faults) {
                     if (recorder != nullptr) {

@@ -7,7 +7,7 @@
 //      generator. A single differing send fails the row and the binary.
 //   2. incomplete: non-power-of-two member counts executed through a
 //      persistent svc::Session, every run byte-verified against the
-//      barrier oracle on exactly the live member set.
+//      expected state of exactly the live member set.
 //   3. churn: a join/leave storm against a session serving a
 //      mixed-dimension signature population. Measures the steady-state
 //      hit rate under churn and the replan latency paid on each miss, and

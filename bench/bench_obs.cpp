@@ -296,9 +296,7 @@ int main(int argc, char** argv) {
         }
     }
 
-    ServiceParams params;
-    params.session.verify = hcube::rt::Verify::first;
-    Service service(n, params);
+    Service service(n, ServiceParams{});
     std::vector<Tenant> tenants = fleet(n, requests);
     // Warm-up: compile every plan once so the replay measures the steady
     // state (the cache miss would otherwise be every tenant's max).

@@ -1,27 +1,33 @@
 // Wall-clock benchmark of the collective service (hcube::svc): steady-state
 // request throughput of a persistent Service — plan cache, resident worker
-// pool, Verify::first oracle policy, request batching — against the
-// one-shot rt::Communicator baseline that re-validates, recompiles, and
-// oracle-checks every operation.
+// pool, request batching — against the one-shot rt::Communicator baseline
+// that re-validates, recompiles, and fully checks every operation.
 //
 // The workload cycles a small set of repeated signatures (the steady state
 // a long-running service actually sees): after one warm-up pass per
 // signature the plan cache serves every request, so the measured service
-// path is play() + the byte-compare against the entry's oracle image.
+// path is play() + the steady-state compare against the entry's expected
+// state.
 // Client concurrency is swept (1, 4, 16); at higher concurrency identical
 // queued signatures additionally coalesce into single executions
 // (batching), which is where the throughput multiple comes from.
 //
 // Every request remains byte-verified — a row with "verified": false fails
-// this binary (exit 1) and the CI grep gate. The selector rows record the
-// calibrated cost model picking the SBT in the small-message regime and
-// the MSBT above the measured crossover (Table 3's regimes, live).
+// this binary (exit 1) and the CI grep gate. Each Session row also records
+// `barrier_plays`, the rt.plays_barrier delta over the session's
+// construction and all its requests: nothing a Session does under
+// Engine::async plays the barrier engine, so anything but 0 fails the
+// binary as well — a count, not a speed, so it repeats exactly on any
+// machine. The selector rows record the calibrated cost model picking the
+// SBT in the small-message regime and the MSBT above the measured
+// crossover (Table 3's regimes, live).
 //
 //   bench_svc [--n 5] [--requests 96] [--block 256] [--queue 256]
 //             [--json <path>]
 #include "bench_util.hpp"
 
 #include "common/json.hpp"
+#include "obs/metrics.hpp"
 #include "routing/schedule_export.hpp"
 #include "rt/communicator.hpp"
 #include "svc/service.hpp"
@@ -94,8 +100,8 @@ struct Measured {
 };
 
 /// One-shot baseline: the Communicator re-validates the schedule through
-/// the cycle executor, recompiles the plan, and runs the barrier oracle
-/// next to the async engine on every single request.
+/// the cycle executor, recompiles the plan, plays it, and checks the final
+/// memory against the schedule's expected state on every single request.
 Measured run_baseline(dim_t n, const std::vector<Signature>& mix,
                       std::uint32_t block, int requests) {
     hcube::rt::Params params;
@@ -143,23 +149,31 @@ Measured run_baseline(dim_t n, const std::vector<Signature>& mix,
     return m;
 }
 
+/// Barrier-engine plays so far in this process. A Session row's
+/// barrier_plays is the delta over the session's construction (its
+/// calibration probes included) and every request of the row.
+std::uint64_t barrier_plays_now() {
+    return hcube::obs::registry().counter("rt.plays_barrier").value();
+}
+
 struct ServiceMeasured : Measured {
     double cache_hit_rate = 0;
     std::uint64_t batched = 0;
     std::uint64_t executed = 0;
+    std::uint64_t barrier_plays = 0; ///< rt.plays_barrier over the row
 };
 
 ServiceMeasured run_service(dim_t n, const std::vector<Signature>& mix,
                             int requests, int concurrency,
                             std::size_t queue_depth) {
+    const std::uint64_t plays_before = barrier_plays_now();
     ServiceParams params;
-    params.session.verify = hcube::rt::Verify::first;
     params.queue_depth = queue_depth;
     Service service(n, params);
     std::string transport = "ring";
     for (const Signature& sig : mix) {
-        // Warm-up: the one full oracle-checked execution per signature
-        // (the cache miss). Everything measured below is steady state.
+        // Warm-up: the one fully checked execution per signature (the
+        // cache miss). Everything measured below is steady state.
         const Response warm = service.run(sig);
         if (warm.status != Status::ok) {
             std::fprintf(stderr, "warm-up failed: %s\n",
@@ -219,6 +233,7 @@ ServiceMeasured run_service(dim_t n, const std::vector<Signature>& mix,
     const Service::Counters counters = service.counters();
     m.batched = counters.batched;
     m.executed = counters.executed;
+    m.barrier_plays = barrier_plays_now() - plays_before;
     return m;
 }
 
@@ -321,6 +336,7 @@ struct SweepMeasured {
     double compile_ms = 0;
     double hit_rate = 0;
     std::uint64_t evictions = 0;
+    std::uint64_t barrier_plays = 0; ///< rt.plays_barrier over the sweep
     bool verified = true;
 };
 
@@ -333,6 +349,7 @@ SweepMeasured run_footprint_sweep(const std::vector<Signature>& sigs,
     SessionParams params;
     params.threads = 4;
     params.plan_cache_bytes = budget_bytes;
+    const std::uint64_t plays_before = barrier_plays_now();
     Session session(10, params);
     SweepMeasured m;
     m.signatures = sigs.size();
@@ -342,6 +359,7 @@ SweepMeasured run_footprint_sweep(const std::vector<Signature>& sigs,
             m.verified = m.verified && stats.verified;
         }
     }
+    m.barrier_plays = barrier_plays_now() - plays_before;
     const hcube::CacheStats cache = session.cache_stats();
     const double lookups =
         static_cast<double>(cache.hits + cache.misses);
@@ -437,6 +455,7 @@ int main(int argc, char** argv) {
     }
 
     bool verified = true;
+    std::uint64_t barrier_plays = 0; ///< summed over every Session row
 
     const Measured baseline = run_baseline(n, mix, block, requests);
     verified = verified && baseline.verified;
@@ -465,6 +484,7 @@ int main(int argc, char** argv) {
         const ServiceMeasured svc =
             run_service(n, mix, requests, concurrency, queue_depth);
         verified = verified && svc.verified;
+        barrier_plays += svc.barrier_plays;
         const double speedup = baseline.ops_per_sec > 0
                                    ? svc.ops_per_sec / baseline.ops_per_sec
                                    : 0;
@@ -487,6 +507,7 @@ int main(int argc, char** argv) {
             json->field("cache_hit_rate", svc.cache_hit_rate);
             json->field("batched", svc.batched);
             json->field("executed", svc.executed);
+            json->field("barrier_plays", svc.barrier_plays);
             json->field("transport", svc.transport);
             json->field("verified", svc.verified);
             json->end_row();
@@ -508,6 +529,7 @@ int main(int argc, char** argv) {
         sweep.resident_bytes <= sweep_budget &&
         (population.size() < 1000 || sweep.resident_plans >= 1000);
     verified = verified && sweep_ok;
+    barrier_plays += sweep.barrier_plays;
     std::printf("\nplan footprint sweep: %zu signatures (n=3..10), "
                 "budget %llu MiB, %d passes\n"
                 "  resident %zu plans, %.1f KiB/plan, compile %.3f ms, "
@@ -533,6 +555,7 @@ int main(int argc, char** argv) {
         json->field("cache_hit_rate", sweep.hit_rate);
         json->field("evictions", sweep.evictions);
         json->field("passes", sweep_passes);
+        json->field("barrier_plays", sweep.barrier_plays);
         json->field("verified", sweep_ok);
         json->end_row();
     }
@@ -606,6 +629,13 @@ int main(int argc, char** argv) {
     }
     if (!verified) {
         std::fprintf(stderr, "VERIFICATION FAILED\n");
+        return 1;
+    }
+    if (barrier_plays != 0) {
+        std::fprintf(stderr,
+                     "%llu barrier-engine plays on the Session rows' "
+                     "request paths (expected 0 under Engine::async)\n",
+                     static_cast<unsigned long long>(barrier_plays));
         return 1;
     }
     std::printf("\nall requests byte-verified\n");

@@ -4,7 +4,7 @@
 #include "obs/metrics.hpp"
 #include "routing/schedule_export.hpp"
 #include "rt/async_player.hpp"
-#include "rt/checksum.hpp"
+#include "rt/expected.hpp"
 #include "rt/threads.hpp"
 #include "sim/cycle.hpp"
 #include "trees/fault.hpp"
@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <utility>
@@ -23,45 +22,23 @@ namespace {
 
 using sim::Schedule;
 
-/// The fault-free ground truth: a barrier-engine run of the original
-/// schedule plus the cycle model's delivery matrix. Heap members keep the
-/// Plan's address stable under the Player's reference.
-struct Oracle {
-    std::unique_ptr<rt::Plan> plan;
-    std::unique_ptr<rt::Player> player;
-    std::vector<std::pair<node_t, packet_t>> contract;
-    double seconds = 0;
-};
-
-Oracle build_oracle(const Schedule& schedule,
-                    std::vector<std::pair<node_t, packet_t>> contract,
-                    const ResilientParams& params, std::uint32_t threads,
-                    std::span<const node_t> members = {}) {
-    // The cycle executor proves the schedule feasible before it ever runs
-    // on real threads.
-    (void)sim::execute_schedule(schedule,
-                                sim::PortModel::one_port_full_duplex);
-
-    Oracle oracle;
-    oracle.plan = std::make_unique<rt::Plan>(
-        compile_plan(schedule, rt::DataMode::move, params.block_elems,
-                     threads, 8, rt::PlanLayout::automatic, members));
-    oracle.player =
-        std::make_unique<rt::Player>(*oracle.plan, params.channel_capacity);
-    const rt::PlayStats stats = oracle.player->play();
-    HCUBE_ENSURE_MSG(stats.clean() &&
-                         stats.blocks_delivered == schedule.sends.size(),
-                     "fault-free oracle run was not clean");
-
-    // The op's semantic contract must be a subset of what the fault-free
-    // run actually holds — otherwise the comparison could never pass.
+/// The op's contract, checked against the cycle executor's holdings of the
+/// fault-free schedule: the executor proves the schedule feasible, and
+/// every contract pair must be one it delivers — otherwise no run could
+/// ever satisfy the contract.
+std::vector<std::pair<node_t, packet_t>>
+checked_contract(const Schedule& schedule,
+                 std::vector<std::pair<node_t, packet_t>> contract) {
+    const sim::CycleStats sim_stats = sim::execute_schedule(
+        schedule, sim::PortModel::one_port_full_duplex);
+    const sim::DeliveryMap& held = sim_stats.delivery_cycle;
     for (const auto& [node, packet] : contract) {
-        HCUBE_ENSURE_MSG(!oracle.player->block(node, packet).empty(),
-                         "contract pair missing from the oracle run");
+        HCUBE_ENSURE_MSG(node < held.nodes() && packet < held.packets() &&
+                             sim_stats.holds(node, packet),
+                         "contract pair the fault-free schedule never "
+                         "delivers");
     }
-    oracle.contract = std::move(contract);
-    oracle.seconds = stats.seconds;
-    return oracle;
+    return contract;
 }
 
 /// Member broadcast contract: every *live* member ends up holding every
@@ -121,19 +98,19 @@ scatter_contract(const Schedule& schedule) {
     return contract;
 }
 
-/// Byte-for-byte comparison of every contract pair against the oracle's
-/// final memory (the recovered plan may hold extra relay copies; only the
-/// contract is demanded).
+/// Every contract pair holds its packet's canonical block, byte for byte
+/// (the recovered plan may hold extra relay copies; only the contract is
+/// demanded). The plan's arena is checked against the canonical digests
+/// first, so the comparison never trusts anything the run produced.
 template <typename PlayerT>
-[[nodiscard]] bool matches_oracle(const Oracle& oracle,
-                                  const PlayerT& player) {
-    for (const auto& [node, packet] : oracle.contract) {
-        const std::span<const double> want =
-            oracle.player->block(node, packet);
-        const std::span<const double> got = player.block(node, packet);
-        if (want.empty() || got.size() != want.size() ||
-            std::memcmp(got.data(), want.data(),
-                        want.size() * sizeof(double)) != 0) {
+[[nodiscard]] bool
+matches_contract(const rt::Plan& plan, const PlayerT& player,
+                 const std::vector<std::pair<node_t, packet_t>>& contract) {
+    if (!rt::arena_is_canonical(plan)) {
+        return false;
+    }
+    for (const auto& [node, packet] : contract) {
+        if (!rt::is_arena_block(plan, player.block(node, packet), packet)) {
             return false;
         }
     }
@@ -142,16 +119,34 @@ template <typename PlayerT>
 
 } // namespace
 
-/// Fault-free ground truths keyed by operation signature; a sweep of fault
-/// positions over one collective pays for its oracle once.
-struct ResilientComm::OracleStore {
-    std::map<std::string, Oracle> by_key;
+/// Checked contracts keyed by operation signature; a sweep of fault
+/// positions over one collective pays for its check once.
+struct ResilientComm::ContractStore {
+    std::map<std::string, Contract> by_key;
 };
+
+const ResilientComm::Contract&
+ResilientComm::expected_state(const std::string& key,
+                              const Schedule& schedule,
+                              const std::function<Contract()>& contract,
+                              RecoveryResult& out) {
+    using clock = std::chrono::steady_clock;
+    auto cached = contracts_->by_key.find(key);
+    if (cached == contracts_->by_key.end()) {
+        const clock::time_point t0 = clock::now();
+        cached = contracts_->by_key
+                     .emplace(key, checked_contract(schedule, contract()))
+                     .first;
+        out.oracle_seconds +=
+            std::chrono::duration<double>(clock::now() - t0).count();
+    }
+    return cached->second;
+}
 
 ResilientComm::ResilientComm(dim_t n, ResilientParams params)
     : n_(n), params_(params),
       threads_(rt::pick_worker_threads(n, params.threads)),
-      oracles_(std::make_unique<OracleStore>()), view_(n) {
+      contracts_(std::make_unique<ContractStore>()), view_(n) {
     HCUBE_ENSURE(n >= 1 && n <= hc::kMaxDimension);
     HCUBE_ENSURE(params_.block_elems >= 1);
     HCUBE_ENSURE_MSG(params_.detect.enabled(),
@@ -162,24 +157,13 @@ ResilientComm::ResilientComm(dim_t n, ResilientParams params)
 
 ResilientComm::~ResilientComm() = default;
 
-RecoveryResult ResilientComm::run_resilient(const std::string& oracle_key,
-                                            const Schedule& initial,
-                                            Contract contract,
-                                            const FaultPlan& faults,
-                                            const Replanner& replan) {
+RecoveryResult ResilientComm::run_resilient(
+    const std::string& key, const Schedule& initial,
+    const std::function<Contract()>& contract, const FaultPlan& faults,
+    const Replanner& replan) {
     using clock = std::chrono::steady_clock;
     RecoveryResult out;
-
-    auto cached = oracles_->by_key.find(oracle_key);
-    if (cached == oracles_->by_key.end()) {
-        cached = oracles_->by_key
-                     .emplace(oracle_key,
-                              build_oracle(initial, std::move(contract),
-                                           params_, threads_))
-                     .first;
-    }
-    const Oracle& oracle = cached->second;
-    out.oracle_seconds = oracle.seconds;
+    const Contract& expected = expected_state(key, initial, contract, out);
 
     FaultInjector injector(faults);
     Schedule schedule = initial;
@@ -192,7 +176,7 @@ RecoveryResult ResilientComm::run_resilient(const std::string& oracle_key,
         injector.arm(plan);
 
         // One attempt on either engine; returns true when the run was
-        // clean AND reproduced the oracle.
+        // clean (whether it then met the contract lands in delivered).
         const auto execute = [&](auto& player) {
             player.set_detection(params_.detect);
             player.set_fault_hook(&injector);
@@ -214,7 +198,7 @@ RecoveryResult ResilientComm::run_resilient(const std::string& oracle_key,
                         .count()));
                 return false;
             }
-            out.delivered = matches_oracle(oracle, player);
+            out.delivered = matches_contract(plan, player, expected);
             out.stats = stats;
             out.final_seconds = stats.seconds;
             return true;
@@ -272,8 +256,11 @@ RecoveryResult ResilientComm::broadcast_sbt(node_t root, packet_t packets,
     };
     return run_resilient("bcast_sbt/" + std::to_string(root) + "/" +
                              std::to_string(packets),
-                         initial, broadcast_contract(n_, packets), faults,
-                         replan);
+                         initial,
+                         [this, packets] {
+                             return broadcast_contract(n_, packets);
+                         },
+                         faults, replan);
 }
 
 RecoveryResult ResilientComm::broadcast_msbt(node_t root, packet_t packets,
@@ -293,8 +280,11 @@ RecoveryResult ResilientComm::broadcast_msbt(node_t root, packet_t packets,
     };
     return run_resilient("bcast_msbt/" + std::to_string(root) + "/" +
                              std::to_string(packets),
-                         initial, broadcast_contract(n_, packets), faults,
-                         replan);
+                         initial,
+                         [this, packets] {
+                             return broadcast_contract(n_, packets);
+                         },
+                         faults, replan);
 }
 
 RecoveryResult ResilientComm::run_member_resilient(
@@ -310,29 +300,17 @@ RecoveryResult ResilientComm::run_member_resilient(
         HCUBE_ENSURE_MSG(view_.contains(root),
                          "collective root is not a live member");
 
-        // The schedule, oracle and contract are all functions of the
-        // *current* member set: a death between attempts shrinks all
-        // three. The oracle cache keys on the view fingerprint, so a
-        // sweep of fault positions over one survivor set still pays for
-        // its oracle once.
+        // The schedule and contract are both functions of the *current*
+        // member set: a death between attempts shrinks both. The contract
+        // cache keys on the view fingerprint, so a sweep of fault
+        // positions over one survivor set still pays for its check once.
         const Schedule schedule = make(view_);
         const std::vector<node_t> members = view_.members();
         const std::uint32_t workers = std::min(
             threads_, static_cast<std::uint32_t>(members.size()));
-        const std::string key =
-            op_key + "/" + std::to_string(view_.fingerprint());
-        auto cached = oracles_->by_key.find(key);
-        if (cached == oracles_->by_key.end()) {
-            cached = oracles_->by_key
-                         .emplace(key, build_oracle(schedule,
-                                                    contract_of(schedule,
-                                                                view_),
-                                                    params_, workers,
-                                                    members))
-                         .first;
-            out.oracle_seconds += cached->second.seconds;
-        }
-        const Oracle& oracle = cached->second;
+        const Contract& expected = expected_state(
+            op_key + "/" + std::to_string(view_.fingerprint()), schedule,
+            [&] { return contract_of(schedule, view_); }, out);
 
         const rt::Plan plan =
             compile_plan(schedule, rt::DataMode::move, params_.block_elems,
@@ -360,7 +338,7 @@ RecoveryResult ResilientComm::run_member_resilient(
                         .count()));
                 return false;
             }
-            out.delivered = matches_oracle(oracle, player);
+            out.delivered = matches_contract(plan, player, expected);
             out.stats = stats;
             out.final_seconds = stats.seconds;
             return true;
@@ -382,7 +360,7 @@ RecoveryResult ResilientComm::run_member_resilient(
 
         // Heal: the fault is a node death, not a wire break. The non-root
         // endpoint of the reported link leaves the view; the next attempt
-        // rebuilds tree, contract and oracle over the survivors. The
+        // rebuilds tree and contract over the survivors. The
         // root's own death is unrecoverable (no one else holds the data).
         const FaultReport& report = out.reports.back();
         HCUBE_ENSURE_MSG(report.faulted(),
@@ -463,8 +441,9 @@ RecoveryResult ResilientComm::scatter_sbt(node_t root,
     };
     return run_resilient("scatter_sbt/" + std::to_string(root) + "/" +
                              std::to_string(packets_per_dest),
-                         initial, scatter_contract(initial), faults,
-                         replan);
+                         initial,
+                         [&initial] { return scatter_contract(initial); },
+                         faults, replan);
 }
 
 } // namespace hcube::ft

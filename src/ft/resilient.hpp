@@ -3,12 +3,13 @@
 //
 // Every operation follows one protocol:
 //
-//   1. Oracle: the fault-free schedule is compiled and executed once on the
-//      barrier engine with no faults. Its final memory is the ground truth
-//      the recovered run must reproduce byte for byte, and the cycle
-//      model's delivery matrix defines the contract pairs to compare.
-//      Oracles are cached per operation signature, so a sweep of fault
-//      positions over one collective pays for its oracle once.
+//   1. Expected state: the op's contract — the (node, packet) pairs it
+//      semantically delivers — is checked once against the cycle
+//      executor's holdings of the fault-free schedule, which also proves
+//      that schedule feasible. Every contract pair must end up holding its
+//      packet's canonical block, so no reference run is needed. Checked
+//      contracts are cached per operation signature, so a sweep of fault
+//      positions over one collective pays for the check once.
 //   2. Attempt: the current schedule is compiled, the fault scenario is
 //      armed on its channels, and the configured engine executes it with
 //      bounded-wait detection. A clean run that delivers every scheduled
@@ -23,7 +24,8 @@
 //      transient faults re-fire on retry — any link that faults twice is
 //      simply declared dead like a persistent failure.
 //   4. Verify: the survivor run's block for every contract (node, packet)
-//      pair is compared byte for byte against the oracle's memory.
+//      pair is compared byte for byte with the packet's canonical block
+//      (the plan's arena, itself checked against the canonical digests).
 //
 // The loop terminates: every failed attempt permanently grows the dead-link
 // set, and max_attempts bounds the total work even under adversarial fault
@@ -55,8 +57,7 @@ struct ResilientParams {
     std::size_t block_elems = 64;
     /// Ring slots per link channel (barrier engine).
     std::uint32_t channel_capacity = 2;
-    /// Engine that executes the attempts (the oracle always runs on the
-    /// barrier engine, fault-free).
+    /// Engine that executes the attempts.
     rt::Engine engine = rt::Engine::async;
     /// Detection policy for the attempts. The timeout must be longer than
     /// any injected delay that should be absorbed rather than healed; the
@@ -72,7 +73,8 @@ struct ResilientParams {
 /// Everything a caller (or bench harness) wants to know about one
 /// self-healed operation.
 struct RecoveryResult {
-    /// The final run was clean and byte-identical to the fault-free oracle.
+    /// The final run was clean and every contract pair holds its packet's
+    /// canonical block.
     bool delivered = false;
     /// At least one replan happened (false == the first attempt was clean;
     /// an armed fault plan may still have been inert or absorbed).
@@ -93,7 +95,9 @@ struct RecoveryResult {
     /// no replan happened) — lets callers assert dead links are avoided.
     sim::Schedule final_schedule;
     rt::PlayStats stats;          ///< stats of the final (clean) run
-    double oracle_seconds = 0;    ///< fault-free oracle wall clock
+    /// Time this call spent building the expected state (cycle executor
+    /// plus contract check); 0 when every attempt found it cached.
+    double oracle_seconds = 0;
     double recovery_seconds = 0;  ///< failed attempts + replanning
     double final_seconds = 0;     ///< wall clock of the final clean run
 };
@@ -136,8 +140,8 @@ public:
     // Where the link-healing ops above route *around* a dead wire on the
     // same full node set, the member ops treat a fault as a node death:
     // the non-root endpoint of the failed link leaves the view, the tree
-    // is rebuilt over the survivors, and a *fresh* oracle is built for the
-    // shrunk member set (keyed by the view fingerprint) — the contract
+    // is rebuilt over the survivors, and a *fresh* contract is checked for
+    // the shrunk member set (keyed by the view fingerprint) — the contract
     // itself contracts to the survivors. The root's death is unrecoverable
     // and surfaces as check_error.
 
@@ -172,17 +176,25 @@ private:
         std::function<sim::Schedule(std::span<const DirectedLink> dead,
                                     RecoveryResult& out)>;
     /// The (node, packet) pairs the op semantically delivers — the pairs
-    /// the byte-for-byte oracle comparison runs over. Deliberately *not*
-    /// derived from the oracle schedule's full holdings: a replacement
-    /// tree routes through different relays, and relay copies are an
-    /// artifact of the route, not part of the collective's contract.
+    /// the byte-for-byte canonical-block comparison runs over.
+    /// Deliberately *not* the fault-free schedule's full holdings: a
+    /// replacement tree routes through different relays, and relay copies
+    /// are an artifact of the route, not part of the collective's contract.
     using Contract = std::vector<std::pair<node_t, sim::packet_t>>;
-    struct OracleStore; ///< fault-free ground truths, cached per operation
+    struct ContractStore; ///< checked contracts, cached per operation
+
+    /// The contract cached under `key`, or — on a miss — `contract()`
+    /// checked against `schedule`'s cycle-executor holdings, cached, and
+    /// its build time added to out.oracle_seconds.
+    [[nodiscard]] const Contract&
+    expected_state(const std::string& key, const sim::Schedule& schedule,
+                   const std::function<Contract()>& contract,
+                   RecoveryResult& out);
 
     [[nodiscard]] RecoveryResult
-    run_resilient(const std::string& oracle_key, const sim::Schedule& initial,
-                  Contract contract, const FaultPlan& faults,
-                  const Replanner& replan);
+    run_resilient(const std::string& key, const sim::Schedule& initial,
+                  const std::function<Contract()>& contract,
+                  const FaultPlan& faults, const Replanner& replan);
 
     /// Builds the op's schedule over a given member set (called once per
     /// attempt — the view shrinks between attempts).
@@ -201,7 +213,7 @@ private:
     ResilientParams params_;
     std::uint32_t threads_;
     rt::TraceRecorder* trace_ = nullptr;
-    std::unique_ptr<OracleStore> oracles_;
+    std::unique_ptr<ContractStore> contracts_;
     mbr::View view_;
 };
 

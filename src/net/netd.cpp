@@ -90,7 +90,7 @@ void Netd::serve(int fd) {
             const svc::Response r = service_.run(req.sig);
             resp.status = static_cast<std::uint8_t>(r.status);
             resp.verified = r.stats.verified;
-            resp.oracle_checked = r.stats.oracle_checked;
+            resp.full_check = r.stats.full_check;
             resp.cache_hit = r.stats.cache_hit;
             resp.batched = r.batched;
             resp.rt_cycles = r.stats.rt_cycles;

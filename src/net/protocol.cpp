@@ -294,7 +294,7 @@ void encode_op_response(std::vector<std::uint8_t>& out,
     w.u32(msg.req_id);
     w.u8(msg.status);
     w.u8(msg.verified ? 1 : 0);
-    w.u8(msg.oracle_checked ? 1 : 0);
+    w.u8(msg.full_check ? 1 : 0);
     w.u8(msg.cache_hit ? 1 : 0);
     w.u8(msg.batched ? 1 : 0);
     w.u32(msg.rt_cycles);
@@ -315,7 +315,7 @@ bool decode_op_response(std::span<const std::uint8_t> frame,
     msg.req_id = r.u32();
     msg.status = r.u8();
     msg.verified = r.u8() != 0;
-    msg.oracle_checked = r.u8() != 0;
+    msg.full_check = r.u8() != 0;
     msg.cache_hit = r.u8() != 0;
     msg.batched = r.u8() != 0;
     msg.rt_cycles = r.u32();

@@ -167,7 +167,7 @@ struct OpResponseMsg {
     std::uint32_t req_id = 0;
     std::uint8_t status = 0; ///< svc::Status
     bool verified = false;
-    bool oracle_checked = false;
+    bool full_check = false; ///< svc::ExecStats::full_check
     bool cache_hit = false;
     bool batched = false;
     std::uint32_t rt_cycles = 0;

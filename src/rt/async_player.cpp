@@ -212,7 +212,7 @@ void AsyncPlayer::run_worker(std::uint32_t worker, Worker* workers) {
 
 void AsyncPlayer::run_serial(PlayStats& stats) {
     // (cycle, sends-before-recvs, lowered index) is a topological order of
-    // the dependency graph and exactly the barrier oracle's execution
+    // the dependency graph and exactly the barrier engine's execution
     // order, so this walk is byte-identical to it — including combine-mode
     // accumulation order — with no queues, no atomics, no barriers.
     const RunContext ctx{plan_,          channels_,

@@ -2,14 +2,11 @@
 
 #include "common/check.hpp"
 #include "rt/async_player.hpp"
-#include "rt/checksum.hpp"
+#include "rt/expected.hpp"
 #include "rt/player.hpp"
 #include "rt/pool.hpp"
 #include "rt/threads.hpp"
 #include "sim/cycle.hpp"
-
-#include <cstring>
-#include <optional>
 
 namespace hcube::rt {
 
@@ -17,25 +14,6 @@ namespace {
 
 using sim::packet_t;
 using sim::Schedule;
-
-/// Byte-identical final-state comparison across the two engines, slot by
-/// slot — the cross-check that makes the barrier Player the async engine's
-/// oracle.
-bool identical_memory(const Plan& plan, const Player& ref,
-                      const AsyncPlayer& dut) {
-    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const std::span<const double> a =
-            ref.block(plan.slot_node[s], plan.slot_packet[s]);
-        const std::span<const double> b =
-            dut.block(plan.slot_node[s], plan.slot_packet[s]);
-        if (a.size() != b.size() ||
-            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) !=
-                0) {
-            return false;
-        }
-    }
-    return true;
-}
 
 /// The per-run numbers every operation reports identically, including the
 /// fault counters the ft layer (and bench JSON) watches.
@@ -53,6 +31,36 @@ void copy_play_stats(Result& result, const PlayStats& stats) {
     result.timeouts = stats.timeouts;
 }
 
+/// Plays `plan` on `params.engine` and verifies the run: clean stats,
+/// `sends` deliveries, a final memory `check(player)` accepts (the
+/// expected-state rule), and under Engine::barrier cycles == `makespan`.
+template <class Check>
+Result play_checked(const Plan& plan, const Params& params,
+                    WorkerPool* pool, std::uint32_t threads,
+                    std::size_t sends, std::uint32_t makespan,
+                    const Check& check) {
+    Result result;
+    result.engine = params.engine;
+    result.threads = threads;
+    result.pool_reused = pool != nullptr || threads == 1;
+    result.sim_makespan = makespan;
+    const auto finish = [&](const auto& player, const PlayStats& stats) {
+        copy_play_stats(result, stats);
+        result.verified = stats.clean() && stats.blocks_delivered == sends &&
+                          check(player);
+    };
+    if (params.engine == Engine::barrier) {
+        Player player(plan, params.channel_capacity);
+        const PlayStats stats = player.play(pool);
+        finish(player, stats);
+        result.verified = result.verified && stats.cycles == makespan;
+    } else {
+        AsyncPlayer player(plan);
+        finish(player, player.play(pool));
+    }
+    return result;
+}
+
 } // namespace
 
 Communicator::Communicator(hc::dim_t n, Params params)
@@ -66,96 +74,18 @@ Communicator::Communicator(hc::dim_t n, Params params)
 
 Communicator::~Communicator() = default;
 
-bool Communicator::oracle_due(const Schedule& schedule) {
-    switch (params_.verify) {
-    case Verify::always: return true;
-    case Verify::never: return false;
-    case Verify::first:
-        return oracle_seen_.insert(schedule_fingerprint(schedule)).second;
-    }
-    return true;
-}
-
 Result Communicator::run_move(const Schedule& schedule) {
     // The cycle executor proves the schedule feasible under the port model
-    // and provides the makespan + delivery matrix the runtime must match.
+    // and records the holdings the run's final memory must reproduce.
     const sim::CycleStats sim_stats =
         sim::execute_schedule(schedule, params_.model);
-
     const Plan plan = compile_plan(schedule, DataMode::move,
                                    params_.block_elems, threads_);
-
-    // Every (node, packet) the simulator says is held must end up holding
-    // the canonical block, and nothing else may appear.
-    const auto holdings_match = [&](const auto& player) {
-        const node_t count = node_t{1} << n_;
-        for (node_t i = 0; i < count; ++i) {
-            for (packet_t p = 0; p < schedule.packet_count; ++p) {
-                const bool held = sim_stats.holds(i, p);
-                const std::span<const double> block = player.block(i, p);
-                if (!held) {
-                    if (!block.empty()) {
-                        return false;
-                    }
-                    continue;
-                }
-                if (block.empty() ||
-                    block_checksum(block) !=
-                        canonical_checksum(p, params_.block_elems)) {
-                    return false;
-                }
-            }
-        }
-        return true;
-    };
-
-    Result result;
-    result.engine = params_.engine;
-    result.threads = threads_;
-    result.pool_reused = pool_ != nullptr || threads_ == 1;
-    result.sim_makespan = sim_stats.makespan;
-
-    // The barrier player runs when it is the measured engine or when the
-    // Verify policy asks for the oracle cross-check of the async engine.
-    const bool with_oracle =
-        params_.engine == Engine::barrier || oracle_due(schedule);
-    result.oracle_checked = with_oracle;
-
-    std::optional<Player> ref;
-    PlayStats ref_stats;
-    bool ok = true;
-    if (with_oracle) {
-        ref.emplace(plan, params_.channel_capacity);
-        ref_stats = ref->play(pool_.get());
-        // The oracle itself must be clean: every in-flight checksum passed,
-        // every channel behaved, exactly one delivery per scheduled send,
-        // and its barriered cycle count matches the cycle model.
-        ok = ref_stats.clean() &&
-             ref_stats.blocks_delivered == schedule.sends.size() &&
-             ref_stats.cycles == sim_stats.makespan;
-    }
-
-    if (params_.engine == Engine::barrier) {
-        ok = ok && holdings_match(*ref);
-        copy_play_stats(result, ref_stats);
-    } else {
-        AsyncPlayer dut(plan);
-        const PlayStats stats = dut.play(pool_.get());
-        ok = ok && stats.clean() &&
-             stats.blocks_delivered == schedule.sends.size() &&
-             holdings_match(dut);
-        if (with_oracle) {
-            ok = ok && identical_memory(plan, *ref, dut);
-            result.ref_seconds = ref_stats.seconds;
-        }
-        copy_play_stats(result, stats);
-    }
-    result.verified = ok;
-    // A failed oracle pass must not inoculate the fingerprint.
-    if (!ok && params_.verify == Verify::first && with_oracle) {
-        oracle_seen_.erase(schedule_fingerprint(schedule));
-    }
-    return result;
+    return play_checked(plan, params_, pool_.get(), threads_,
+                        schedule.sends.size(), sim_stats.makespan,
+                        [&](const auto& player) {
+                            return check_move_run(plan, sim_stats, player);
+                        });
 }
 
 Result Communicator::broadcast(const trees::SpanningTree& tree,
@@ -212,74 +142,13 @@ Result Communicator::reduce(const trees::SpanningTree& tree,
 
     const Plan plan = compile_plan(reduction, DataMode::combine,
                                    params_.block_elems, threads_);
-
-    // The root's block for every packet must equal the exact elementwise
-    // integer sum of all N contributions.
-    const auto sums_match = [&](const auto& player) {
-        const node_t count = node_t{1} << n_;
-        for (packet_t p = 0; p < packets; ++p) {
-            const std::span<const double> block = player.block(tree.root, p);
-            if (block.size() != params_.block_elems) {
-                return false;
-            }
-            for (std::size_t e = 0; e < params_.block_elems; ++e) {
-                double expected = 0.0;
-                for (node_t i = 0; i < count; ++i) {
-                    expected += contribution_element(i, p, e);
-                }
-                if (block[e] != expected) {
-                    return false;
-                }
-            }
-        }
-        return true;
-    };
-
-    Result result;
-    result.engine = params_.engine;
-    result.threads = threads_;
-    result.pool_reused = pool_ != nullptr || threads_ == 1;
-    result.sim_makespan = sim_stats.makespan;
-
-    const bool with_oracle =
-        params_.engine == Engine::barrier || oracle_due(reduction);
-    result.oracle_checked = with_oracle;
-
-    std::optional<Player> ref;
-    PlayStats ref_stats;
-    bool ok = true;
-    if (with_oracle) {
-        ref.emplace(plan, params_.channel_capacity);
-        ref_stats = ref->play(pool_.get());
-        ok = ref_stats.clean() &&
-             ref_stats.blocks_delivered == reduction.sends.size() &&
-             ref_stats.cycles == sim_stats.makespan;
-    }
-
-    if (params_.engine == Engine::barrier) {
-        ok = ok && sums_match(*ref);
-        copy_play_stats(result, ref_stats);
-    } else {
-        AsyncPlayer dut(plan);
-        const PlayStats stats = dut.play(pool_.get());
-        // The combining accumulation order is fixed by the plan's
-        // slot-ordering edges, so even the floating-point intermediate
-        // states must agree bit for bit with the barrier oracle; the exact
-        // integer sums check stays meaningful with the oracle skipped.
-        ok = ok && stats.clean() &&
-             stats.blocks_delivered == reduction.sends.size() &&
-             sums_match(dut);
-        if (with_oracle) {
-            ok = ok && identical_memory(plan, *ref, dut);
-            result.ref_seconds = ref_stats.seconds;
-        }
-        copy_play_stats(result, stats);
-    }
-    result.verified = ok;
-    if (!ok && params_.verify == Verify::first && with_oracle) {
-        oracle_seen_.erase(schedule_fingerprint(reduction));
-    }
-    return result;
+    return play_checked(plan, params_, pool_.get(), threads_,
+                        reduction.sends.size(), sim_stats.makespan,
+                        [&](const auto& player) {
+                            return check_combine_run(plan, reduction,
+                                                     tree.root, {}, player)
+                                .has_value();
+                        });
 }
 
 } // namespace hcube::rt

@@ -5,12 +5,12 @@
 // schedules as *real data movement*: logical cube nodes mapped onto a
 // thread pool, directed links as sequence-stamped ring-buffer channels,
 // and a checksum check on every delivered block. Two engines execute a
-// compiled plan: the two-barrier-per-cycle Player (the cycle-exact
-// reference oracle) and the dependency-driven AsyncPlayer (the fast path,
-// no global barriers). With Engine::async the barrier engine still runs
-// once per operation as the oracle, and verification additionally demands
-// a byte-identical final memory state across the two. Every operation also
-// executes the same schedule through sim::execute_schedule, so the result
+// compiled plan: the two-barrier-per-cycle Player (cycle-exact by
+// construction) and the dependency-driven AsyncPlayer (the fast path, no
+// global barriers). Every operation first executes the schedule through
+// sim::execute_schedule, which proves it feasible and fixes the final
+// state a correct run leaves behind; the run's final memory is then
+// checked against that expected state (rt/expected.hpp), so the result
 // carries both the measured wall clock and the cycle-model cross-check:
 // for uniform packets the barrier engine's cycle count equals the
 // CycleExecutor makespan exactly (the async engine reports the same
@@ -34,37 +34,17 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <unordered_set>
 
 namespace hcube::rt {
 
 /// Which execution engine runs the schedule.
 enum class Engine {
-    barrier, ///< cycle-exact two-barrier-per-cycle Player (the oracle)
+    barrier, ///< cycle-exact two-barrier-per-cycle Player
     async,   ///< dependency-driven work-stealing AsyncPlayer (no barriers)
 };
 
 [[nodiscard]] constexpr std::string_view to_string(Engine e) noexcept {
     return e == Engine::barrier ? "barrier" : "async";
-}
-
-/// When the async engine's barrier-oracle cross-check runs (see
-/// docs/RUNTIME.md § Verification policy). Irrelevant under
-/// Engine::barrier, where the measured engine *is* the oracle.
-enum class Verify {
-    always, ///< oracle re-executes every operation (the safest default)
-    first,  ///< oracle runs once per distinct schedule fingerprint; later
-            ///< repeats rely on per-block checksums + the holdings check
-    never,  ///< oracle never runs; checksums + holdings only
-};
-
-[[nodiscard]] constexpr std::string_view to_string(Verify v) noexcept {
-    switch (v) {
-    case Verify::always: return "always";
-    case Verify::first: return "first";
-    case Verify::never: return "never";
-    }
-    return "?";
 }
 
 struct Params {
@@ -78,13 +58,8 @@ struct Params {
     std::uint32_t channel_capacity = 2;
     /// Port model the schedules are generated for and validated under.
     sim::PortModel model = sim::PortModel::one_port_full_duplex;
-    /// Engine whose stats the Result reports. Engine::async still runs the
-    /// barrier engine once as the reference oracle and cross-checks the
-    /// final memory states byte for byte — unless `verify` relaxes it.
+    /// Engine that executes every operation.
     Engine engine = Engine::async;
-    /// Barrier-oracle policy for the async engine. Tests default to
-    /// `always`; the service layer's cached steady state uses `first`.
-    Verify verify = Verify::always;
 };
 
 struct Result {
@@ -95,18 +70,16 @@ struct Result {
     std::uint64_t bytes_copied = 0;  ///< payload bytes memcpy'd by the
                                      ///< reported engine (0 = pure zero-copy)
     double seconds = 0;              ///< wall clock of the reported engine
-    double ref_seconds = 0; ///< barrier-oracle wall clock (async engine)
     std::uint64_t steals = 0; ///< work-stealing count (async engine)
     /// Fault counters of the reported engine's run (all zero on a healthy
     /// machine; nonzero under ft fault injection or real failures).
     std::uint64_t checksum_failures = 0;
     std::uint64_t channel_faults = 0;
     std::uint64_t timeouts = 0;
-    bool verified = false; ///< per-block checksums + final-state checks
-    /// The barrier oracle executed and cross-checked this operation (false
-    /// when Verify::first already covered the fingerprint or Verify::never
-    /// suppressed it; meaningless under Engine::barrier, where it is true).
-    bool oracle_checked = false;
+    /// Clean run, one delivery per scheduled send, and a final memory
+    /// that passes the expected-state rule (rt/expected.hpp); under
+    /// Engine::barrier also cycles == the CycleExecutor makespan.
+    bool verified = false;
     /// The run executed on a persistent worker pool (or the single-worker
     /// serial path) — no thread was created or joined for this operation.
     bool pool_reused = false;
@@ -171,13 +144,9 @@ public:
     Result alltoall(sim::packet_t packets_per_pair);
 
 private:
-    /// Validates via the cycle executor, compiles, plays, verifies final
-    /// holdings block by block.
+    /// Validates via the cycle executor, compiles, plays, and checks the
+    /// final memory against the executor's holdings.
     Result run_move(const sim::Schedule& schedule);
-
-    /// True when the barrier oracle must run for this schedule under the
-    /// configured Verify policy (records the fingerprint under ::first).
-    [[nodiscard]] bool oracle_due(const sim::Schedule& schedule);
 
     hc::dim_t n_;
     Params params_;
@@ -186,9 +155,6 @@ private:
     /// the constructor); null when one worker suffices, whose serial path
     /// never creates a thread either.
     std::unique_ptr<WorkerPool> pool_;
-    /// Schedule fingerprints whose oracle cross-check already passed
-    /// (Verify::first bookkeeping).
-    std::unordered_set<std::uint64_t> oracle_seen_;
 };
 
 } // namespace hcube::rt

@@ -1,0 +1,164 @@
+// The runtime's one verification rule: a run's final memory is checked
+// against the state the schedule alone implies, never against a second
+// engine's run of the same plan.
+//
+// The cycle executor (sim::execute_schedule) proves a schedule and records
+// which node holds which packet, and every payload is a known function of
+// its packet id (move mode) or an exact integer sum of known contributions
+// (combine mode). So the expected final state needs no reference run:
+//
+//   move    — the plan's slots are exactly the (node, packet) pairs the
+//             executor records as held; every arena block hashes to its
+//             packet's canonical digest (one digest per packet, not per
+//             pair); and every slot's final block is its packet's arena
+//             block — the same pointer on the zero-copy path, equal bytes
+//             under copy-through.
+//   combine — the root holds the exact elementwise sums of the live
+//             members' contributions, and every slot equals, byte for
+//             byte, the image of evaluating the schedule (not the lowered
+//             plan) cycle by cycle in exact arithmetic from contribution-
+//             seeded slots, a cycle's sends reading before its receives
+//             accumulate. That image is what a cached plan's later runs
+//             are compared against.
+//
+// Both engines answer to the same rule; the barrier engine additionally
+// owes cycles == makespan, which callers read off its PlayStats
+// (docs/RUNTIME.md § Verification).
+#pragma once
+
+#include "rt/checksum.hpp"
+#include "rt/plan.hpp"
+#include "sim/cycle.hpp"
+
+#include <cstring>
+#include <optional>
+#include <span>
+#include <vector>
+
+namespace hcube::rt {
+
+/// True when the plan's slots are exactly the pairs `sim` records as held:
+/// the counts agree and every slot's (node, packet) is held.
+[[nodiscard]] bool slots_are_holdings(const Plan& plan,
+                                      const sim::CycleStats& sim);
+
+/// True when every arena block of the move plan hashes to its packet's
+/// canonical digest.
+[[nodiscard]] bool arena_is_canonical(const Plan& plan);
+
+/// The final image (slot order, block_elems doubles per slot) a run of the
+/// combine plan `plan` must leave: `schedule` evaluated cycle by cycle in
+/// exact arithmetic from contribution-seeded slots, a cycle's sends reading
+/// before its receives accumulate. nullopt when a send's endpoint has no
+/// slot in the plan.
+[[nodiscard]] std::optional<std::vector<double>>
+combine_image(const Plan& plan, const sim::Schedule& schedule);
+
+/// True when `block` is `packet`'s arena block: the same view, or the same
+/// bytes.
+[[nodiscard]] inline bool is_arena_block(const Plan& plan,
+                                         std::span<const double> block,
+                                         packet_t packet) noexcept {
+    if (block.size() != plan.block_elems || packet >= plan.packet_count) {
+        return false;
+    }
+    const double* canon = plan.arena_block(packet);
+    return block.data() == canon ||
+           std::memcmp(block.data(), canon,
+                       plan.block_elems * sizeof(double)) == 0;
+}
+
+/// Every slot's final block is its packet's arena block (move mode).
+template <class P>
+[[nodiscard]] bool matches_arena(const Plan& plan, const P& player) {
+    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
+        if (!is_arena_block(plan, player.slot_block(s),
+                            plan.slot_packet[s])) {
+            return false;
+        }
+    }
+    return true;
+}
+
+/// Every slot's final block equals its stretch of `image`, byte for byte.
+template <class P>
+[[nodiscard]] bool matches_image(const Plan& plan, const P& player,
+                                 std::span<const double> image) {
+    const std::size_t blk = plan.block_elems;
+    if (image.size() != plan.total_slots * blk) {
+        return false;
+    }
+    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
+        const std::span<const double> b = player.slot_block(s);
+        if (b.size() != blk ||
+            std::memcmp(b.data(), image.data() + s * blk,
+                        blk * sizeof(double)) != 0) {
+            return false;
+        }
+    }
+    return true;
+}
+
+/// The root's block for every packet of `schedule` equals the exact
+/// elementwise integer sum of every member's contribution (`members`
+/// empty = all 2^n nodes of the schedule's cube).
+template <class P>
+[[nodiscard]] bool root_sums_match(const P& player,
+                                   const sim::Schedule& schedule,
+                                   node_t root, std::size_t block_elems,
+                                   std::span<const node_t> members) {
+    const node_t count = node_t{1} << schedule.n;
+    for (packet_t p = 0; p < schedule.packet_count; ++p) {
+        const std::span<const double> block = player.block(root, p);
+        if (block.size() != block_elems) {
+            return false;
+        }
+        for (std::size_t e = 0; e < block_elems; ++e) {
+            double expected = 0.0;
+            if (members.empty()) {
+                for (node_t i = 0; i < count; ++i) {
+                    expected += contribution_element(i, p, e);
+                }
+            } else {
+                for (const node_t i : members) {
+                    expected += contribution_element(i, p, e);
+                }
+            }
+            if (block[e] != expected) {
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
+/// The rule for a move-mode run of `plan`, whose schedule the cycle
+/// executor proved into `sim`.
+template <class P>
+[[nodiscard]] bool check_move_run(const Plan& plan,
+                                  const sim::CycleStats& sim,
+                                  const P& player) {
+    return slots_are_holdings(plan, sim) && arena_is_canonical(plan) &&
+           matches_arena(plan, player);
+}
+
+/// The rule for a combine-mode run of `plan`, compiled from `schedule` and
+/// reducing into `root` over `members` (empty = the full cube). Returns the
+/// expected image on acceptance, nullopt on rejection.
+template <class P>
+[[nodiscard]] std::optional<std::vector<double>>
+check_combine_run(const Plan& plan, const sim::Schedule& schedule,
+                  node_t root, std::span<const node_t> members,
+                  const P& player) {
+    if (!root_sums_match(player, schedule, root, plan.block_elems,
+                         members)) {
+        return std::nullopt;
+    }
+    std::optional<std::vector<double>> image = combine_image(plan, schedule);
+    if (!image || !matches_image(plan, player, *image)) {
+        return std::nullopt;
+    }
+    return image;
+}
+
+} // namespace hcube::rt

@@ -401,9 +401,9 @@ struct Plan {
 void seed_plan_memory(const Plan& plan, std::span<double> memory);
 
 /// FNV-1a fingerprint over a schedule's full content (dimension, packet
-/// count, initial holders, and every send) — the identity the Verify::first
-/// oracle policy and the service layer key their per-schedule bookkeeping
-/// on. Two schedules with equal fingerprints execute identically.
+/// count, initial holders, and every send) — the identity net::run_job
+/// stamps on a job. Two schedules with equal fingerprints execute
+/// identically.
 [[nodiscard]] std::uint64_t
 schedule_fingerprint(const sim::Schedule& schedule) noexcept;
 

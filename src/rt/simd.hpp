@@ -15,7 +15,7 @@
 //
 // Elementwise double addition is performed in the same element order on
 // both paths (no reassociation), so combine-mode reductions stay bit-exact
-// against the barrier oracle regardless of which path ran.
+// across engines regardless of which path ran.
 #pragma once
 
 #include <cstddef>

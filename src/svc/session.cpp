@@ -4,13 +4,13 @@
 #include "obs/metrics.hpp"
 #include "rt/async_player.hpp"
 #include "rt/checksum.hpp"
+#include "rt/expected.hpp"
 #include "rt/plan.hpp"
 #include "rt/player.hpp"
 #include "rt/pool.hpp"
 #include "rt/threads.hpp"
 #include "sim/cycle.hpp"
 
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -20,63 +20,8 @@ namespace {
 
 using sim::packet_t;
 
-/// Slot-ordered copy of a player's final memory (every slot is exactly
-/// plan.block_elems doubles) — the oracle image a cached entry's later runs
-/// are byte-compared against.
-template <class P>
-std::vector<double> snapshot_memory(const rt::Plan& plan, const P& player) {
-    std::vector<double> image;
-    image.reserve(plan.total_slots * plan.block_elems);
-    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const std::span<const double> b = player.slot_block(s);
-        image.insert(image.end(), b.begin(), b.end());
-    }
-    return image;
-}
-
-template <class P>
-bool matches_image(const rt::Plan& plan, const P& player,
-                   const std::vector<double>& image) {
-    if (image.size() != plan.total_slots * plan.block_elems) {
-        return false;
-    }
-    std::size_t off = 0;
-    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const std::span<const double> b = player.slot_block(s);
-        if (b.size() != plan.block_elems ||
-            std::memcmp(b.data(), image.data() + off,
-                        plan.block_elems * sizeof(double)) != 0) {
-            return false;
-        }
-        off += plan.block_elems;
-    }
-    return true;
-}
-
-/// Move-mode steady-state check: every slot's final block must be the
-/// canonical arena block of its packet. The expected image is *derived*
-/// from the plan's immutable arena rather than stored per entry — on the
-/// zero-copy path the view is pointer-identical to the arena block (no
-/// byte compare at all), and copy-through finals memcmp against it.
-template <class P>
-bool matches_arena(const rt::Plan& plan, const P& player) {
-    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const std::span<const double> b = player.slot_block(s);
-        if (b.size() != plan.block_elems) {
-            return false;
-        }
-        const double* canon = plan.arena_block(plan.slot_packet[s]);
-        if (b.data() != canon &&
-            std::memcmp(b.data(), canon,
-                        plan.block_elems * sizeof(double)) != 0) {
-            return false;
-        }
-    }
-    return true;
-}
-
 /// FNV-1a over the slot-ordered canonical block digests — the identity of
-/// the derived move-mode oracle image. Stored on the first verified pass
+/// the derived move-mode expected image. Stored on the first verified pass
 /// and recomputed on every steady-state run, so a perturbed slot table or
 /// arena is caught even though no second image copy exists.
 std::uint64_t arena_fingerprint(const rt::Plan& plan) {
@@ -90,81 +35,6 @@ std::uint64_t arena_fingerprint(const rt::Plan& plan) {
         h *= 0x100000001b3ull;
     }
     return h;
-}
-
-/// Byte-identical final state across the barrier oracle and the async
-/// engine (the Communicator's cross-check, replayed per cache entry).
-bool identical_memory(const rt::Plan& plan, const rt::Player& ref,
-                      const rt::AsyncPlayer& dut) {
-    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const std::span<const double> a = ref.slot_block(s);
-        const std::span<const double> b = dut.slot_block(s);
-        if (a.size() != b.size() ||
-            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) !=
-                0) {
-            return false;
-        }
-    }
-    return true;
-}
-
-/// Every (node, packet) the simulator says is held must hold the canonical
-/// block, and nothing else may appear (move mode).
-template <class P>
-bool holdings_match(const P& player, const sim::Schedule& schedule,
-                    const sim::CycleStats& sim_stats, dim_t n,
-                    std::size_t block_elems) {
-    const node_t count = node_t{1} << n;
-    for (node_t i = 0; i < count; ++i) {
-        for (packet_t p = 0; p < schedule.packet_count; ++p) {
-            const bool held = sim_stats.holds(i, p);
-            const std::span<const double> block = player.block(i, p);
-            if (!held) {
-                if (!block.empty()) {
-                    return false;
-                }
-                continue;
-            }
-            if (block.empty() ||
-                rt::block_checksum(block) !=
-                    rt::canonical_checksum(p, block_elems)) {
-                return false;
-            }
-        }
-    }
-    return true;
-}
-
-/// The root's block for every packet must equal the exact elementwise
-/// integer sum of every contributing node (combine mode). A full-cube
-/// reduction sums all 2^n contributions; a member reduction sums exactly
-/// the live members' (`members` empty = full cube).
-template <class P>
-bool sums_match(const P& player, node_t root, packet_t packets, dim_t n,
-                std::size_t block_elems, std::span<const node_t> members) {
-    const node_t count = node_t{1} << n;
-    for (packet_t p = 0; p < packets; ++p) {
-        const std::span<const double> block = player.block(root, p);
-        if (block.size() != block_elems) {
-            return false;
-        }
-        for (std::size_t e = 0; e < block_elems; ++e) {
-            double expected = 0.0;
-            if (members.empty()) {
-                for (node_t i = 0; i < count; ++i) {
-                    expected += rt::contribution_element(i, p, e);
-                }
-            } else {
-                for (const node_t i : members) {
-                    expected += rt::contribution_element(i, p, e);
-                }
-            }
-            if (block[e] != expected) {
-                return false;
-            }
-        }
-    }
-    return true;
 }
 
 /// Preflight of `sig` against the session cube `n` and membership `view`
@@ -243,7 +113,7 @@ void sync_monotonic(obs::Counter& c,
 } // namespace
 
 /// One cached signature: the generated schedules, the compiled plan, the
-/// resident players, and the oracle image its steady-state runs are
+/// resident player, and the expected image its steady-state runs are
 /// compared against. Heap-allocated and shared_ptr-held so an eviction
 /// while another thread executes the entry only drops a reference.
 struct Session::PlanEntry {
@@ -253,27 +123,27 @@ struct Session::PlanEntry {
     /// costing nothing against the byte budget), consumed by the
     /// member-aware combine verification and the plan's worker partition.
     std::vector<node_t> members;
-    sim::CycleStats sim_stats; ///< of gen.feasibility (makespan + holdings)
+    /// Of gen.feasibility: the makespan, plus the holdings the first
+    /// execution is checked against (released once it passes).
+    sim::CycleStats sim_stats;
     std::unique_ptr<rt::Plan> plan;
-    /// Barrier engine: the executor under Engine::barrier; under
-    /// Engine::async the oracle, dropped after the first verified pass
-    /// when Verify::first no longer needs it.
-    std::unique_ptr<rt::Player> barrier;
+    std::unique_ptr<rt::Player> barrier;    ///< executor, Engine::barrier
     std::unique_ptr<rt::AsyncPlayer> async; ///< executor, Engine::async
-    /// Oracle image of the first verified run — combine mode only. Move
-    /// mode stores no image (it would duplicate the plan's immutable
-    /// arena); steady runs re-derive it and check oracle_fingerprint.
+    /// Expected image of a combine-mode run, computed by the first
+    /// execution's check. Move mode stores no image (it would duplicate
+    /// the plan's immutable arena); steady runs re-derive it and check
+    /// oracle_fingerprint.
     std::vector<double> oracle_image;
     std::uint64_t oracle_fingerprint = 0; ///< move mode, arena-derived
     bool image_valid = false; ///< first verified pass has happened
-    /// Serializes executions of this entry (the players hold mutable run
+    /// Serializes executions of this entry (the player holds mutable run
     /// state); distinct entries only contend on the worker pool.
     std::mutex exec_mutex;
 
     /// Exact bytes this entry keeps resident — the cost the byte-budgeted
     /// plan cache charges it. Itemized: the compiled plan (actions, dep
-    /// graph, buckets, slots, channels, arena), each resident player's run
-    /// state, and the combine-mode oracle image.
+    /// graph, buckets, slots, channels, arena), the resident player's run
+    /// state, and the combine-mode expected image.
     [[nodiscard]] std::uint64_t resident_bytes() const {
         std::uint64_t bytes = plan->resident_bytes();
         if (async != nullptr) {
@@ -308,13 +178,13 @@ model::CommParams Session::calibrate() const {
     // large block): time = τ + B·t_c fitted through both points. Below
     // timer resolution the fit degenerates; fall back to the iPSC
     // constants so selection still behaves sanely.
-    const auto probe = [this](std::uint32_t block) {
+    const auto probe = [](std::uint32_t block) {
         const Signature sig{Op::broadcast, Family::sbt, 1, 0, 1, block,
                             sim::PortModel::one_port_full_duplex};
         const GeneratedSchedule gen = make_schedule(sig);
         const rt::Plan plan =
             rt::compile_plan(gen.exec, gen.mode, block, 1);
-        rt::Player player(plan, params_.channel_capacity);
+        rt::AsyncPlayer player(plan);
         double best = std::numeric_limits<double>::infinity();
         for (int rep = 0; rep < 5; ++rep) {
             const rt::PlayStats stats = player.play();
@@ -374,9 +244,7 @@ Session::entry_for(const Signature& sig, const mbr::View& sub,
                              workers, 8, params_.plan_layout, e->members));
         if (params_.engine == rt::Engine::async) {
             e->async = std::make_unique<rt::AsyncPlayer>(*e->plan);
-        }
-        if (params_.engine == rt::Engine::barrier ||
-            params_.verify != rt::Verify::never) {
+        } else {
             e->barrier =
                 std::make_unique<rt::Player>(*e->plan,
                                              params_.channel_capacity);
@@ -427,108 +295,72 @@ ExecStats Session::execute(const Signature& sig) {
     const sim::Schedule& exec = entry->gen.exec;
     const bool combining = entry->gen.mode == rt::DataMode::combine;
     out.sim_makespan = entry->sim_stats.makespan;
+    // The entry's first execution (and any repeat of one that failed) is
+    // checked against the schedule's expected final state; later runs
+    // take the steady-state path.
+    const bool full_check = !entry->image_valid;
+    out.full_check = full_check;
 
-    // Under Verify::first the full oracle pass runs until it has succeeded
-    // once for this entry; afterwards (image_valid) runs take the
-    // steady-state path. Verify::always re-runs it every time.
-    const bool full_check =
-        params_.verify == rt::Verify::always ||
-        (params_.verify == rt::Verify::first && !entry->image_valid);
-    out.oracle_checked = full_check && entry->barrier != nullptr;
-
-    const auto structural_checks = [&](const auto& player,
-                                       const rt::PlayStats& stats) {
-        bool ok = stats.clean() &&
-                  stats.blocks_delivered == exec.sends.size();
-        if (!full_check && entry->image_valid) {
+    const auto verify = [&](const auto& player, const rt::PlayStats& stats) {
+        if (!stats.clean() || stats.blocks_delivered != exec.sends.size()) {
+            return false;
+        }
+        if (!full_check) {
             // Steady state: combine entries byte-compare against the
-            // oracle image of the first verified execution; move entries
+            // expected image of the first execution; move entries
             // re-derive the expected image from the plan's immutable
-            // arena (pointer-identity on the zero-copy path) and check
-            // its stored fingerprint — no second image copy exists.
+            // arena (pointer-identity on the zero-copy path) and check its
+            // stored fingerprint — no second image copy exists.
             if (combining) {
-                return ok &&
-                       matches_image(plan, player, entry->oracle_image);
+                return rt::matches_image(plan, player, entry->oracle_image);
             }
-            return ok &&
-                   entry->oracle_fingerprint == arena_fingerprint(plan) &&
-                   matches_arena(plan, player);
+            return entry->oracle_fingerprint == arena_fingerprint(plan) &&
+                   rt::matches_arena(plan, player);
         }
-        // Full check (or Verify::never, which has no image): recompute the
-        // content checks from first principles. Structural checks run
-        // against the schedule's own cube (exec.n), which may be a
-        // sub-cube of the session's.
+        // Full check against the schedule's own cube (exec.n), which may
+        // be a sub-cube of the session's.
         if (combining) {
-            ok = ok && sums_match(player, exec.initial_holder[0],
-                                  exec.packet_count, exec.n,
-                                  plan.block_elems, entry->members);
+            std::optional<std::vector<double>> image = rt::check_combine_run(
+                plan, exec, exec.initial_holder[0], entry->members, player);
+            if (!image) {
+                return false;
+            }
+            entry->oracle_image = std::move(*image);
         } else {
-            ok = ok && holdings_match(player, exec, entry->sim_stats,
-                                      exec.n, plan.block_elems);
+            if (!rt::check_move_run(plan, entry->sim_stats, player)) {
+                return false;
+            }
+            entry->oracle_fingerprint = arena_fingerprint(plan);
         }
-        return ok;
+        // Steady state never reads the holdings again.
+        entry->sim_stats.delivery_cycle = {};
+        entry->image_valid = true;
+        return true;
     };
 
-    bool ok = true;
+    rt::PlayStats stats;
+    bool ok = false;
     if (params_.engine == rt::Engine::barrier) {
-        const rt::PlayStats stats = entry->barrier->play(pool_.get());
-        // The barrier engine is its own oracle: its barriered cycle count
-        // must equal the cycle-model makespan.
+        stats = entry->barrier->play(pool_.get());
+        // The barrier engine also owes the cycle-model makespan.
         ok = stats.cycles == entry->sim_stats.makespan &&
-             structural_checks(*entry->barrier, stats);
-        out.rt_cycles = stats.cycles;
-        out.blocks_delivered = stats.blocks_delivered;
-        out.payload_bytes = stats.payload_bytes;
-        out.bytes_copied = stats.bytes_copied;
-        out.exec_mode = stats.mode;
-        out.transport = stats.transport;
-        out.seconds = stats.seconds;
-        if (ok && full_check && !entry->image_valid) {
-            if (combining) {
-                entry->oracle_image = snapshot_memory(plan, *entry->barrier);
-            } else {
-                entry->oracle_fingerprint = arena_fingerprint(plan);
-            }
-            entry->image_valid = true;
-        }
+             verify(*entry->barrier, stats);
     } else {
-        rt::PlayStats ref_stats;
-        if (full_check && entry->barrier != nullptr) {
-            ref_stats = entry->barrier->play(pool_.get());
-            ok = ref_stats.clean() &&
-                 ref_stats.blocks_delivered == exec.sends.size() &&
-                 ref_stats.cycles == entry->sim_stats.makespan;
-        }
-        const rt::PlayStats stats = entry->async->play(pool_.get());
-        ok = ok && structural_checks(*entry->async, stats);
-        if (full_check && entry->barrier != nullptr) {
-            ok = ok && identical_memory(plan, *entry->barrier, *entry->async);
-        }
-        out.rt_cycles = stats.cycles;
-        out.blocks_delivered = stats.blocks_delivered;
-        out.payload_bytes = stats.payload_bytes;
-        out.bytes_copied = stats.bytes_copied;
-        out.exec_mode = stats.mode;
-        out.transport = stats.transport;
-        out.seconds = stats.seconds;
-        if (ok && full_check && !entry->image_valid) {
-            if (combining) {
-                entry->oracle_image = snapshot_memory(plan, *entry->async);
-            } else {
-                entry->oracle_fingerprint = arena_fingerprint(plan);
-            }
-            entry->image_valid = true;
-            if (params_.verify == rt::Verify::first) {
-                // Steady state never re-runs the oracle; free its memory.
-                entry->barrier.reset();
-            }
-        }
+        stats = entry->async->play(pool_.get());
+        ok = verify(*entry->async, stats);
     }
+    out.rt_cycles = stats.cycles;
+    out.blocks_delivered = stats.blocks_delivered;
+    out.payload_bytes = stats.payload_bytes;
+    out.bytes_copied = stats.bytes_copied;
+    out.exec_mode = stats.mode;
+    out.transport = stats.transport;
+    out.seconds = stats.seconds;
     out.verified = ok;
     out.plan_resident_bytes = entry->resident_bytes();
     // The first verified pass changes what the entry keeps resident (the
-    // oracle player is dropped, the combine image materializes); re-price
-    // it so the byte budget stays exact.
+    // combine image materializes); re-price it so the byte budget stays
+    // exact.
     if (byte_budget_ && full_check) {
         cache_.update_cost(keyed, out.plan_resident_bytes);
     }

@@ -5,22 +5,22 @@
 //
 // Where rt::Communicator recompiles the schedule and reallocates player
 // memory on every call (its pool already persists — PR 5's satellite), the
-// Session also caches the *compiled plan and its players*: a cache hit
+// Session also caches the *compiled plan and its player*: a cache hit
 // replays the resident AsyncPlayer (or barrier Player) on the resident
-// pool, touching no allocator and no schedule generator. Verification in
-// the cached steady state stays byte-exact without re-running the barrier
-// oracle: combine-mode entries byte-compare against the oracle image
-// snapshotted on the entry's first (fully oracle-checked) execution, and
-// move-mode entries re-derive the expected final state from the plan's
-// immutable block arena (storing only a fingerprint of it — the image
-// would be a second full copy of arena bytes) (docs/SERVICE.md
-// § Verification in steady state).
+// pool, touching no allocator and no schedule generator. An entry's first
+// execution checks the run's final memory against the state the schedule
+// alone implies (rt/expected.hpp); later runs stay byte-exact at a lower
+// cost: combine-mode entries byte-compare against the expected image that
+// check computed, and move-mode entries re-derive the expected final state
+// from the plan's immutable block arena (storing only a fingerprint of it
+// — the image would be a second full copy of arena bytes) (docs/SERVICE.md
+// § Verification: first run and steady state).
 #pragma once
 
 #include "common/lru_cache.hpp"
 #include "mbr/view.hpp"
 #include "model/broadcast_model.hpp"
-#include "rt/communicator.hpp" // Engine, Verify
+#include "rt/communicator.hpp" // Engine
 #include "rt/plan.hpp"         // PlanLayout
 #include "svc/rejection.hpp"
 #include "svc/selector.hpp"
@@ -42,11 +42,11 @@ namespace hcube::svc {
 struct SessionParams {
     /// Worker threads; 0 picks min(2^n, max(2, hardware_concurrency)).
     std::uint32_t threads = 0;
-    /// Compiled plans (and their players) kept resident; 0 = unbounded.
+    /// Compiled plans (and their player) kept resident; 0 = unbounded.
     /// Entry-count mode, used only while plan_cache_bytes is 0.
     std::size_t plan_cache_capacity = 32;
     /// Byte budget for the plan cache. When nonzero the cache charges each
-    /// entry its exact resident bytes (plan + players + oracle image; see
+    /// entry its exact resident bytes (plan + player + expected image; see
     /// Plan::resident_bytes) and evicts least-recently-used entries until
     /// the total fits — thousands of small-cube signatures coexist with a
     /// few large ones under one bound. 0 (the default) preserves the
@@ -56,13 +56,8 @@ struct SessionParams {
     /// compact residency layout inside its validated envelope; wide is the
     /// pre-compaction reference encoding.
     rt::PlanLayout plan_layout = rt::PlanLayout::automatic;
-    /// Engine whose stats ExecStats reports.
+    /// Engine that executes every run.
     rt::Engine engine = rt::Engine::async;
-    /// Oracle policy. `first` (the service default) fully oracle-checks
-    /// each signature's first execution and byte-compares repeats against
-    /// the snapshotted oracle image; `always` re-runs the oracle every
-    /// time; `never` skips it entirely (checksums + holdings only).
-    rt::Verify verify = rt::Verify::first;
     /// Ring slots per link channel for the barrier engine.
     std::uint32_t channel_capacity = 2;
     /// Port model schedules are generated for and validated under.
@@ -77,8 +72,11 @@ struct SessionParams {
 /// Per-execution report (the service's analogue of rt::Result).
 struct ExecStats {
     bool verified = false;      ///< all checks for this run passed
-    bool oracle_checked = false;///< barrier oracle ran on this execution
-    bool cache_hit = false;     ///< plan + players came from the cache
+    /// This run was checked against the schedule's expected final state
+    /// (the entry's first execution, or a repeat of one that failed);
+    /// false on the steady-state path.
+    bool full_check = false;
+    bool cache_hit = false;     ///< plan + player came from the cache
     std::uint32_t rt_cycles = 0;
     std::uint32_t sim_makespan = 0;
     std::uint64_t blocks_delivered = 0;
@@ -93,7 +91,7 @@ struct ExecStats {
     /// session; netd reports its serving endpoint's transport instead).
     ft::TransportClass transport = ft::TransportClass::ring;
     /// Exact bytes this signature's cache entry keeps resident after the
-    /// run (compiled plan + players + oracle image) — the cost the
+    /// run (compiled plan + player + expected image) — the cost the
     /// byte-budgeted cache charges it.
     std::uint64_t plan_resident_bytes = 0;
     double seconds = 0; ///< wall clock of the reported engine's play()
@@ -116,7 +114,8 @@ class Session {
 
     /// Validates `sig` against the current membership view (see
     /// preflight), fetches or compiles its plan entry, executes it on the
-    /// resident pool, and verifies per the session's Verify policy.
+    /// resident pool, and verifies the run (full check on the entry's
+    /// first execution, steady-state checks after).
     /// Accepts any sub-cube dimension 1 <= sig.n <= n (plans for smaller
     /// cubes clamp their worker count to the sub-cube's live member
     /// count), so one session can serve a mixed-dimension signature

@@ -1,10 +1,10 @@
 // The recover leg of hcube::ft, closed-loop and differential: every
 // single-link kill injected mid-broadcast / mid-scatter must be detected,
-// replanned around, and re-executed to a final memory byte-identical to the
-// fault-free oracle — on both engines, for every directed link the initial
-// schedule uses, across n = 3..8 (stride-sampled at the largest sizes and
-// under sanitizers; the sampling offset varies by n so repeated CI runs of
-// the matrix cover different links).
+// replanned around, and re-executed to a final memory whose contract pairs
+// hold their canonical blocks byte for byte — on both engines, for every
+// directed link the initial schedule uses, across n = 3..8 (stride-sampled
+// at the largest sizes and under sanitizers; the sampling offset varies by
+// n so repeated CI runs of the matrix cover different links).
 //
 // The MSBT sweeps additionally prove the survivor-subset claim: the one
 // ERSBT crossing the dead link is dropped, and every send of the degraded
@@ -272,7 +272,7 @@ TEST(FtRecovery, NoSurvivingTreeThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Closed-loop differential sweeps (oracle-verified, both engines)
+// Closed-loop differential sweeps (contract-verified, both engines)
 // ---------------------------------------------------------------------------
 
 TEST(FtRecoverySbtBroadcast, HealsEveryLinkN3) {
@@ -403,8 +403,10 @@ TEST(FtRecovery, OracleIsCachedAcrossASweep) {
     const RecoveryResult second = comm.broadcast_sbt(0, 4, none);
     EXPECT_TRUE(first.delivered);
     EXPECT_TRUE(second.delivered);
-    // Same op signature → the cached oracle (and its wall clock) is reused.
-    EXPECT_EQ(first.oracle_seconds, second.oracle_seconds);
+    // Same op signature → the checked contract is reused: only the call
+    // that built it reports build time.
+    EXPECT_GT(first.oracle_seconds, 0.0);
+    EXPECT_EQ(second.oracle_seconds, 0.0);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 // Membership-aware self-healing (ft::ResilientComm member ops): a fault is
-// a node death, not a wire break — the victim leaves the view, the tree,
-// contract and oracle are rebuilt over the survivors, and the healed run
-// must byte-match the survivor-set oracle.
+// a node death, not a wire break — the victim leaves the view, the tree and
+// contract are rebuilt over the survivors, and the healed run must hold the
+// canonical block at every survivor-set contract pair.
 #include "ft/resilient.hpp"
 
 #include "common/check.hpp"

@@ -186,17 +186,39 @@ TEST(ObsSvc, RuntimeAggregatesAdvance) {
         sig_of(Op::broadcast, Family::sbt, 3, 0, 3, 64));
     EXPECT_EQ(r.status, Status::ok);
     const obs::RegistrySnapshot now = obs::registry().snapshot();
-    // The async engine (and its barrier oracle on the first pass) ran at
-    // least once each; cycle and byte aggregates moved.
-    EXPECT_GE(delta(now, base, "rt.plays_barrier") +
-                  delta(now, base, "rt.plays_serial") +
+    // The async engine ran; under Engine::async nothing plays the barrier
+    // engine, not even on the first pass. Cycle and byte aggregates moved.
+    EXPECT_GE(delta(now, base, "rt.plays_serial") +
                   delta(now, base, "rt.plays_stealing"),
-              2u);
+              1u);
+    EXPECT_EQ(delta(now, base, "rt.plays_barrier"), 0u);
     EXPECT_GE(delta(now, base, "rt.cycles"), 1u);
     EXPECT_GE(delta(now, base, "rt.checksum_bytes"), r.stats.payload_bytes);
     const obs::MetricSnapshot* play = now.find("rt.play_ns");
     ASSERT_NE(play, nullptr);
     EXPECT_GT(play->hist.count, 0u);
+}
+
+TEST(ObsSvc, AsyncSessionNeverPlaysTheBarrierEngine) {
+    // Calibrated at construction (no preset constants), then both data
+    // modes' first and steady-state executions: under Engine::async no
+    // step plays the barrier engine.
+    const obs::RegistrySnapshot base = obs::registry().snapshot();
+    SessionParams params;
+    params.threads = 2;
+    Session session(3, params);
+    for (const Signature& sig :
+         {sig_of(Op::broadcast, Family::msbt, 3, 1, 6, 16),
+          sig_of(Op::reduce, Family::sbt, 3, 0, 2, 16)}) {
+        for (int run = 0; run < 2; ++run) {
+            EXPECT_TRUE(session.execute(sig).verified) << sig.to_string();
+        }
+    }
+    const obs::RegistrySnapshot now = obs::registry().snapshot();
+    EXPECT_EQ(delta(now, base, "rt.plays_barrier"), 0u);
+    EXPECT_GE(delta(now, base, "rt.plays_serial") +
+                  delta(now, base, "rt.plays_stealing"),
+              4u);
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 #include "routing/schedule_export.hpp"
 #include "trees/bst.hpp"
 #include "trees/sbt.hpp"
+#include "trees/tcbt.hpp"
 
 #include <gtest/gtest.h>
 
@@ -112,6 +113,42 @@ TEST(RtAsyncVsBarrier, MsbtBroadcast) {
                                          static_cast<packet_t>(n) * 2,
                                          PortModel::one_port_full_duplex),
             DataMode::move, 2, "msbt_bcast n=" + std::to_string(n));
+    }
+}
+
+TEST(RtAsyncVsBarrier, MsbtBroadcastStretchedUnderHalfDuplex) {
+    for (hc::dim_t n = 3; n <= 8; ++n) {
+        expect_engines_agree(
+            routing::make_msbt_broadcast(n, 1,
+                                         static_cast<packet_t>(n) * 2,
+                                         PortModel::one_port_half_duplex),
+            DataMode::move, 2, "msbt_bcast_half n=" + std::to_string(n));
+    }
+}
+
+TEST(RtAsyncVsBarrier, PacedTcbtBroadcastOnAllPorts) {
+    // build_tcbt's search takes seconds at n = 8; n <= 6 covers the
+    // all-port paced shape.
+    for (hc::dim_t n = 3; n <= 6; ++n) {
+        expect_engines_agree(
+            routing::make_tree_broadcast(trees::build_tcbt(n, 0),
+                                         BroadcastDiscipline::paced, 5,
+                                         PortModel::all_port),
+            DataMode::move, 2, "tcbt_paced n=" + std::to_string(n));
+    }
+}
+
+TEST(RtAsyncVsBarrier, NonRootSourceBroadcastAndReduce) {
+    for (hc::dim_t n = 3; n <= 8; ++n) {
+        const node_t root = (node_t{1} << n) - 3;
+        const Schedule forward = routing::make_tree_broadcast(
+            trees::build_sbt(n, root), BroadcastDiscipline::port_oriented,
+            2, PortModel::one_port_full_duplex);
+        expect_engines_agree(forward, DataMode::move, 4,
+                             "sbt_bcast root=" + std::to_string(root));
+        expect_engines_agree(
+            routing::reverse_broadcast_for_reduce(forward, root),
+            DataMode::combine, 3, "reduce root=" + std::to_string(root));
     }
 }
 

@@ -234,42 +234,7 @@ TEST(RtVerify, CommunicatorReportsPoolReuse) {
             comm.broadcast(tree, BroadcastDiscipline::port_oriented, 2);
         EXPECT_TRUE(r.verified);
         EXPECT_TRUE(r.pool_reused) << "threads=" << threads;
-        EXPECT_TRUE(r.oracle_checked); // Verify::always is the default
     }
-}
-
-TEST(RtVerify, FirstPolicyChecksEachScheduleOnce) {
-    Params p = small_params(2);
-    p.verify = Verify::first;
-    Communicator comm(3, p);
-    const auto tree = trees::build_sbt(3, 0);
-    const Result first =
-        comm.broadcast(tree, BroadcastDiscipline::port_oriented, 2);
-    EXPECT_TRUE(first.verified);
-    EXPECT_TRUE(first.oracle_checked);
-    const Result repeat =
-        comm.broadcast(tree, BroadcastDiscipline::port_oriented, 2);
-    EXPECT_TRUE(repeat.verified);
-    EXPECT_FALSE(repeat.oracle_checked);
-    // A different schedule (other packet count) gets its own first check.
-    const Result other =
-        comm.broadcast(tree, BroadcastDiscipline::port_oriented, 3);
-    EXPECT_TRUE(other.verified);
-    EXPECT_TRUE(other.oracle_checked);
-}
-
-TEST(RtVerify, NeverPolicySkipsOracleButStillVerifies) {
-    Params p = small_params(2);
-    p.verify = Verify::never;
-    Communicator comm(3, p);
-    const auto tree = trees::build_sbt(3, 0);
-    const Result move =
-        comm.broadcast(tree, BroadcastDiscipline::port_oriented, 2);
-    EXPECT_TRUE(move.verified);
-    EXPECT_FALSE(move.oracle_checked);
-    const Result combine = comm.reduce(tree, 2);
-    EXPECT_TRUE(combine.verified);
-    EXPECT_FALSE(combine.oracle_checked);
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 // Tests of the concurrent collective service (hcube::svc): the shared LRU
 // cache, signature lowering, cost-model selection, the persistent Session
-// (plan cache + oracle-image verification), and the Service front door
+// (plan cache + expected-state verification), and the Service front door
 // (admission backpressure, FIFO dispatch, batching) — including 16 client
 // threads submitting mixed requests concurrently, every one byte-verified.
 #include "svc/service.hpp"
@@ -357,52 +357,50 @@ TEST(SvcSession, ExecutesEveryOpVerified) {
         const ExecStats stats = session.execute(sig);
         EXPECT_TRUE(stats.verified) << sig.to_string();
         EXPECT_FALSE(stats.cache_hit) << sig.to_string();
-        EXPECT_TRUE(stats.oracle_checked) << sig.to_string();
+        EXPECT_TRUE(stats.full_check) << sig.to_string();
         EXPECT_GT(stats.blocks_delivered, 0u) << sig.to_string();
     }
     EXPECT_EQ(session.cached_plans(), sigs.size());
 }
 
-TEST(SvcSession, VerifyFirstChecksOracleOncePerSignature) {
-    Session session(3, fast_session());
-    const Signature sig = sig_of(Op::broadcast, Family::sbt, 3, 0, 4, 16);
-    const ExecStats first = session.execute(sig);
-    EXPECT_TRUE(first.verified);
-    EXPECT_TRUE(first.oracle_checked);
-    EXPECT_FALSE(first.cache_hit);
-    for (int i = 0; i < 3; ++i) {
-        const ExecStats repeat = session.execute(sig);
-        EXPECT_TRUE(repeat.verified);
-        EXPECT_FALSE(repeat.oracle_checked); // steady state: image memcmp
-        EXPECT_TRUE(repeat.cache_hit);
-    }
+TEST(SvcSession, FullCheckOnFirstExecutionOfEachEntry) {
+    // Both data modes through a 2-entry cache: every entry's first
+    // execution runs the full expected-state check, repeats take the
+    // steady-state path, and so does a re-built entry after an eviction
+    // or a membership transition.
+    SessionParams params = fast_session();
+    params.plan_cache_capacity = 2;
+    Session session(3, params);
+    const Signature move = sig_of(Op::broadcast, Family::sbt, 3, 0, 4, 16);
+    const Signature combine = sig_of(Op::reduce, Family::sbt, 3, 0, 2, 16);
+    const Signature other = sig_of(Op::scatter, Family::sbt, 3, 0, 2, 16);
+    const auto expect_first_then_steady = [&](const Signature& sig,
+                                              const char* when) {
+        SCOPED_TRACE(sig.to_string() + " " + when);
+        const ExecStats first = session.execute(sig);
+        EXPECT_TRUE(first.verified);
+        EXPECT_FALSE(first.cache_hit);
+        EXPECT_TRUE(first.full_check);
+        for (int i = 0; i < 2; ++i) {
+            const ExecStats repeat = session.execute(sig);
+            EXPECT_TRUE(repeat.verified);
+            EXPECT_TRUE(repeat.cache_hit);
+            EXPECT_FALSE(repeat.full_check);
+        }
+    };
+    expect_first_then_steady(move, "first");
+    expect_first_then_steady(combine, "first");
+    expect_first_then_steady(other, "first"); // evicts move (the LRU)
+    EXPECT_EQ(session.cache_stats().evictions, 1u);
+    expect_first_then_steady(move, "after eviction");
+    // Node 5 leaving bumps the 3-cube's epoch: every resident entry is
+    // stale, so both data modes start over on the new member set.
+    EXPECT_EQ(session.leave(5), 2u);
+    expect_first_then_steady(move, "after leave");
+    expect_first_then_steady(combine, "after leave");
     const hcube::CacheStats stats = session.cache_stats();
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.hits, 3u);
-}
-
-TEST(SvcSession, VerifyAlwaysRerunsOracleEveryTime) {
-    SessionParams params = fast_session();
-    params.verify = rt::Verify::always;
-    Session session(3, params);
-    const Signature sig = sig_of(Op::reduce, Family::sbt, 3, 0, 2, 16);
-    for (int i = 0; i < 3; ++i) {
-        const ExecStats stats = session.execute(sig);
-        EXPECT_TRUE(stats.verified);
-        EXPECT_TRUE(stats.oracle_checked);
-    }
-}
-
-TEST(SvcSession, VerifyNeverStillByteChecksHoldings) {
-    SessionParams params = fast_session();
-    params.verify = rt::Verify::never;
-    Session session(3, params);
-    const Signature sig = sig_of(Op::broadcast, Family::sbt, 3, 0, 4, 16);
-    for (int i = 0; i < 2; ++i) {
-        const ExecStats stats = session.execute(sig);
-        EXPECT_TRUE(stats.verified);
-        EXPECT_FALSE(stats.oracle_checked);
-    }
+    EXPECT_EQ(stats.misses, 6u);
+    EXPECT_EQ(stats.hits, 12u);
 }
 
 TEST(SvcSession, BarrierEngineMatchesMakespanInSteadyState) {
@@ -413,6 +411,7 @@ TEST(SvcSession, BarrierEngineMatchesMakespanInSteadyState) {
     for (int i = 0; i < 3; ++i) {
         const ExecStats stats = session.execute(sig);
         EXPECT_TRUE(stats.verified);
+        EXPECT_EQ(stats.full_check, i == 0);
         EXPECT_EQ(stats.rt_cycles, stats.sim_makespan);
     }
 }
@@ -432,7 +431,7 @@ TEST(SvcSession, CacheEvictionRecompiles) {
     EXPECT_EQ(session.cache_stats().evictions, 1u);
     const ExecStats again = session.execute(a); // recompiled, re-verified
     EXPECT_FALSE(again.cache_hit);
-    EXPECT_TRUE(again.oracle_checked);
+    EXPECT_TRUE(again.full_check);
     EXPECT_TRUE(again.verified);
 }
 
@@ -513,7 +512,7 @@ TEST(SvcSession, ByteBudgetEvictsColdPlans) {
     EXPECT_LE(session.cache_resident_bytes(), params.plan_cache_bytes);
     const ExecStats again = session.execute(a); // recompiled, re-verified
     EXPECT_FALSE(again.cache_hit);
-    EXPECT_TRUE(again.oracle_checked);
+    EXPECT_TRUE(again.full_check);
     EXPECT_TRUE(again.verified);
 }
 
