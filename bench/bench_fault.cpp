@@ -13,7 +13,12 @@
 //   * GB/s         — delivered throughput of that final run: with faults
 //                    this is the *degraded* figure (the MSBT loses one
 //                    edge-disjoint tree per dead link and pipelines
-//                    deeper; the SBT family swaps in a replacement tree).
+//                    deeper; the SBT family swaps in a replacement tree),
+//   * copied       — payload bytes the final run memcpy'd: 0 whenever no
+//                    fault landed on its plan's channels (no hook is
+//                    installed, so it plays the zero-copy protocol). The
+//                    fault-0 rows must read 0 — a count, exact on any
+//                    machine, that CI gates on.
 // `verified` is the recovered run's contract memory byte-identical to the
 // canonical blocks — and the binary exits non-zero if
 // any row fails it (CI greps the JSON for `"verified": false` as well).
@@ -28,8 +33,9 @@
 //
 // --trace-out writes one chrome://tracing process per (op, n, engine,
 // faults) configuration; the aborted attempt and the recovered re-run land
-// in the same timeline, so the detection stall and the replan gap are
-// directly visible.
+// in the same timeline, so the replan gap between them is directly
+// visible. (On the in-process ring bank detection does not stall: the
+// aborted attempt ends as soon as the receive behind the dead link runs.)
 #include "bench_util.hpp"
 
 #include "common/json.hpp"
@@ -76,6 +82,7 @@ struct Row {
     std::uint32_t attempts = 0;
     std::uint32_t dropped_trees = 0;
     std::uint64_t payload_bytes = 0;
+    std::uint64_t bytes_copied = 0; ///< final run; 0 on the zero-copy path
     double oracle_ms = 0;
     double recovery_ms = 0;
     double final_ms = 0;
@@ -179,9 +186,10 @@ int main(int argc, char** argv) {
          }},
     };
 
-    std::printf("%-12s %3s %-8s %6s %8s %7s %9s %11s %9s %8s %5s\n", "op",
-                "n", "engine", "faults", "attempts", "dropped", "oracle ms",
-                "recovery ms", "final ms", "GB/s", "ok");
+    std::printf("%-12s %3s %-8s %6s %8s %7s %9s %11s %9s %8s %8s %5s\n",
+                "op", "n", "engine", "faults", "attempts", "dropped",
+                "oracle ms", "recovery ms", "final ms", "GB/s", "copied",
+                "ok");
 
     std::vector<Row> rows;
     for (const OpCase& c : cases) {
@@ -236,6 +244,7 @@ int main(int argc, char** argv) {
                     row.dropped_trees =
                         static_cast<std::uint32_t>(r.dropped_trees.size());
                     row.payload_bytes = r.stats.payload_bytes;
+                    row.bytes_copied = r.stats.bytes_copied;
                     row.oracle_ms = r.oracle_seconds * 1e3;
                     row.recovery_ms = r.recovery_seconds * 1e3;
                     row.final_ms = r.final_seconds * 1e3;
@@ -253,11 +262,13 @@ int main(int argc, char** argv) {
                     rows.push_back(row);
 
                     std::printf("%-12s %3d %-8s %6u %8u %7u %9.3f %11.3f "
-                                "%9.3f %8.3f %5s\n",
+                                "%9.3f %8.3f %8llu %5s\n",
                                 row.op.c_str(), n, row.engine.c_str(),
                                 row.faults, row.attempts,
                                 row.dropped_trees, row.oracle_ms,
                                 row.recovery_ms, row.final_ms, row.gbps,
+                                static_cast<unsigned long long>(
+                                    row.bytes_copied),
                                 row.verified ? "yes" : "NO");
                     std::fflush(stdout);
                 }
@@ -283,6 +294,7 @@ int main(int argc, char** argv) {
             json.field("attempts", r.attempts);
             json.field("dropped_trees", r.dropped_trees);
             json.field("payload_bytes", r.payload_bytes);
+            json.field("bytes_copied", r.bytes_copied);
             json.field("oracle_ms", r.oracle_ms);
             json.field("recovery_ms", r.recovery_ms);
             json.field("final_ms", r.final_ms);

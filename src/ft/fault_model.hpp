@@ -11,10 +11,11 @@
 //            list of per-directed-link faults applied inside ChannelBank at
 //            the instant a block is pushed, so the barrier Player and the
 //            dataflow AsyncPlayer feel byte-identical failures;
-//   detect   DetectConfig + FaultReport — a bounded arrival wait on pops
-//            plus the existing per-block checksum, promoted from a counter
-//            into a structured report (which directed link, which logical
-//            cycle, which fault class) that aborts an in-flight plan;
+//   detect   DetectConfig + FaultReport — an arrival check on pops (a
+//            bounded wait on the socket transports) plus the existing
+//            per-block checksum, promoted from a counter into a structured
+//            report (which directed link, which logical cycle, which fault
+//            class) that aborts an in-flight plan;
 //   recover  ft::ResilientComm (resilient.hpp) — replans around the dead
 //            link and re-executes idempotently.
 //
@@ -98,8 +99,9 @@ public:
     FaultPlan& corrupt(node_t from, node_t to, std::uint32_t at_push,
                        std::uint32_t pushes = 1, std::uint32_t salt = 1);
 
-    /// `pushes` blocks from `at_push` arrive `microseconds` late (absorbed
-    /// by the bounded arrival wait when shorter than the timeout).
+    /// `pushes` blocks from `at_push` arrive `microseconds` late. On the
+    /// in-process ring bank any delay is absorbed: the producer stalls
+    /// before publication, and the pop runs only after it publishes.
     FaultPlan& delay(node_t from, node_t to, std::uint32_t at_push,
                      std::uint32_t microseconds, std::uint32_t pushes = 1);
 
@@ -202,12 +204,13 @@ enum class TransportClass : std::uint8_t {
 /// 0): pops keep the legacy behavior of counting a channel fault and
 /// moving on, so existing fault-free workloads are untouched.
 struct DetectConfig {
-    /// Bound on how long a pop waits for its block before declaring the
-    /// link dead. 0 disables detection (and the abort path) entirely.
-    /// A published block is always visible by the time its pop runs (the
-    /// barrier or the dependency edge provides the happens-before), so the
-    /// wait only ever expires on a genuinely missing block — the bound can
-    /// be tight without risking false positives.
+    /// Nonzero switches detection (and the abort path) on; 0 disables it
+    /// entirely. On the socket transports it also bounds how long a pop
+    /// waits for its block before declaring the link dead: an I/O thread
+    /// publishes arrivals asynchronously. On the in-process ring bank
+    /// nothing waits — every push is published before its pop runs (the
+    /// barrier or the dependency edge provides the happens-before), so an
+    /// empty ring at pop time is reported at once (rt/detect.hpp).
     std::uint32_t arrival_timeout_us = 0;
     /// Abort and drain the plan on the first detected fault (the recovery
     /// path); false keeps counting faults to the end of the run.
@@ -217,12 +220,13 @@ struct DetectConfig {
         return arrival_timeout_us > 0;
     }
 
-    /// Default arrival bound per transport. The ring value is the
-    /// thread-tuned bound ft::ResilientComm always used; socket transports
-    /// wait orders of magnitude longer because an expected block's arrival
-    /// is asynchronous (an I/O thread publishes it after a wire crossing,
-    /// possibly after ack-timeout retransmits) — the happens-before
-    /// invariant that let the ring bound be tight does not hold there.
+    /// Default arrival bound per transport. The ring value only switches
+    /// detection on (nothing waits on the ring bank); socket transports
+    /// wait orders of magnitude longer than any ring hop because an
+    /// expected block's arrival is asynchronous (an I/O thread publishes
+    /// it after a wire crossing, possibly after ack-timeout retransmits) —
+    /// the happens-before invariant that makes the ring check final does
+    /// not hold there.
     [[nodiscard]] static constexpr std::uint32_t
     default_arrival_timeout_us(TransportClass t) noexcept {
         switch (t) {

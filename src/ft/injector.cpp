@@ -56,9 +56,9 @@ PushVerdict FaultInjector::on_push(std::uint32_t channel,
             corrupted_.fetch_add(1, std::memory_order_relaxed);
             break;
         case InjectClass::delay_delivery:
-            // Stalls the producer *before* publication: the consumer's
-            // bounded arrival wait is what absorbs (or times out on) the
-            // extra latency.
+            // Stalls the producer *before* publication. The engines run
+            // the consumer's pop only after this push returns, so the
+            // delay is absorbed, never seen as a missing block.
             std::this_thread::sleep_for(
                 std::chrono::microseconds(spec.param));
             delayed_.fetch_add(1, std::memory_order_relaxed);

@@ -23,8 +23,8 @@ namespace hcube::ft {
 
 /// The ChannelFaultHook implementation behind every injected scenario.
 /// Lifecycle: construct from a FaultPlan, arm() against each compiled
-/// rt::Plan it will run under, install via the engine's set_fault_hook,
-/// rewind() between runs of the same plan.
+/// rt::Plan it will run under, install via the engine's set_fault_hook
+/// unless inert(), rewind() between runs of the same plan.
 class FaultInjector final : public ChannelFaultHook {
 public:
     explicit FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {}
@@ -47,6 +47,11 @@ public:
     [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
     [[nodiscard]] std::size_t unmatched() const noexcept {
         return unmatched_;
+    }
+    /// True when arm() matched no spec to the plan's channels: the hook
+    /// could never fire there, so a run need not install it.
+    [[nodiscard]] bool inert() const noexcept {
+        return unmatched_ == plan_.specs().size();
     }
     [[nodiscard]] std::uint64_t dropped() const noexcept {
         return dropped_.load(std::memory_order_relaxed);

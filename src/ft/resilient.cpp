@@ -1,6 +1,7 @@
 #include "ft/resilient.hpp"
 
 #include "common/check.hpp"
+#include "common/lru_cache.hpp"
 #include "obs/metrics.hpp"
 #include "routing/schedule_export.hpp"
 #include "rt/async_player.hpp"
@@ -14,6 +15,8 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 
 namespace hcube::ft {
@@ -22,13 +25,18 @@ namespace {
 
 using sim::Schedule;
 
-/// The op's contract, checked against the cycle executor's holdings of the
-/// fault-free schedule: the executor proves the schedule feasible, and
-/// every contract pair must be one it delivers — otherwise no run could
-/// ever satisfy the contract.
+/// The op's contract `contract_of(schedule)`, checked against the cycle
+/// executor's holdings of that fault-free schedule: the executor proves
+/// the schedule feasible, and every contract pair must be one it delivers
+/// — otherwise no run could ever satisfy the contract. The time both take
+/// is added to `oracle_seconds`.
+template <class ContractOf>
 std::vector<std::pair<node_t, packet_t>>
-checked_contract(const Schedule& schedule,
-                 std::vector<std::pair<node_t, packet_t>> contract) {
+checked_contract(const Schedule& schedule, const ContractOf& contract_of,
+                 double& oracle_seconds) {
+    using clock = std::chrono::steady_clock;
+    const clock::time_point t0 = clock::now();
+    std::vector<std::pair<node_t, packet_t>> contract = contract_of(schedule);
     const sim::CycleStats sim_stats = sim::execute_schedule(
         schedule, sim::PortModel::one_port_full_duplex);
     const sim::DeliveryMap& held = sim_stats.delivery_cycle;
@@ -38,6 +46,8 @@ checked_contract(const Schedule& schedule,
                          "contract pair the fault-free schedule never "
                          "delivers");
     }
+    oracle_seconds +=
+        std::chrono::duration<double>(clock::now() - t0).count();
     return contract;
 }
 
@@ -117,28 +127,96 @@ matches_contract(const rt::Plan& plan, const PlayerT& player,
     return true;
 }
 
+/// `schedule` compiled for an attempt: over the full cube on `threads`
+/// workers, or (member ops) over `view`'s live members.
+rt::Plan compile_attempt(const Schedule& schedule,
+                         const ResilientParams& params,
+                         std::uint32_t threads, const mbr::View* view) {
+    if (view == nullptr) {
+        return compile_plan(schedule, rt::DataMode::move, params.block_elems,
+                            threads);
+    }
+    const std::vector<node_t> members = view->members();
+    return compile_plan(
+        schedule, rt::DataMode::move, params.block_elems,
+        std::min(threads, static_cast<std::uint32_t>(members.size())), 8,
+        rt::PlanLayout::automatic, members);
+}
+
+/// Fault-free attempts kept resident. Each holds a compiled plan and a
+/// player, so the bound is on memory: eight holds the five ops at one root
+/// and view each, with room for a few more roots or member views.
+constexpr std::uint64_t kResidentAttempts = 8;
+
 } // namespace
 
-/// Checked contracts keyed by operation signature; a sweep of fault
-/// positions over one collective pays for its check once.
-struct ResilientComm::ContractStore {
-    std::map<std::string, Contract> by_key;
+struct ResilientComm::Attempt {
+    /// Compiles `schedule` (see compile_attempt) and allocates the player
+    /// for params.engine.
+    Attempt(const Schedule& schedule, const ResilientParams& params,
+            std::uint32_t threads, const mbr::View* view)
+        : plan(compile_attempt(schedule, params, threads, view)) {
+        if (params.engine == rt::Engine::barrier) {
+            barrier =
+                std::make_unique<rt::Player>(plan, params.channel_capacity);
+        } else {
+            async = std::make_unique<rt::AsyncPlayer>(plan);
+        }
+    }
+    // The players hold a reference to plan, so an Attempt never moves.
+    Attempt(const Attempt&) = delete;
+    Attempt& operator=(const Attempt&) = delete;
+
+    rt::Plan plan;
+    std::unique_ptr<rt::Player> barrier;    ///< Engine::barrier
+    std::unique_ptr<rt::AsyncPlayer> async; ///< Engine::async
 };
+
+struct ResilientComm::Resident {
+    Resident(Schedule s, Contract c, const ResilientParams& params,
+             std::uint32_t threads, const mbr::View* view)
+        : schedule(std::move(s)), contract(std::move(c)),
+          attempt(schedule, params, threads, view) {}
+
+    Schedule schedule;
+    Contract contract;
+    Attempt attempt;
+};
+
+struct ResilientComm::Cache {
+    LruCache<std::string, std::shared_ptr<Resident>> residents{
+        kResidentAttempts};
+    /// Checked contracts of healing attempts, keyed by op and survivor
+    /// view: a sweep of fault positions pays for each view's check once.
+    std::map<std::string, Contract> contracts;
+};
+
+std::shared_ptr<ResilientComm::Resident>
+ResilientComm::resident(const std::string& key,
+                        const std::function<Schedule()>& make,
+                        const ContractOf& contract_of, const mbr::View* view,
+                        RecoveryResult& out) {
+    return cache_->residents.get_or_create(key, [&] {
+        Schedule schedule = make();
+        Contract contract =
+            checked_contract(schedule, contract_of, out.oracle_seconds);
+        return std::make_shared<Resident>(std::move(schedule),
+                                          std::move(contract), params_,
+                                          threads_, view);
+    });
+}
 
 const ResilientComm::Contract&
 ResilientComm::expected_state(const std::string& key,
                               const Schedule& schedule,
-                              const std::function<Contract()>& contract,
+                              const ContractOf& contract_of,
                               RecoveryResult& out) {
-    using clock = std::chrono::steady_clock;
-    auto cached = contracts_->by_key.find(key);
-    if (cached == contracts_->by_key.end()) {
-        const clock::time_point t0 = clock::now();
-        cached = contracts_->by_key
-                     .emplace(key, checked_contract(schedule, contract()))
+    auto cached = cache_->contracts.find(key);
+    if (cached == cache_->contracts.end()) {
+        cached = cache_->contracts
+                     .emplace(key, checked_contract(schedule, contract_of,
+                                                    out.oracle_seconds))
                      .first;
-        out.oracle_seconds +=
-            std::chrono::duration<double>(clock::now() - t0).count();
     }
     return cached->second;
 }
@@ -146,7 +224,7 @@ ResilientComm::expected_state(const std::string& key,
 ResilientComm::ResilientComm(dim_t n, ResilientParams params)
     : n_(n), params_(params),
       threads_(rt::pick_worker_threads(n, params.threads)),
-      contracts_(std::make_unique<ContractStore>()), view_(n) {
+      cache_(std::make_unique<Cache>()), view_(n) {
     HCUBE_ENSURE(n >= 1 && n <= hc::kMaxDimension);
     HCUBE_ENSURE(params_.block_elems >= 1);
     HCUBE_ENSURE_MSG(params_.detect.enabled(),
@@ -157,63 +235,64 @@ ResilientComm::ResilientComm(dim_t n, ResilientParams params)
 
 ResilientComm::~ResilientComm() = default;
 
-RecoveryResult ResilientComm::run_resilient(
-    const std::string& key, const Schedule& initial,
-    const std::function<Contract()>& contract, const FaultPlan& faults,
-    const Replanner& replan) {
-    using clock = std::chrono::steady_clock;
-    RecoveryResult out;
-    const Contract& expected = expected_state(key, initial, contract, out);
+bool ResilientComm::play_attempt(Attempt& attempt, const Schedule& schedule,
+                                 const Contract& expected,
+                                 FaultInjector& injector,
+                                 clock::time_point start,
+                                 RecoveryResult& out) {
+    injector.arm(attempt.plan);
+    const auto play = [&](auto& player) {
+        player.set_detection(params_.detect);
+        player.set_fault_hook(injector.inert() ? nullptr : &injector);
+        player.set_trace(trace_);
+        const rt::PlayStats stats = player.play();
+        ++out.attempts;
+        if (!stats.clean() ||
+            stats.blocks_delivered != schedule.sends.size()) {
+            out.reports.push_back(player.fault_report());
+            // Detection latency: attempt start to the failed run's join —
+            // how long the fault took to surface and drain.
+            static obs::Histogram& m_detect =
+                obs::registry().histogram("ft.detect_ns");
+            m_detect.record(static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    clock::now() - start)
+                    .count()));
+            return false;
+        }
+        out.delivered = matches_contract(attempt.plan, player, expected);
+        out.stats = stats;
+        out.final_seconds = stats.seconds;
+        return true;
+    };
+    return attempt.barrier != nullptr ? play(*attempt.barrier)
+                                      : play(*attempt.async);
+}
 
+RecoveryResult ResilientComm::run_resilient(
+    const std::string& key, const std::function<Schedule()>& make_initial,
+    const ContractOf& contract_of, const FaultPlan& faults,
+    const Replanner& replan) {
+    RecoveryResult out;
+    const std::shared_ptr<Resident> entry =
+        resident(key, make_initial, contract_of, nullptr, out);
     FaultInjector injector(faults);
-    Schedule schedule = initial;
+    Schedule schedule; // the replanned schedule of the next attempt
 
     for (std::uint32_t attempt = 0; attempt < params_.max_attempts;
          ++attempt) {
         const clock::time_point attempt_start = clock::now();
-        const rt::Plan plan = compile_plan(
-            schedule, rt::DataMode::move, params_.block_elems, threads_);
-        injector.arm(plan);
-
-        // One attempt on either engine; returns true when the run was
-        // clean (whether it then met the contract lands in delivered).
-        const auto execute = [&](auto& player) {
-            player.set_detection(params_.detect);
-            player.set_fault_hook(&injector);
-            if (trace_ != nullptr) {
-                player.set_trace(trace_);
-            }
-            const rt::PlayStats stats = player.play();
-            ++out.attempts;
-            if (!stats.clean() ||
-                stats.blocks_delivered != schedule.sends.size()) {
-                out.reports.push_back(player.fault_report());
-                // Detection latency: attempt start to the failed run's
-                // join — how long the fault took to surface and drain.
-                static obs::Histogram& m_detect =
-                    obs::registry().histogram("ft.detect_ns");
-                m_detect.record(static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        clock::now() - attempt_start)
-                        .count()));
-                return false;
-            }
-            out.delivered = matches_contract(plan, player, expected);
-            out.stats = stats;
-            out.final_seconds = stats.seconds;
-            return true;
-        };
-
-        bool finished = false;
-        if (params_.engine == rt::Engine::barrier) {
-            rt::Player player(plan, params_.channel_capacity);
-            finished = execute(player);
-        } else {
-            rt::AsyncPlayer player(plan);
-            finished = execute(player);
+        // The first attempt replays the resident fault-free plan; a
+        // healing attempt compiles its replanned schedule. The contract
+        // is the op's, whatever the route.
+        std::optional<Attempt> healing;
+        if (attempt > 0) {
+            healing.emplace(schedule, params_, threads_, nullptr);
         }
-        if (finished) {
-            out.final_schedule = std::move(schedule);
+        const Schedule& ran = healing ? schedule : entry->schedule;
+        if (play_attempt(healing ? *healing : entry->attempt, ran,
+                         entry->contract, injector, attempt_start, out)) {
+            out.final_schedule = ran;
             return out;
         }
 
@@ -237,9 +316,6 @@ RecoveryResult ResilientComm::run_resilient(
 
 RecoveryResult ResilientComm::broadcast_sbt(node_t root, packet_t packets,
                                             const FaultPlan& faults) {
-    const Schedule initial = routing::make_tree_broadcast(
-        trees::build_sbt(n_, root), routing::BroadcastDiscipline::paced,
-        packets, sim::PortModel::one_port_full_duplex);
     const Replanner replan = [this, root, packets](
                                  std::span<const DirectedLink> dead,
                                  RecoveryResult&) {
@@ -254,13 +330,18 @@ RecoveryResult ResilientComm::broadcast_sbt(node_t root, packet_t packets,
             routing::BroadcastDiscipline::paced, packets,
             sim::PortModel::one_port_full_duplex);
     };
-    return run_resilient("bcast_sbt/" + std::to_string(root) + "/" +
-                             std::to_string(packets),
-                         initial,
-                         [this, packets] {
-                             return broadcast_contract(n_, packets);
-                         },
-                         faults, replan);
+    return run_resilient(
+        "bcast_sbt/" + std::to_string(root) + "/" + std::to_string(packets),
+        [this, root, packets] {
+            return routing::make_tree_broadcast(
+                trees::build_sbt(n_, root),
+                routing::BroadcastDiscipline::paced, packets,
+                sim::PortModel::one_port_full_duplex);
+        },
+        [this, packets](const Schedule&) {
+            return broadcast_contract(n_, packets);
+        },
+        faults, replan);
 }
 
 RecoveryResult ResilientComm::broadcast_msbt(node_t root, packet_t packets,
@@ -268,8 +349,6 @@ RecoveryResult ResilientComm::broadcast_msbt(node_t root, packet_t packets,
     HCUBE_ENSURE_MSG(packets % static_cast<packet_t>(n_) == 0,
                      "MSBT broadcast needs packets divisible by n");
     const packet_t pps = packets / static_cast<packet_t>(n_);
-    const Schedule initial = routing::make_msbt_broadcast(
-        n_, root, packets, sim::PortModel::one_port_full_duplex);
     const Replanner replan = [this, root,
                               pps](std::span<const DirectedLink> dead,
                                    RecoveryResult& out) {
@@ -278,82 +357,51 @@ RecoveryResult ResilientComm::broadcast_msbt(node_t root, packet_t packets,
         out.dropped_trees = std::move(survivor.dropped_trees);
         return std::move(survivor.schedule);
     };
-    return run_resilient("bcast_msbt/" + std::to_string(root) + "/" +
-                             std::to_string(packets),
-                         initial,
-                         [this, packets] {
-                             return broadcast_contract(n_, packets);
-                         },
-                         faults, replan);
+    return run_resilient(
+        "bcast_msbt/" + std::to_string(root) + "/" + std::to_string(packets),
+        [this, root, packets] {
+            return routing::make_msbt_broadcast(
+                n_, root, packets, sim::PortModel::one_port_full_duplex);
+        },
+        [this, packets](const Schedule&) {
+            return broadcast_contract(n_, packets);
+        },
+        faults, replan);
 }
 
 RecoveryResult ResilientComm::run_member_resilient(
     const std::string& op_key, node_t root, const FaultPlan& faults,
-    const MemberScheduler& make, const MemberContract& contract_of) {
-    using clock = std::chrono::steady_clock;
+    const std::function<Schedule()>& make, const ContractOf& contract_of) {
+    HCUBE_ENSURE_MSG(view_.contains(root),
+                     "collective root is not a live member");
+    const auto key = [&] {
+        return op_key + "/" + std::to_string(view_.fingerprint());
+    };
     RecoveryResult out;
+    const std::shared_ptr<Resident> entry =
+        resident(key(), make, contract_of, &view_, out);
     FaultInjector injector(faults);
 
     for (std::uint32_t attempt = 0; attempt < params_.max_attempts;
          ++attempt) {
         const clock::time_point attempt_start = clock::now();
-        HCUBE_ENSURE_MSG(view_.contains(root),
-                         "collective root is not a live member");
-
-        // The schedule and contract are both functions of the *current*
-        // member set: a death between attempts shrinks both. The contract
-        // cache keys on the view fingerprint, so a sweep of fault
-        // positions over one survivor set still pays for its check once.
-        const Schedule schedule = make(view_);
-        const std::vector<node_t> members = view_.members();
-        const std::uint32_t workers = std::min(
-            threads_, static_cast<std::uint32_t>(members.size()));
-        const Contract& expected = expected_state(
-            op_key + "/" + std::to_string(view_.fingerprint()), schedule,
-            [&] { return contract_of(schedule, view_); }, out);
-
-        const rt::Plan plan =
-            compile_plan(schedule, rt::DataMode::move, params_.block_elems,
-                         workers, 8, rt::PlanLayout::automatic, members);
-        injector.arm(plan);
-
-        const auto execute = [&](auto& player) {
-            player.set_detection(params_.detect);
-            player.set_fault_hook(&injector);
-            if (trace_ != nullptr) {
-                player.set_trace(trace_);
-            }
-            const rt::PlayStats stats = player.play();
-            ++out.attempts;
-            if (!stats.clean() ||
-                stats.blocks_delivered != schedule.sends.size()) {
-                out.reports.push_back(player.fault_report());
-                // Detection latency: attempt start to the failed run's
-                // join — how long the fault took to surface and drain.
-                static obs::Histogram& m_detect =
-                    obs::registry().histogram("ft.detect_ns");
-                m_detect.record(static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        clock::now() - attempt_start)
-                        .count()));
-                return false;
-            }
-            out.delivered = matches_contract(plan, player, expected);
-            out.stats = stats;
-            out.final_seconds = stats.seconds;
-            return true;
-        };
-
-        bool finished = false;
-        if (params_.engine == rt::Engine::barrier) {
-            rt::Player player(plan, params_.channel_capacity);
-            finished = execute(player);
-        } else {
-            rt::AsyncPlayer player(plan);
-            finished = execute(player);
+        // The first attempt replays the resident plan of the call's view.
+        // A healing attempt runs on a survivor view: its schedule and
+        // contract are both functions of the shrunk member set, so it
+        // builds and compiles them, caching only the checked contract
+        // (keyed by the view fingerprint).
+        Schedule schedule;
+        const Contract* expected = &entry->contract;
+        std::optional<Attempt> healing;
+        if (attempt > 0) {
+            schedule = make();
+            expected = &expected_state(key(), schedule, contract_of, out);
+            healing.emplace(schedule, params_, threads_, &view_);
         }
-        if (finished) {
-            out.final_schedule = schedule;
+        const Schedule& ran = healing ? schedule : entry->schedule;
+        if (play_attempt(healing ? *healing : entry->attempt, ran, *expected,
+                         injector, attempt_start, out)) {
+            out.final_schedule = ran;
             out.view_epoch = view_.epoch();
             return out;
         }
@@ -377,7 +425,7 @@ RecoveryResult ResilientComm::run_member_resilient(
                 .count();
     }
     // Attempt budget exhausted without a clean run.
-    out.final_schedule = make(view_);
+    out.final_schedule = make();
     out.view_epoch = view_.epoch();
     return out;
 }
@@ -389,40 +437,35 @@ RecoveryResult ResilientComm::broadcast_members(node_t root,
         "bcast_members/" + std::to_string(root) + "/" +
             std::to_string(packets),
         root, faults,
-        [root, packets](const mbr::View& view) {
+        [this, root, packets] {
             return routing::make_member_broadcast(
-                view, root, routing::BroadcastDiscipline::paced, packets,
+                view_, root, routing::BroadcastDiscipline::paced, packets,
                 sim::PortModel::one_port_full_duplex);
         },
-        [packets](const Schedule&, const mbr::View& view) {
-            return member_broadcast_contract(view, packets);
+        [this, packets](const Schedule&) {
+            return member_broadcast_contract(view_, packets);
         });
 }
 
 RecoveryResult ResilientComm::scatter_members(node_t root,
                                               packet_t packets_per_dest,
                                               const FaultPlan& faults) {
+    // The generic terminal-destination walk already speaks member scatter:
+    // packet ids are dense over live destinations.
     return run_member_resilient(
         "scatter_members/" + std::to_string(root) + "/" +
             std::to_string(packets_per_dest),
         root, faults,
-        [root, packets_per_dest](const mbr::View& view) {
-            return routing::make_member_scatter(view, root,
+        [this, root, packets_per_dest] {
+            return routing::make_member_scatter(view_, root,
                                                 packets_per_dest);
         },
-        [](const Schedule& schedule, const mbr::View&) {
-            // The generic terminal-destination walk already speaks member
-            // scatter: packet ids are dense over live destinations.
-            return scatter_contract(schedule);
-        });
+        scatter_contract);
 }
 
 RecoveryResult ResilientComm::scatter_sbt(node_t root,
                                           packet_t packets_per_dest,
                                           const FaultPlan& faults) {
-    const Schedule initial = routing::make_tree_scatter(
-        trees::build_sbt(n_, root), routing::ScatterPolicy::descending,
-        packets_per_dest, sim::PortModel::one_port_full_duplex);
     const Replanner replan = [this, root, packets_per_dest](
                                  std::span<const DirectedLink> dead,
                                  RecoveryResult&) {
@@ -441,9 +484,14 @@ RecoveryResult ResilientComm::scatter_sbt(node_t root,
     };
     return run_resilient("scatter_sbt/" + std::to_string(root) + "/" +
                              std::to_string(packets_per_dest),
-                         initial,
-                         [&initial] { return scatter_contract(initial); },
-                         faults, replan);
+                         [this, root, packets_per_dest] {
+                             return routing::make_tree_scatter(
+                                 trees::build_sbt(n_, root),
+                                 routing::ScatterPolicy::descending,
+                                 packets_per_dest,
+                                 sim::PortModel::one_port_full_duplex);
+                         },
+                         scatter_contract, faults, replan);
 }
 
 } // namespace hcube::ft

@@ -7,14 +7,19 @@
 //      semantically delivers — is checked once against the cycle
 //      executor's holdings of the fault-free schedule, which also proves
 //      that schedule feasible. Every contract pair must end up holding its
-//      packet's canonical block, so no reference run is needed. Checked
-//      contracts are cached per operation signature, so a sweep of fault
-//      positions over one collective pays for the check once.
-//   2. Attempt: the current schedule is compiled, the fault scenario is
-//      armed on its channels, and the configured engine executes it with
-//      bounded-wait detection. A clean run that delivers every scheduled
-//      block proceeds to verification; a faulted run yields a structured
-//      FaultReport naming the directed link that failed.
+//      packet's canonical block, so no reference run is needed.
+//   2. Attempt: the fault scenario is armed on the attempt plan's
+//      channels, and the configured engine executes it with detection on.
+//      The first attempt replays the op's resident fault-free attempt —
+//      schedule, checked contract, compiled plan and player, kept per
+//      operation signature (LRU, a constant capacity) — so a repeated
+//      call generates, checks and compiles nothing. A healing attempt
+//      compiles its replanned schedule. The fault hook is installed only
+//      when a fault lands on one of the plan's channels; every other
+//      attempt plays the zero-copy protocol. A clean run that delivers
+//      every scheduled block proceeds to verification; a faulted run
+//      yields a structured FaultReport naming the directed link that
+//      failed.
 //   3. Heal: the reported link is added to the dead set and the operation
 //      is replanned around every dead link — SBT-family collectives pick a
 //      permuted SBT (or BFS fallback) avoiding the links; the MSBT drops
@@ -41,6 +46,7 @@
 #include "rt/player.hpp"       // rt::PlayStats
 #include "rt/tracing.hpp"
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -59,10 +65,9 @@ struct ResilientParams {
     std::uint32_t channel_capacity = 2;
     /// Engine that executes the attempts.
     rt::Engine engine = rt::Engine::async;
-    /// Detection policy for the attempts. The timeout must be longer than
-    /// any injected delay that should be absorbed rather than healed; the
-    /// default is the thread-transport bound (the attempts run on the
-    /// in-process ring bank).
+    /// Detection policy for the attempts; the timeout must be nonzero. The
+    /// attempts run on the in-process ring bank, where a receive never
+    /// waits (rt/detect.hpp): the timeout only switches detection on.
     DetectConfig detect = DetectConfig::for_transport(TransportClass::ring);
     /// Attempt budget: 1 initial execution + (max_attempts - 1) replans.
     std::uint32_t max_attempts = 4;
@@ -142,8 +147,10 @@ public:
     // the non-root endpoint of the failed link leaves the view, the tree
     // is rebuilt over the survivors, and a *fresh* contract is checked for
     // the shrunk member set (keyed by the view fingerprint) — the contract
-    // itself contracts to the survivors. The root's death is unrecoverable
-    // and surfaces as check_error.
+    // itself contracts to the survivors. A call's first attempt is the
+    // resident one of its (op, view fingerprint); the survivor views of
+    // healing attempts compile per attempt and cache only their contract.
+    // The root's death is unrecoverable and surfaces as check_error.
 
     /// The comm's membership view (full cube until the first death or
     /// mark_dead/readmit call).
@@ -181,39 +188,70 @@ private:
     /// replacement tree routes through different relays, and relay copies
     /// are an artifact of the route, not part of the collective's contract.
     using Contract = std::vector<std::pair<node_t, sim::packet_t>>;
-    struct ContractStore; ///< checked contracts, cached per operation
+    /// Derives an op's semantic contract from the schedule it runs.
+    using ContractOf = std::function<Contract(const sim::Schedule&)>;
+    /// A compiled plan plus a player for params.engine.
+    struct Attempt;
+    /// An op's fault-free attempt, resident between calls: its schedule,
+    /// checked contract, and compiled Attempt.
+    struct Resident;
+    /// The resident fault-free attempts (LRU-bounded) and the checked
+    /// contracts of healing attempts' survivor views.
+    struct Cache;
+    using clock = std::chrono::steady_clock;
 
-    /// The contract cached under `key`, or — on a miss — `contract()`
-    /// checked against `schedule`'s cycle-executor holdings, cached, and
-    /// its build time added to out.oracle_seconds.
+    /// The resident fault-free attempt cached under `key`, or — on a miss
+    /// — `make()` compiled over `view`'s members (nullptr: the full cube),
+    /// with `contract_of` its schedule checked against the cycle
+    /// executor's holdings (the check's time added to out.oracle_seconds),
+    /// cached.
+    [[nodiscard]] std::shared_ptr<Resident>
+    resident(const std::string& key,
+             const std::function<sim::Schedule()>& make,
+             const ContractOf& contract_of, const mbr::View* view,
+             RecoveryResult& out);
+
+    /// The healing-attempt contract cached under `key`, or — on a miss —
+    /// `contract_of(schedule)` checked as above, cached, and its build time
+    /// added to out.oracle_seconds.
     [[nodiscard]] const Contract&
     expected_state(const std::string& key, const sim::Schedule& schedule,
-                   const std::function<Contract()>& contract,
-                   RecoveryResult& out);
+                   const ContractOf& contract_of, RecoveryResult& out);
+
+    /// Plays one attempt of `schedule`, compiled in `attempt`: arms the
+    /// fault plan on its channels, installs the injector only if a spec
+    /// landed there (the hook is set or cleared on every attempt, so a
+    /// resident player never plays with an earlier call's injector), and
+    /// runs with detection on. Returns true when the run was clean, with
+    /// out.delivered set by the contract check; a faulted run appends its
+    /// FaultReport and records the detection latency since `start`.
+    [[nodiscard]] bool play_attempt(Attempt& attempt,
+                                    const sim::Schedule& schedule,
+                                    const Contract& expected,
+                                    FaultInjector& injector,
+                                    clock::time_point start,
+                                    RecoveryResult& out);
 
     [[nodiscard]] RecoveryResult
-    run_resilient(const std::string& key, const sim::Schedule& initial,
-                  const std::function<Contract()>& contract,
-                  const FaultPlan& faults, const Replanner& replan);
+    run_resilient(const std::string& key,
+                  const std::function<sim::Schedule()>& make_initial,
+                  const ContractOf& contract_of, const FaultPlan& faults,
+                  const Replanner& replan);
 
-    /// Builds the op's schedule over a given member set (called once per
-    /// attempt — the view shrinks between attempts).
-    using MemberScheduler = std::function<sim::Schedule(const mbr::View&)>;
-    /// Derives the op's semantic contract from the attempt's schedule and
-    /// member set.
-    using MemberContract =
-        std::function<Contract(const sim::Schedule&, const mbr::View&)>;
-
+    /// `make` builds the op's schedule over the current view_ and
+    /// `contract_of` its contract — both functions of the member set,
+    /// which shrinks between attempts.
     [[nodiscard]] RecoveryResult
     run_member_resilient(const std::string& op_key, node_t root,
-                         const FaultPlan& faults, const MemberScheduler& make,
-                         const MemberContract& contract_of);
+                         const FaultPlan& faults,
+                         const std::function<sim::Schedule()>& make,
+                         const ContractOf& contract_of);
 
     dim_t n_;
     ResilientParams params_;
     std::uint32_t threads_;
     rt::TraceRecorder* trace_ = nullptr;
-    std::unique_ptr<ContractStore> contracts_;
+    std::unique_ptr<Cache> cache_;
     mbr::View view_;
 };
 

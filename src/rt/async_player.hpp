@@ -66,8 +66,8 @@ public:
     explicit AsyncPlayer(const Plan& plan,
                          std::uint32_t channel_capacity = 0);
 
-    /// Enables bounded-wait fault detection (and, per config, the
-    /// abort-and-drain path). Only valid between runs.
+    /// Enables fault detection (and, per config, the abort-and-drain
+    /// path). Only valid between runs.
     void set_detection(const ft::DetectConfig& detect) noexcept {
         detect_ = detect;
     }

@@ -131,6 +131,9 @@ HCUBE_DELIVERY_INLINE void send_block(const RunContextT<Bank>& ctx,
 
 /// Receive side: drain the channel head, verify it is the promised block,
 /// and deliver it (view adoption, or copy/accumulate under copy-through).
+/// On a bank that publishes before the pop runs (publishes_before_pop) an
+/// empty head is final, so it is checked once; on any other bank a
+/// detecting run waits up to the arrival bound (await_front).
 /// `check_seq` is the dataflow engines' stricter assertion that the head
 /// is exactly the k-th push their dependency edge waited for; the barrier
 /// engine passes false (its phases make the weaker packet check exact).
@@ -143,11 +146,15 @@ deliver_block(const RunContextT<Bank>& ctx, const ActionRef& a,
         ctx.trace != nullptr ? TraceRecorder::clock::now()
                              : TraceRecorder::clock::time_point{};
     ChannelBank::Desc d;
-    const bool present =
-        ctx.detecting ? await_front(ctx.channels, a.channel, d,
-                                    ctx.detect.arrival_timeout_us,
-                                    ctx.arbiter)
-                      : ctx.channels.front(a.channel, d);
+    bool present = false;
+    if constexpr (publishes_before_pop<Bank>) {
+        present = ctx.channels.front(a.channel, d);
+    } else {
+        present = ctx.detecting ? await_front(ctx.channels, a.channel, d,
+                                              ctx.detect.arrival_timeout_us,
+                                              ctx.arbiter)
+                                : ctx.channels.front(a.channel, d);
+    }
     if (!present) [[unlikely]] {
         if (ctx.detecting && ctx.arbiter.aborted()) {
             return DeliverOutcome::drained;

@@ -7,13 +7,18 @@
 // abort flag; every other worker polls the flag at its next natural
 // boundary and drains out without executing further payload work.
 //
-// The bounded arrival wait exploits an engine invariant: by the time a pop
-// runs, any block that *was* published on its channel is already visible
-// (the barrier Player separates phases with a full barrier; the AsyncPlayer
+// Arrival detection rests on an engine invariant: by the time a pop runs,
+// any block that *was* published on its channel is already visible (the
+// barrier Player separates phases with a full barrier; the AsyncPlayer
 // orders the pop after the push action through an acq_rel dependency edge).
-// An empty channel at pop time therefore means the block is never coming —
-// the wait exists to give injected *delays* (which stall the producer
-// before publication) room to land, and to put a hard bound on how long a
+// On the in-process ring bank a push publishes on the pushing thread, so
+// this holds for every push, injected delays included (they stall the
+// producer before publication, and so before the pop may run): an empty
+// channel at pop time means the block is never coming, and the pop
+// reports the arrival timeout at once, with no wait at all
+// (rt::publishes_before_pop, rt/transport.hpp). The bounded wait below is
+// for backends that publish asynchronously — the socket transport's I/O
+// thread — where it gives a wire crossing room to land and caps how long a
 // dead link can stall a run.
 #pragma once
 
@@ -95,9 +100,9 @@ private:
 
 /// Polls `channels.front(channel)` until a descriptor appears, the arbiter
 /// aborts, or `timeout_us` elapses. Returns false on timeout/abort. The
-/// caller re-checks packet/seq itself. Generic over the channel backend
-/// (rt/transport.hpp): on the socket transport this is the wait that gives
-/// a wire crossing — and its ack-timeout retransmits — room to land.
+/// caller re-checks packet/seq itself. Used only on backends without
+/// publishes_before_pop: on the socket transport this is the wait that
+/// gives a wire crossing — and its ack-timeout retransmits — room to land.
 template <class Bank>
 [[nodiscard]] inline bool
 await_front(const Bank& channels, std::uint32_t channel,

@@ -67,8 +67,8 @@ struct PlayStats {
     std::uint64_t checksum_failures = 0;
     std::uint64_t channel_faults = 0;  ///< full-on-push / empty-on-pop /
                                        ///< wrong packet or sequence at head
-    std::uint64_t timeouts = 0;        ///< bounded arrival waits that expired
-                                       ///< (detection enabled only)
+    std::uint64_t timeouts = 0;        ///< receives whose block never
+                                       ///< arrived (detection enabled only)
     std::uint64_t steals = 0;          ///< actions run off another worker's
                                        ///< queue (AsyncPlayer only)
     double seconds = 0;                ///< wall clock of the threaded region
@@ -89,8 +89,8 @@ public:
     /// The plan must outlive the player.
     explicit Player(const Plan& plan, std::uint32_t channel_capacity = 2);
 
-    /// Enables bounded-wait fault detection (and, per config, the
-    /// abort-and-drain path). Only valid between runs.
+    /// Enables fault detection (and, per config, the abort-and-drain
+    /// path). Only valid between runs.
     void set_detection(const ft::DetectConfig& detect) noexcept {
         detect_ = detect;
     }

@@ -66,4 +66,18 @@ concept Transport = requires(B& bank, const B& cbank, std::uint32_t channel,
 static_assert(Transport<ChannelBank>,
               "the in-process ring bank must satisfy the transport concept");
 
+/// True when a push on backend `B` is published on the pushing thread, so
+/// the engines' ordering (the barrier Player's phase barrier, the
+/// AsyncPlayer's push → pop dependency edge) makes it visible before the
+/// matching pop runs. An empty channel at pop time then means the block
+/// is never coming, and the receive side checks the head once instead of
+/// waiting (rt/delivery.hpp). The default is false: a backend whose
+/// arrivals are published asynchronously — net::SocketChannelBank's I/O
+/// thread, after a wire crossing — keeps the bounded arrival wait.
+template <class B>
+inline constexpr bool publishes_before_pop = false;
+
+template <>
+inline constexpr bool publishes_before_pop<ChannelBank> = true;
+
 } // namespace hcube::rt

@@ -1,10 +1,11 @@
 // The inject → detect legs of hcube::ft: a FaultPlan armed on a compiled
 // plan's channels must surface through each engine exactly as designed —
-// kills and drops as bounded-wait arrival timeouts (or stream mismatches on
-// the async engine, where the ring head may already show a later block),
-// corruption as a checksum mismatch, delays absorbed silently — and the
-// first detected fault must name the injected directed link in its
-// structured FaultReport.
+// kills and drops as arrival timeouts (or stream mismatches on the async
+// engine, where the ring head may already show a later block), corruption
+// as a checksum mismatch, delays absorbed silently — and the first
+// detected fault must name the injected directed link in its structured
+// FaultReport. On the in-process ring bank no receive ever waits for the
+// arrival bound: a missing block is reported as soon as its pop runs.
 #include "ft/fault_model.hpp"
 #include "ft/injector.hpp"
 
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <map>
 #include <set>
 #include <utility>
@@ -138,7 +140,7 @@ TEST(FtInject, KillLinkTimesOutOnBarrierEngine) {
     EXPECT_GE(injector.dropped(), 1u);
     const FaultReport& report = player.fault_report();
     // The barrier engine runs in lockstep, so the kill can only manifest
-    // as the receiver's bounded wait expiring — on the killed link.
+    // as the receiver finding its ring empty — on the killed link.
     EXPECT_EQ(report.cls, DetectClass::arrival_timeout);
     EXPECT_EQ(report.from, dead.from);
     EXPECT_EQ(report.to, dead.to);
@@ -208,6 +210,107 @@ TEST(FtInject, DelayWithinTimeoutIsAbsorbedByBothEngines) {
         EXPECT_EQ(injector.delayed(), 2u);
         EXPECT_FALSE(player.fault_report().faulted());
     }
+}
+
+/// Plays `player` with `injector` (a mid-stream kill of `dead`) armed
+/// under a 5 s arrival bound. The ring bank publishes every push before
+/// its pop runs, so the receive that finds the ring empty must report the
+/// killed link at once: the play returns in far less than the bound.
+template <class PlayerT>
+rt::PlayStats play_kill_under_long_bound(PlayerT& player,
+                                         FaultInjector& injector,
+                                         const DirectedLink& dead) {
+    player.set_detection(
+        {.arrival_timeout_us = 5'000'000, .abort_on_fault = true});
+    player.set_fault_hook(&injector);
+    const auto t0 = std::chrono::steady_clock::now();
+    const rt::PlayStats stats = player.play();
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - t0;
+    EXPECT_LT(took.count(), 1.0);
+    EXPECT_FALSE(stats.clean());
+    EXPECT_GE(stats.timeouts, 1u);
+    EXPECT_GE(injector.dropped(), 1u);
+    const FaultReport& report = player.fault_report();
+    EXPECT_EQ(report.cls, DetectClass::arrival_timeout);
+    EXPECT_EQ(report.from, dead.from);
+    EXPECT_EQ(report.to, dead.to);
+    return stats;
+}
+
+/// An SBT broadcast plan and an injector armed with a mid-stream kill of
+/// a link that carries at least two of its blocks.
+struct KillCase {
+    KillCase(dim_t n, packet_t packets, std::size_t block_elems,
+             std::uint32_t workers)
+        : schedule(sbt_broadcast(n, 0, packets)),
+          plan(rt::compile_plan(schedule, rt::DataMode::move, block_elems,
+                                workers)),
+          dead(busy_link(schedule, pushes)),
+          injector(FaultPlan{}.kill_link(dead.from, dead.to, pushes / 2)) {
+        injector.arm(plan);
+    }
+
+    Schedule schedule;
+    rt::Plan plan;
+    std::uint32_t pushes = 0; ///< blocks the schedule sends across `dead`
+    DirectedLink dead;
+    FaultInjector injector;
+};
+
+TEST(FtInject, KillIsReportedWithoutWaitingOnBarrierEngine) {
+    KillCase c(4, 6, 16, 2);
+    rt::Player player(c.plan);
+    (void)play_kill_under_long_bound(player, c.injector, c.dead);
+}
+
+TEST(FtInject, KillIsReportedWithoutWaitingOnSerialAsyncEngine) {
+    KillCase c(4, 6, 16, 2);
+    rt::AsyncPlayer player(c.plan);
+    const rt::PlayStats stats =
+        play_kill_under_long_bound(player, c.injector, c.dead);
+    EXPECT_EQ(stats.mode, rt::ExecMode::serial);
+}
+
+TEST(FtInject, KillIsReportedWithoutWaitingOnStealingAsyncEngine) {
+    // Copy-through (the hook is installed) with 8 KiB blocks, two workers
+    // and hundreds of actions each: the work-stealing mode.
+    KillCase c(5, 8, 1024, 2);
+    rt::AsyncPlayer player(c.plan);
+    const rt::PlayStats stats =
+        play_kill_under_long_bound(player, c.injector, c.dead);
+    EXPECT_EQ(stats.mode, rt::ExecMode::stealing);
+}
+
+TEST(FtInject, DelayLongerThanTheBoundIsAbsorbedByBothEngines) {
+    // A delay stalls the producer before publication, and the pop runs
+    // only after the push returns — so even a 3 ms delay under a 1 ms
+    // bound is absorbed, never reported as a missing block.
+    const Schedule schedule = sbt_broadcast(3, 0, 4);
+    const rt::Plan plan =
+        rt::compile_plan(schedule, rt::DataMode::move, 16, 2);
+
+    std::uint32_t count = 0;
+    const DirectedLink slow = busy_link(schedule, count);
+    FaultPlan faults;
+    faults.delay(slow.from, slow.to, 0, 3'000, 2);
+    const auto absorbs = [&](auto& player) {
+        FaultInjector injector(faults);
+        injector.arm(plan);
+        player.set_detection(
+            {.arrival_timeout_us = 1'000, .abort_on_fault = true});
+        player.set_fault_hook(&injector);
+        const rt::PlayStats stats = player.play();
+        EXPECT_TRUE(stats.clean());
+        EXPECT_EQ(stats.timeouts, 0u);
+        EXPECT_EQ(stats.blocks_delivered, schedule.sends.size());
+        EXPECT_EQ(injector.delayed(), 2u);
+        EXPECT_FALSE(player.fault_report().faulted());
+    };
+    rt::Player barrier(plan);
+    absorbs(barrier);
+    rt::AsyncPlayer async(plan);
+    absorbs(async);
 }
 
 TEST(FtInject, FaultOnUnusedLinkStaysInert) {

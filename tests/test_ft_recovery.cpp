@@ -14,6 +14,7 @@
 
 #include "common/check.hpp"
 #include "hc/bits.hpp"
+#include "mbr/view.hpp"
 #include "routing/schedule_export.hpp"
 #include "sim/cycle.hpp"
 #include "trees/msbt.hpp"
@@ -394,6 +395,90 @@ TEST(FtRecovery, InertFaultPlanFinishesFirstAttempt) {
     EXPECT_FALSE(r.recovered);
     EXPECT_EQ(r.attempts, 1u);
     EXPECT_TRUE(r.reports.empty());
+}
+
+TEST(FtRecovery, ResidentAttemptsCarryNoStateBetweenCalls) {
+    // Each op's first attempt replays one resident plan and player. A
+    // faulted call arms the injector on it and leaves copy-through
+    // storage behind; the clean calls after it must still play the
+    // zero-copy protocol with no hook, no report and the fault-free
+    // schedule. Member ops readmit each dead node, so every clean call
+    // runs on the full view's resident entry again.
+    constexpr dim_t n = 4;
+    constexpr node_t root = 5;
+    constexpr packet_t packets = 2 * n; // MSBT: divisible by n
+    constexpr packet_t per_dest = 2;
+    const mbr::View full(n);
+    struct OpCase {
+        const char* name;
+        Schedule fault_free;
+        RecoveryResult (*call)(ResilientComm&, const FaultPlan&);
+    };
+    const OpCase ops[] = {
+        {"broadcast_sbt", initial_schedule(Op::bcast_sbt, n, root, packets),
+         [](ResilientComm& c, const FaultPlan& f) {
+             return c.broadcast_sbt(root, packets, f);
+         }},
+        {"broadcast_msbt",
+         initial_schedule(Op::bcast_msbt, n, root, packets),
+         [](ResilientComm& c, const FaultPlan& f) {
+             return c.broadcast_msbt(root, packets, f);
+         }},
+        {"scatter_sbt", initial_schedule(Op::scatter_sbt, n, root, per_dest),
+         [](ResilientComm& c, const FaultPlan& f) {
+             return c.scatter_sbt(root, per_dest, f);
+         }},
+        {"broadcast_members",
+         routing::make_member_broadcast(full, root,
+                                        BroadcastDiscipline::paced, packets,
+                                        PortModel::one_port_full_duplex),
+         [](ResilientComm& c, const FaultPlan& f) {
+             return c.broadcast_members(root, packets, f);
+         }},
+        {"scatter_members",
+         routing::make_member_scatter(full, root, per_dest),
+         [](ResilientComm& c, const FaultPlan& f) {
+             return c.scatter_members(root, per_dest, f);
+         }},
+    };
+    constexpr std::size_t kRounds = 3;
+    for (const rt::Engine engine :
+         {rt::Engine::barrier, rt::Engine::async}) {
+        for (const OpCase& op : ops) {
+            ResilientComm comm(n, params_for(engine));
+            const std::vector<LinkUse> links = links_used(op.fault_free);
+            for (std::size_t round = 0; round < kRounds; ++round) {
+                const std::string where =
+                    std::string(" engine=") +
+                    std::string(to_string(engine)) + " op=" + op.name +
+                    " round=" + std::to_string(round);
+                const LinkUse& kill =
+                    links[(round + 1) * links.size() / (kRounds + 1)];
+                FaultPlan faults;
+                faults.kill_link(kill.link.from, kill.link.to,
+                                 kill.pushes / 2);
+                const RecoveryResult faulted = op.call(comm, faults);
+                ASSERT_TRUE(faulted.delivered) << where;
+                EXPECT_TRUE(faulted.recovered) << where;
+                for (const node_t v : faulted.dead_nodes) {
+                    comm.readmit(v);
+                }
+                for (int clean_call = 0; clean_call < 2; ++clean_call) {
+                    const RecoveryResult clean = op.call(comm, FaultPlan{});
+                    ASSERT_TRUE(clean.delivered) << where;
+                    EXPECT_EQ(clean.attempts, 1u) << where;
+                    EXPECT_TRUE(clean.reports.empty()) << where;
+                    EXPECT_EQ(clean.stats.bytes_copied, 0u) << where;
+                    EXPECT_EQ(clean.final_schedule.sends,
+                              op.fault_free.sends)
+                        << where;
+                    EXPECT_EQ(clean.final_schedule.initial_holder,
+                              op.fault_free.initial_holder)
+                        << where;
+                }
+            }
+        }
+    }
 }
 
 TEST(FtRecovery, OracleIsCachedAcrossASweep) {
