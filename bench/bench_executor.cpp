@@ -1,15 +1,14 @@
 // Throughput benchmark for the schedule-execution engine: validated
 // sends/second across n = nmin..nmax for SBT/MSBT/BST broadcast and scatter
-// schedules, under the flat engine (sim::execute_schedule) and, up to
-// --legacy-nmax, the pre-rewrite map/set-based executor kept verbatim in
-// legacy_executor.hpp. Schedule generation is excluded from the timed region.
+// schedules under sim::execute_schedule. Schedule generation is excluded
+// from the timed region. The speedup over the original map/set-based
+// executor is a frozen record: the legacy_* columns of BENCH_executor.json
+// (docs/PERFORMANCE.md § Benchmarking).
 //
 //   bench_executor --nmin 7 --nmax 13 [--packets 8] [--pps 2] [--ppd 1]
-//                  [--min-time 0.2] [--legacy-nmax 13 | --no-legacy]
-//                  [--workload <substring>] [--tracking auto|dense|sparse]
-//                  [--json <path>]
+//                  [--min-time 0.2] [--workload <substring>]
+//                  [--tracking auto|dense|sparse] [--json <path>]
 #include "bench_util.hpp"
-#include "legacy_executor.hpp"
 
 #include "common/json.hpp"
 #include "routing/broadcast.hpp"
@@ -19,7 +18,6 @@
 #include "trees/sbt.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -47,8 +45,7 @@ struct Result {
     std::uint64_t sends = 0;
     std::uint32_t makespan = 0;
     bool sparse = false;
-    double flat_rate = 0.0;   // validated sends / second
-    double legacy_rate = 0.0; // 0 when the legacy run was skipped
+    double flat_rate = 0.0; // validated sends / second
 };
 
 const char* model_name(PortModel model) {
@@ -148,10 +145,6 @@ bool write_json(const std::string& path, const std::vector<Result>& rows) {
         json.field("makespan", r.makespan);
         json.field("sparse", r.sparse);
         json.field("flat_sends_per_sec", r.flat_rate);
-        if (r.legacy_rate > 0.0) {
-            json.field("legacy_sends_per_sec", r.legacy_rate);
-            json.field("speedup", r.flat_rate / r.legacy_rate);
-        }
         json.end_row();
     }
     return json.close();
@@ -168,10 +161,6 @@ int main(int argc, char** argv) {
     const auto pps = static_cast<packet_t>(options.get_int("pps", 2));
     const auto ppd = static_cast<packet_t>(options.get_int("ppd", 1));
     const double min_time = options.get_double("min-time", 0.2);
-    const dim_t legacy_nmax = options.has("no-legacy")
-                                  ? -1
-                                  : static_cast<dim_t>(
-                                        options.get_int("legacy-nmax", 13));
     const std::string filter = options.get_string("workload", "");
     const std::string tracking_name =
         options.get_string("tracking", "auto");
@@ -180,12 +169,10 @@ int main(int argc, char** argv) {
         : tracking_name == "sparse" ? DeliveryTracking::sparse
                                     : DeliveryTracking::automatic;
 
-    hcube::bench::banner(
-        "Executor throughput",
-        "validated sends/second, flat engine vs the pre-rewrite executor");
-    std::printf("%-20s %-5s %3s %12s %9s %13s %13s %8s\n", "workload",
-                "model", "n", "sends", "makespan", "flat snd/s",
-                "legacy snd/s", "speedup");
+    hcube::bench::banner("Executor throughput",
+                         "validated sends/second of the flat engine");
+    std::printf("%-20s %-5s %3s %12s %9s %13s\n", "workload", "model", "n",
+                "sends", "makespan", "flat snd/s");
 
     std::vector<Result> rows;
     std::uint64_t sink = 0;
@@ -212,36 +199,10 @@ int main(int argc, char** argv) {
                 min_time, sink);
             row.flat_rate = static_cast<double>(row.sends) / flat_sec;
 
-            if (n <= legacy_nmax) {
-                const double legacy_sec = time_per_call(
-                    [&] {
-                        const auto stats =
-                            hcube::bench::legacy::execute_schedule(schedule,
-                                                                   w.model);
-                        return std::uint64_t{stats.makespan} +
-                               stats.total_sends;
-                    },
-                    min_time, sink);
-                row.legacy_rate =
-                    static_cast<double>(row.sends) / legacy_sec;
-            }
-
-            std::printf("%-20s %-5s %3d %12llu %9u %13.3g %13s %8s\n",
+            std::printf("%-20s %-5s %3d %12llu %9u %13.3g\n",
                         row.workload.c_str(), model_name(w.model), n,
                         static_cast<unsigned long long>(row.sends),
-                        row.makespan, row.flat_rate,
-                        row.legacy_rate > 0.0
-                            ? std::to_string(
-                                  static_cast<long long>(row.legacy_rate))
-                                  .c_str()
-                            : "-",
-                        row.legacy_rate > 0.0
-                            ? (std::to_string(static_cast<long long>(
-                                   std::llround(row.flat_rate /
-                                                row.legacy_rate))) +
-                               "x")
-                                  .c_str()
-                            : "-");
+                        row.makespan, row.flat_rate);
             std::fflush(stdout);
             rows.push_back(row);
         }

@@ -36,7 +36,7 @@
 // "32,1024" cover both regimes in one run. Each JSON row also reports
 // bytes_copied (payload memcpys the engine performed — 0 on the zero-copy
 // delivery path), checksum_gbs (the standalone digest throughput of the
-// dispatched checksum kernel at that block size), and mode (how the
+// scalar checksum kernel at that block size), and mode (how the
 // engine actually executed: barrier, serial, or stealing). Async rows at
 // more than one thread add speedup_vs_serial: the 1-thread async row's
 // seconds (always the serial walk) over this row's, at the same workload,
@@ -151,14 +151,14 @@ std::vector<std::size_t> parse_size_list(const std::string& spec) {
     return out;
 }
 
-/// Standalone throughput of the dispatched checksum kernel at one block
-/// size: GB digested per second over a cache-resident canonical block.
+/// Standalone throughput of the checksum kernel at one block size: GB
+/// digested per second over a cache-resident canonical block.
 double checksum_throughput(std::size_t block_elems) {
     using clock = std::chrono::steady_clock;
     std::vector<double> block(block_elems);
     hcube::rt::fill_canonical(block, 0);
     std::uint64_t sink = 0;
-    // Warm the dispatch target and the cache lines before timing.
+    // Warm the cache lines before timing.
     for (int k = 0; k < 16; ++k) {
         sink ^= hcube::rt::simd::checksum(block.data(), block_elems);
     }
@@ -266,7 +266,7 @@ int main(int argc, char** argv) {
         }
         return out;
     };
-    std::printf("  threads=%s blocks=%s doubles  checksum dispatch=%s "
+    std::printf("  threads=%s blocks=%s doubles  reduce kernel=%s "
                 "(timed region: play() only, best of >= %d reps)\n\n",
                 threads.empty() ? "1,2,4,auto" : join(threads).c_str(),
                 join(blocks).c_str(), hcube::rt::simd::dispatch_name(),

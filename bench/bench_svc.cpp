@@ -398,29 +398,32 @@ struct ShrinkMeasured {
     double ratio = 0;
 };
 
-/// The ISSUE acceptance number: entry resident bytes of the cached
-/// sbt_broadcast n=8 plan under the compact encoding, against the pre-PR
-/// layout reconstructed analytically — the wide (reference) encoding's
-/// entry plus the full per-entry oracle image the cache used to snapshot
-/// for move-mode plans (total_slots x block doubles; it now keeps an
-/// 8-byte arena fingerprint instead).
+/// Entry resident bytes of the cached sbt_broadcast n=8 plan against the
+/// pre-compaction entry, reconstructed analytically: the compact entry,
+/// plus the AoS mirrors the old encoding kept per lowered hop, plus the
+/// full expected image the cache used to snapshot for move-mode plans
+/// (total_slots x block doubles; it now keeps an 8-byte arena
+/// fingerprint instead).
 ShrinkMeasured measure_sbt8_shrink(std::uint32_t block) {
+    // Per lowered hop the old encoding added four 24-byte Action records
+    // (flat and bucketed, send and receive) and a 4-byte cycle stamp, and
+    // lacked the two 4-byte bucket indices that replaced them.
+    constexpr std::uint64_t kMirrorBytesPerHop = 4 * 24 + 4 - 2 * 4;
     const Signature sig =
         make_sig(Op::broadcast, Family::sbt, 8, 0, 4, block);
-    SessionParams compact_params;
-    compact_params.threads = 4;
-    SessionParams wide_params = compact_params;
-    wide_params.plan_layout = hcube::rt::PlanLayout::wide;
-    Session compact_session(8, compact_params);
-    Session wide_session(8, wide_params);
+    SessionParams params;
+    params.threads = 4;
+    Session session(8, params);
+    const ExecStats stats = session.execute(sig);
     ShrinkMeasured m;
-    m.compact_bytes = compact_session.execute(sig).plan_resident_bytes;
-    const std::uint64_t wide_entry =
-        wide_session.execute(sig).plan_resident_bytes;
-    // Every node holds every packet after a broadcast.
+    m.compact_bytes = stats.plan_resident_bytes;
+    // One delivered block per lowered hop; after a broadcast every node
+    // holds every packet.
+    const std::uint64_t mirror_bytes =
+        stats.blocks_delivered * kMirrorBytesPerHop;
     const std::uint64_t image_bytes =
         (std::uint64_t{1} << 8) * sig.packets * sig.block_elems * 8;
-    m.pre_pr_bytes = wide_entry + image_bytes;
+    m.pre_pr_bytes = m.compact_bytes + mirror_bytes + image_bytes;
     m.ratio = m.compact_bytes > 0
                   ? static_cast<double>(m.pre_pr_bytes) /
                         static_cast<double>(m.compact_bytes)
@@ -515,7 +518,8 @@ int main(int argc, char** argv) {
     }
 
     // Plan residency: thousand-signature footprint sweep under one fixed
-    // byte budget, and the sbt_broadcast n=8 shrink vs the pre-PR layout.
+    // byte budget, and the sbt_broadcast n=8 shrink vs the pre-compaction
+    // entry.
     const auto sweep_sigs = static_cast<std::size_t>(
         options.get_int("sweep-sigs", 1200));
     const int sweep_passes =
@@ -564,7 +568,8 @@ int main(int argc, char** argv) {
     const bool shrink_ok = shrink.ratio >= 4.0;
     verified = verified && shrink_ok;
     std::printf("sbt_broadcast n=8 entry: %llu bytes compact vs %llu "
-                "pre-PR (wide + oracle image) -> %.1fx %s\n",
+                "pre-compaction (+ AoS mirrors + oracle image) -> %.1fx "
+                "%s\n",
                 static_cast<unsigned long long>(shrink.compact_bytes),
                 static_cast<unsigned long long>(shrink.pre_pr_bytes),
                 shrink.ratio, shrink_ok ? "(>= 4x ok)" : "(< 4x FAILED)");

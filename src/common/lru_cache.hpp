@@ -4,11 +4,11 @@
 // The concurrency idiom is the one the TCBT cache established: lookups take
 // a shared lock and copy the value out under it (so a concurrent insert can
 // never invalidate the returned object), expensive factories run with *no*
-// lock held, and insertion takes the exclusive lock only for the final
-// emplace — a raced duplicate build is discarded and the winner's value
-// returned, which is safe whenever the factory is deterministic (both
-// callers built identical values) or the value is a handle whose copies are
-// interchangeable.
+// lock held, and a miss takes the exclusive lock only to shed an entry
+// over the budget before the build and for the final emplace — a raced
+// duplicate build is discarded and the winner's value returned, which is
+// safe whenever the factory is deterministic (both callers built identical
+// values) or the value is a handle whose copies are interchangeable.
 //
 // Residency is governed by a *cost budget*, not an entry count: every entry
 // carries a caller-assigned cost (default 1, which makes the budget an
@@ -54,7 +54,8 @@ public:
     /// unbounded (a pure memo). With the default unit entry cost the
     /// budget is an entry capacity. The budget is a best-effort bound: the
     /// entry being inserted or touched is never evicted, so a single entry
-    /// costlier than the whole budget stays resident alone.
+    /// costlier than the whole budget stays resident alone until the next
+    /// miss, which evicts it before building.
     explicit LruCache(std::uint64_t budget = 0) noexcept : budget_(budget) {}
 
     LruCache(const LruCache&) = delete;
@@ -94,6 +95,13 @@ public:
                                       CostFn&& cost_fn) {
         if (std::optional<Value> hit = get(key)) {
             return std::move(*hit);
+        }
+        if (budget_ != 0) {
+            // An entry costlier than the whole budget would be evicted by
+            // this insertion anyway; shed it before the build, so that it
+            // and the value being built are never resident together.
+            const std::unique_lock lock(mutex_);
+            evict_over_budget(nullptr);
         }
         Value built = factory();
         const std::uint64_t cost = cost_fn(static_cast<const Value&>(built));
@@ -228,7 +236,7 @@ private:
 
     /// Must hold the exclusive lock. Pops list-tail victims until the
     /// total cost fits the budget, never evicting `keep` (the entry the
-    /// caller is about to return a reference to).
+    /// caller is about to return a reference to; null before a build).
     void evict_over_budget(const Entry* keep) {
         while (total_cost_ > budget_) {
             Entry* victim = lru_;

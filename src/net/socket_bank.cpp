@@ -4,27 +4,13 @@
 #include "rt/simd.hpp"
 
 #include <algorithm>
-#include <bit>
 
 namespace hcube::net {
 
-std::uint32_t SocketChannelBank::ring_capacity(const rt::Plan& plan) {
-    // Max pushes any single channel sees over the whole schedule: with the
-    // ring at least that deep, the engine's own pacing is the only flow
-    // control the local path needs, and an ingress burst can never drop.
-    std::vector<std::uint32_t> pushes(plan.channel_count, 0);
-    for (const rt::Action& a : plan.sends) {
-        ++pushes[a.channel];
-    }
-    const std::uint32_t deepest =
-        pushes.empty() ? 0u : *std::ranges::max_element(pushes);
-    return std::bit_ceil(std::clamp<std::uint32_t>(deepest, 2u, 4096u));
-}
-
 SocketChannelBank::SocketChannelBank(const rt::Plan& plan,
                                      std::uint32_t rank, PeerBus& bus)
-    : plan_(plan), rank_(rank), bus_(bus),
-      inner_(plan.channel_count, ring_capacity(plan), plan.block_elems,
+    : bus_(bus),
+      inner_(plan.channel_count, kRingDepth, plan.block_elems,
              /*inline_payload=*/true),
       route_(plan.channel_count,
              static_cast<std::uint8_t>(Route::foreign)),

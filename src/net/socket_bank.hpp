@@ -18,9 +18,13 @@
 //             see exactly the ring it would see in-process.
 //   foreign — neither endpoint here; never pushed or popped by this rank.
 //
-// The inner ring capacity is sized from the plan (max pushes on any one
-// channel, next power of two) so a whole run can never overflow a ring —
-// wire pressure is absorbed by the bus's overflow queue, not lost.
+// Every inner ring is kRingDepth slots deep whatever the plan. A local
+// channel holds at most one block (the rank's lockstep walk pops each push
+// in the cycle that made it), and an ingress burst that finds its ring
+// full waits in the PeerBus overflow queue (push_received reports the full
+// ring and the bus retries) — wire pressure is queued, not lost. Inline
+// storage is allocated eagerly (channels x depth x block doubles), so the
+// depth stays small (docs/NETWORK.md § Ring depth).
 #pragma once
 
 #include "net/peer.hpp"
@@ -81,16 +85,10 @@ public:
     [[nodiscard]] std::uint32_t dest_rank(std::uint32_t channel) const noexcept {
         return dest_[channel];
     }
-    /// Ring slots per channel the plan was sized for.
-    [[nodiscard]] std::uint32_t capacity() const noexcept {
-        return inner_.capacity();
-    }
+    /// Ring slots per channel, whatever the plan.
+    static constexpr std::uint32_t kRingDepth = 2;
 
 private:
-    [[nodiscard]] static std::uint32_t ring_capacity(const rt::Plan& plan);
-
-    const rt::Plan& plan_;
-    const std::uint32_t rank_;
     PeerBus& bus_;
     rt::ChannelBank inner_;
     std::vector<std::uint8_t> route_;  ///< Route per channel

@@ -118,8 +118,8 @@ void AsyncPlayer::execute(const RunContext& ctx, std::uint32_t action,
     // Hot fields come from the plan's SoA action streams — four sequential
     // u32 arrays indexed by the interleaved id, so the two halves of one
     // hop read adjacent memory. The schedule cycle is diagnostics-only
-    // (fault reports, traces) and recovered lazily: the compact layout
-    // keeps no per-hop cycle stamp.
+    // (fault reports, traces) and recovered lazily: the plan keeps no
+    // per-hop cycle stamp.
     const ActionFields f = plan_.fields(action);
     const std::uint32_t cycle =
         ctx.detecting || ctx.trace != nullptr
@@ -248,9 +248,8 @@ void AsyncPlayer::run_serial(PlayStats& stats) {
         }
         return;
     }
-    // This walk is sequential in hop order, so the layout-agnostic lowered
-    // accessors stream it contiguously in either encoding (interleaved SoA
-    // entries 2l / 2l+1 on compact, the flat AoS mirrors on wide).
+    // This walk is sequential in hop order, so the lowered accessors
+    // stream it contiguously (interleaved SoA entries 2l / 2l+1).
     for (std::uint32_t cycle = 0; cycle < plan_.cycles; ++cycle) {
         if (ctx.detecting && arbiter_.aborted()) {
             break;

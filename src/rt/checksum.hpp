@@ -7,9 +7,8 @@
 // representable in a double, which lets the combining (reduce) path be
 // checked for bit-exact equality rather than within a tolerance.
 //
-// The digest itself is the lane-parallel xxHash64-class checksum in
-// rt/simd.hpp (runtime-dispatched AVX2 with a bit-identical scalar
-// fallback), hashing the doubles' bit patterns. All payloads the runtime
+// The digest itself is the lane-parallel scalar xxHash64 in rt/simd.hpp,
+// hashing the doubles' bit patterns. All payloads the runtime
 // generates are small non-negative integers, so every value has exactly one
 // representation and bit-pattern hashing is as canonical as value hashing.
 #pragma once
@@ -67,7 +66,7 @@ inline void fill_contribution(std::span<double> block, std::uint32_t node,
     }
 }
 
-/// 64-bit digest of a block's contents (dispatched SIMD kernel).
+/// 64-bit digest of a block's contents (simd::checksum).
 [[nodiscard]] inline std::uint64_t
 block_checksum(std::span<const double> block) noexcept {
     return simd::checksum(block.data(), block.size());

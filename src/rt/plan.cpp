@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -23,29 +22,6 @@ fail_send(const char* what, const sim::ScheduledSend& send) {
                       std::to_string(send.packet) + ")");
 }
 
-/// Resolves the requested layout against the compact envelope. The 32-bit
-/// action fields are validated for n <= kCompactMaxDimension (slot and
-/// lowered-index counts stay well inside u32 there); an explicit compact
-/// request outside that envelope is a compile_plan-time error, automatic
-/// falls back to wide. HCUBE_PLAN_COMPACT=0 is the no-rebuild escape hatch
-/// (consulted per compile so a test can flip it).
-PlanLayout resolve_layout(PlanLayout requested, dim_t n) {
-    if (requested == PlanLayout::compact) {
-        HCUBE_ENSURE_MSG(n <= kCompactMaxDimension,
-                         "compact plan layout requires n <= 20");
-        return requested;
-    }
-    if (requested == PlanLayout::wide) {
-        return requested;
-    }
-    const char* env = std::getenv("HCUBE_PLAN_COMPACT");
-    if (env != nullptr && env[0] == '0' && env[1] == '\0') {
-        return PlanLayout::wide;
-    }
-    return n <= kCompactMaxDimension ? PlanLayout::compact
-                                     : PlanLayout::wide;
-}
-
 template <typename T>
 std::uint64_t vec_bytes(const std::vector<T>& v) noexcept {
     return std::uint64_t{v.capacity()} * sizeof(T);
@@ -56,14 +32,11 @@ std::uint64_t vec_bytes(const std::vector<T>& v) noexcept {
 PlanFootprint Plan::footprint() const noexcept {
     PlanFootprint f;
     f.actions = vec_bytes(act_channel) + vec_bytes(act_slot) +
-                vec_bytes(act_packet) + vec_bytes(act_seq) +
-                vec_bytes(flat_sends) + vec_bytes(flat_recvs) +
-                vec_bytes(flat_cycle);
+                vec_bytes(act_packet) + vec_bytes(act_seq);
     f.dep_graph =
         vec_bytes(dep_count) + vec_bytes(succ_begin) + vec_bytes(succ);
     f.buckets = vec_bytes(send_begin) + vec_bytes(recv_begin) +
                 vec_bytes(send_order) + vec_bytes(recv_order) +
-                vec_bytes(sends) + vec_bytes(recvs) +
                 vec_bytes(flat_cycle_begin);
     f.slots = vec_bytes(slot_packet) + vec_bytes(slot_node) +
               vec_bytes(seeded_slots) + vec_bytes(slot_keys) +
@@ -76,7 +49,7 @@ PlanFootprint Plan::footprint() const noexcept {
 
 Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
                   std::size_t block_elems, std::uint32_t workers,
-                  std::uint32_t async_depth, PlanLayout layout,
+                  std::uint32_t async_depth, PlanLayout,
                   std::span<const node_t> members) {
     HCUBE_ENSURE(schedule.n >= 1 && schedule.n <= hc::kMaxDimension);
     HCUBE_ENSURE(block_elems >= 1);
@@ -91,10 +64,8 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
     plan.packet_count = schedule.packet_count;
     plan.block_elems = block_elems;
     plan.mode = mode;
-    plan.layout = resolve_layout(layout, schedule.n);
     plan.workers = workers;
     plan.async_depth = std::bit_ceil(async_depth);
-    const bool wide = !plan.compact();
 
     // ---- member partition (incomplete cubes) --------------------------
     // A full member span compiles exactly like no span at all: node_owner
@@ -217,7 +188,8 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
 
     struct Lowered {
         std::uint32_t cycle;
-        Action action;
+        node_t node;
+        ActionFields action;
     };
     std::vector<Lowered> low_sends;
     std::vector<Lowered> low_recvs;
@@ -369,9 +341,13 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
         }
 
         low_sends.push_back(
-            {send.cycle, {channel, send.from, src_slot, send.packet, seq}});
+            {send.cycle, send.from,
+             {channel, static_cast<std::uint32_t>(src_slot), send.packet,
+              seq}});
         low_recvs.push_back(
-            {send.cycle, {channel, send.to, dst_slot, send.packet, seq}});
+            {send.cycle, send.to,
+             {channel, static_cast<std::uint32_t>(dst_slot), send.packet,
+              seq}});
         chan_sends[channel].push_back(l);
     }
     plan.channel_count = static_cast<std::uint32_t>(plan.channel_ep.size());
@@ -446,31 +422,17 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
     plan.act_packet.resize(std::size_t{2} * S);
     plan.act_seq.resize(std::size_t{2} * S);
     for (std::uint32_t l = 0; l < S; ++l) {
-        const Action& snd = low_sends[l].action;
-        const Action& rcv = low_recvs[l].action;
+        const ActionFields& snd = low_sends[l].action;
+        const ActionFields& rcv = low_recvs[l].action;
         const std::size_t sid = std::size_t{2} * l;
         plan.act_channel[sid] = snd.channel;
-        plan.act_slot[sid] = static_cast<std::uint32_t>(snd.slot);
+        plan.act_slot[sid] = snd.slot;
         plan.act_packet[sid] = snd.packet;
         plan.act_seq[sid] = snd.seq;
         plan.act_channel[sid + 1] = rcv.channel;
-        plan.act_slot[sid + 1] = static_cast<std::uint32_t>(rcv.slot);
+        plan.act_slot[sid + 1] = rcv.slot;
         plan.act_packet[sid + 1] = rcv.packet;
         plan.act_seq[sid + 1] = rcv.seq;
-    }
-
-    if (wide) {
-        // Reference layout keeps the AoS mirrors and per-hop cycle stamps.
-        plan.flat_sends.reserve(S);
-        plan.flat_recvs.reserve(S);
-        plan.flat_cycle.reserve(S);
-        for (const Lowered& l : low_sends) {
-            plan.flat_sends.push_back(l.action);
-            plan.flat_cycle.push_back(l.cycle);
-        }
-        for (const Lowered& l : low_recvs) {
-            plan.flat_recvs.push_back(l.action);
-        }
     }
 
     HCUBE_ENSURE(edges.size() < ~std::uint32_t{0});
@@ -497,11 +459,11 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
     // ---- CSR bucketing by (cycle, worker) -----------------------------
     const std::size_t buckets = std::size_t{plan.cycles} * workers;
     const auto bucket_of = [&](const Lowered& l) {
-        return std::size_t{l.cycle} * workers + plan.owner_of(l.action.node);
+        return std::size_t{l.cycle} * workers + plan.owner_of(l.node);
     };
     const auto bucket_fill = [&](const std::vector<Lowered>& lowered,
                                  std::vector<std::uint32_t>& begin,
-                                 auto&& emit) {
+                                 std::vector<std::uint32_t>& order) {
         begin.assign(buckets + 1, 0);
         for (const Lowered& l : lowered) {
             ++begin[bucket_of(l) + 1];
@@ -509,35 +471,14 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
         for (std::size_t b = 1; b <= buckets; ++b) {
             begin[b] += begin[b - 1];
         }
+        order.resize(S);
         std::vector<std::uint32_t> cursor2(begin.begin(), begin.end() - 1);
         for (std::uint32_t idx = 0; idx < S; ++idx) {
-            emit(cursor2[bucket_of(lowered[idx])]++, idx,
-                 lowered[idx].action);
+            order[cursor2[bucket_of(lowered[idx])]++] = idx;
         }
     };
-    if (wide) {
-        plan.sends.resize(S);
-        plan.recvs.resize(S);
-        bucket_fill(low_sends, plan.send_begin,
-                    [&](std::uint32_t pos, std::uint32_t, const Action& a) {
-                        plan.sends[pos] = a;
-                    });
-        bucket_fill(low_recvs, plan.recv_begin,
-                    [&](std::uint32_t pos, std::uint32_t, const Action& a) {
-                        plan.recvs[pos] = a;
-                    });
-    } else {
-        plan.send_order.resize(S);
-        plan.recv_order.resize(S);
-        bucket_fill(low_sends, plan.send_begin,
-                    [&](std::uint32_t pos, std::uint32_t idx, const Action&) {
-                        plan.send_order[pos] = idx;
-                    });
-        bucket_fill(low_recvs, plan.recv_begin,
-                    [&](std::uint32_t pos, std::uint32_t idx, const Action&) {
-                        plan.recv_order[pos] = idx;
-                    });
-    }
+    bucket_fill(low_sends, plan.send_begin, plan.send_order);
+    bucket_fill(low_recvs, plan.recv_begin, plan.recv_order);
 
     // Trim push_back growth slack so footprint() reports what the plan
     // actually needs, not what the growth policy left behind.

@@ -23,26 +23,16 @@
 // compiles is a DAG — executable without deadlock by any engine that runs
 // ready actions eventually.
 //
-// Plan encoding (two layouts, selected at compile_plan time):
-//
-//   compact (default) — the residency layout the svc plan cache budgets:
-//     four parallel u32 SoA streams (channel/slot/packet/seq) indexed by
-//     action id, with send and receive of hop l interleaved as ids 2l and
-//     2l+1 so the dependency CSR and its counters are laid out in execution
-//     order; per-(cycle, worker) buckets store u32 lowered-hop indices into
-//     those streams instead of action structs; channel endpoints pack to
-//     one u32 (node·2^5 | dimension — the CubeRoute idiom: a directed cube
-//     link is its origin plus a port number); per-hop cycle stamps are
-//     dropped (the cycle CSR recovers them on the cold diagnostics paths).
-//     Field widths are validated for n <= kCompactMaxDimension at
-//     compile_plan time.
-//
-//   wide — the pre-compaction reference layout: the same SoA streams plus
-//     AoS Action mirrors (flat and bucketed) and per-hop cycle stamps, with
-//     the engines reading the AoS arrays exactly where they historically
-//     did. Selected by PlanLayout::wide or the HCUBE_PLAN_COMPACT=0
-//     environment escape hatch, so a field-width regression is diagnosable
-//     without a rebuild.
+// Plan encoding: four parallel u32 SoA streams (channel/slot/packet/seq)
+// indexed by action id, with send and receive of hop l interleaved as ids
+// 2l and 2l+1 so the dependency CSR and its counters are laid out in
+// execution order; per-(cycle, worker) buckets store u32 lowered-hop
+// indices into those streams; channel endpoints pack to one u32
+// (node·2^5 | dimension — the CubeRoute idiom: a directed cube link is its
+// origin plus a port number); per-hop cycle stamps are dropped (the cycle
+// CSR recovers them on the cold diagnostics paths). The packed channel
+// word is the only field whose width depends on n, so the encoding covers
+// every cube up to hc::kMaxDimension.
 //
 // Two data modes:
 //   move    — a block travels verbatim; a second delivery of the same packet
@@ -73,37 +63,18 @@ enum class DataMode {
     combine,
 };
 
-/// Which of the two plan encodings compile_plan emits. `automatic` picks
-/// compact unless the HCUBE_PLAN_COMPACT=0 escape hatch or a dimension
-/// beyond the compact layout's validated envelope selects wide.
+/// A one-value tag kept so callers that pass it positionally to
+/// compile_plan still compile; the plan has a single encoding.
 enum class PlanLayout : std::uint8_t {
     automatic,
-    compact,
-    wide,
-};
-
-/// Largest cube dimension the compact layout's 32-bit fields are validated
-/// for (the bench envelope). Larger cubes compile to the wide layout under
-/// PlanLayout::automatic and are rejected under an explicit
-/// PlanLayout::compact.
-inline constexpr dim_t kCompactMaxDimension = 20;
-
-/// One lowered runtime action in the wide (reference) AoS encoding, also
-/// the value type of the diagnostics accessor Plan::action(). For a send:
-/// copy the node-local block at `slot` into `channel`. For a receive: drain
-/// `channel` into `slot` (verifying or combining), expecting `packet` with
-/// sequence stamp `seq`.
-struct Action {
-    std::uint32_t channel;
-    node_t node;
-    std::uint64_t slot; ///< absolute block-slot id (node-local memory)
-    packet_t packet;
-    std::uint32_t seq;  ///< the action is its channel's seq-th push / pop
 };
 
 /// The four hot fields of one lowered action — delivery's ActionRef minus
-/// the diagnostics-only cycle — as the layout-agnostic accessors hand them
-/// to the engines.
+/// the diagnostics-only cycle — as the plan's accessors hand them to the
+/// engines. For a send: copy the node-local block at `slot` into
+/// `channel`. For a receive: drain `channel` into `slot` (verifying or
+/// combining), expecting `packet` with sequence stamp `seq` (the action is
+/// its channel's seq-th push / pop).
 struct ActionFields {
     std::uint32_t channel;
     std::uint32_t slot;
@@ -116,9 +87,9 @@ struct ActionFields {
 /// growth slack), so the total is what the plan actually pins resident —
 /// the quantity the byte-budgeted svc plan cache charges per entry.
 struct PlanFootprint {
-    std::uint64_t actions = 0;   ///< SoA streams + wide flat AoS mirrors
+    std::uint64_t actions = 0;   ///< SoA streams
     std::uint64_t dep_graph = 0; ///< dep counters + successor CSR
-    std::uint64_t buckets = 0;   ///< bucket orders/mirrors + cycle CSR
+    std::uint64_t buckets = 0;   ///< bucket orders + cycle CSR
     std::uint64_t slots = 0;     ///< slot tables, lookup keys, seed list
     std::uint64_t channels = 0;  ///< packed endpoints + port bitmaps
     std::uint64_t arena = 0;     ///< immutable canonical blocks
@@ -134,12 +105,7 @@ struct Plan {
     packet_t packet_count = 0;
     std::size_t block_elems = 0;
     DataMode mode = DataMode::move;
-    PlanLayout layout = PlanLayout::compact; ///< resolved, never automatic
     std::uint32_t workers = 1;
-
-    [[nodiscard]] bool compact() const noexcept {
-        return layout == PlanLayout::compact;
-    }
 
     /// Per-node owning worker for plans compiled over a member subset
     /// (contiguous balanced ranges over the *live* nodes, so no worker is
@@ -217,19 +183,15 @@ struct Plan {
     std::vector<std::uint32_t> node_in_ports;
 
     // ---- per-(cycle, worker) action buckets ---------------------------
-    /// CSR offsets of size cycles*workers + 1 into the bucketed orders
-    /// (compact) or the bucketed AoS mirrors (wide); bucket index =
-    /// cycle * workers + worker. Offsets fit u32: S < 2^31 by construction.
+    /// CSR offsets of size cycles*workers + 1 into the bucketed orders;
+    /// bucket index = cycle * workers + worker. Offsets fit u32: S < 2^31
+    /// by construction.
     std::vector<std::uint32_t> send_begin;
     std::vector<std::uint32_t> recv_begin;
-    /// Compact layout: lowered hop indices bucketed by (cycle, owner of the
-    /// sending / receiving node) — the engines chase them into the SoA
-    /// streams. Empty in the wide layout.
+    /// Lowered hop indices bucketed by (cycle, owner of the sending /
+    /// receiving node) — the engines chase them into the SoA streams.
     std::vector<std::uint32_t> send_order;
     std::vector<std::uint32_t> recv_order;
-    /// Wide layout only: bucketed AoS mirrors (the reference encoding).
-    std::vector<Action> sends; ///< keyed by owner of the sending node
-    std::vector<Action> recvs; ///< keyed by owner of the receiving node
 
     // ---- lowered actions + dataflow dependency graph ------------------
     /// Action ids interleave the two halves of each lowered hop in
@@ -242,16 +204,10 @@ struct Plan {
     std::vector<std::uint32_t> act_slot;
     std::vector<packet_t> act_packet;
     std::vector<std::uint32_t> act_seq;
-    /// Wide layout only: AoS mirrors of the lowered hops in hop order
-    /// (flat_sends[l] / flat_recvs[l] are the push and pop halves of hop
-    /// l), plus the per-hop cycle stamp the compact layout drops.
-    std::vector<Action> flat_sends;
-    std::vector<Action> flat_recvs;
-    std::vector<std::uint32_t> flat_cycle;
     /// CSR offsets of size cycles + 1 over the lowered hop indices: hops of
     /// cycle c are [flat_cycle_begin[c], flat_cycle_begin[c+1]). This is
     /// the serial fast path's entire schedule walk — no buckets, no
-    /// barriers — and the compact layout's cycle recovery for diagnostics.
+    /// barriers — and the cycle recovery for diagnostics.
     std::vector<std::uint32_t> flat_cycle_begin;
     /// Ring slots per channel the capacity edges were emitted for; an
     /// asynchronous engine must run with at least this many (a producer may
@@ -279,8 +235,7 @@ struct Plan {
         return id >> 1;
     }
 
-    /// Hot fields of an action id, straight from the SoA streams (present
-    /// in both layouts).
+    /// Hot fields of an action id, straight from the SoA streams.
     [[nodiscard]] ActionFields fields(std::uint32_t id) const noexcept {
         return {act_channel[id], act_slot[id], act_packet[id], act_seq[id]};
     }
@@ -289,62 +244,31 @@ struct Plan {
     [[nodiscard]] node_t action_node(std::uint32_t id) const noexcept {
         return slot_node[act_slot[id]];
     }
-    /// The full Action behind an action id, for diagnostics and tests
-    /// (layout-agnostic; materialized from the SoA streams).
-    [[nodiscard]] Action action(std::uint32_t id) const noexcept {
-        const ActionFields f = fields(id);
-        return {f.channel, slot_node[f.slot], f.slot, f.packet, f.seq};
-    }
 
     /// Bucketed accessors the (cycle, worker) engines walk: position `pos`
-    /// is an offset from send_begin / recv_begin. The wide layout reads its
-    /// AoS mirrors here (the reference execution path); compact chases the
+    /// is an offset from send_begin / recv_begin, chased through the
     /// bucketed hop index into the SoA streams.
     [[nodiscard]] ActionFields bucket_send(std::size_t pos) const noexcept {
-        if (compact()) {
-            return fields(send_order[pos] << 1);
-        }
-        const Action& a = sends[pos];
-        return {a.channel, static_cast<std::uint32_t>(a.slot), a.packet,
-                a.seq};
+        return fields(send_order[pos] << 1);
     }
     [[nodiscard]] ActionFields bucket_recv(std::size_t pos) const noexcept {
-        if (compact()) {
-            return fields((recv_order[pos] << 1) | 1u);
-        }
-        const Action& a = recvs[pos];
-        return {a.channel, static_cast<std::uint32_t>(a.slot), a.packet,
-                a.seq};
+        return fields((recv_order[pos] << 1) | 1u);
     }
 
-    /// Hop-ordered accessors for the serial fast path (hop l's send and
-    /// receive halves). Wide reads the flat AoS mirrors, compact the
-    /// adjacent SoA entries 2l and 2l+1.
+    /// Hop-ordered accessors for the serial fast path: hop l's send and
+    /// receive halves are the adjacent SoA entries 2l and 2l+1.
     [[nodiscard]] ActionFields lowered_send(std::uint32_t l) const noexcept {
-        if (compact()) {
-            return fields(l << 1);
-        }
-        const Action& a = flat_sends[l];
-        return {a.channel, static_cast<std::uint32_t>(a.slot), a.packet,
-                a.seq};
+        return fields(l << 1);
     }
     [[nodiscard]] ActionFields lowered_recv(std::uint32_t l) const noexcept {
-        if (compact()) {
-            return fields((l << 1) | 1u);
-        }
-        const Action& a = flat_recvs[l];
-        return {a.channel, static_cast<std::uint32_t>(a.slot), a.packet,
-                a.seq};
+        return fields((l << 1) | 1u);
     }
 
     /// Scheduled cycle of lowered hop `l` — diagnostics only (fault
-    /// reports, trace export). The wide layout stores it per hop; compact
-    /// recovers it from the cycle CSR with a binary search.
+    /// reports, trace export), recovered from the cycle CSR with a binary
+    /// search.
     [[nodiscard]] std::uint32_t
     cycle_of_lowered(std::uint32_t l) const noexcept {
-        if (!flat_cycle.empty()) {
-            return flat_cycle[l];
-        }
         const auto it = std::ranges::upper_bound(flat_cycle_begin, l);
         return static_cast<std::uint32_t>(it - flat_cycle_begin.begin() - 1);
     }
@@ -374,15 +298,19 @@ struct Plan {
     }
 };
 
+// The packed channel word is the only field whose width depends on the
+// cube dimension; slot and hop counts past u32 are rejected by
+// compile_plan.
+static_assert(hc::kMaxDimension + Plan::kChannelDimBits <= 32,
+              "packed channel word must hold every node and dimension");
+
 /// Lowers `schedule` for `workers` threads. Performs the store-and-forward
 /// availability and (in move mode) duplicate-delivery checks while
 /// lowering, and rejects two packets on one directed link in one cycle —
 /// so a plan that compiles is executable without deadlock by construction.
 /// `async_depth` is the ring depth the dependency graph's capacity edges
-/// assume (rounded up to a power of two). `layout` selects the encoding;
-/// automatic resolves to compact inside the validated envelope (n <=
-/// kCompactMaxDimension) unless HCUBE_PLAN_COMPACT=0 forces wide.
-/// `members` (ascending live addresses) compiles the plan for an
+/// assume (rounded up to a power of two). `layout` is ignored (one
+/// encoding). `members` (ascending live addresses) compiles the plan for an
 /// incomplete cube: every schedule endpoint must be a member, and workers
 /// are balanced over the live nodes via the node_owner table instead of
 /// the arithmetic address split (empty or full member span = full-cube

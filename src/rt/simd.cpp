@@ -1,7 +1,5 @@
 #include "rt/simd.hpp"
 
-#include <chrono>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__x86_64__)
@@ -12,10 +10,9 @@ namespace hcube::rt::simd {
 namespace {
 
 // xxHash64 over the block's bytes with seed 0, specialized to inputs that
-// are whole 64-bit words (a block of doubles always is). Four independent
-// accumulator lanes per 32-byte stripe is what makes the AVX2 path a
-// transliteration rather than a different algorithm: the vector register
-// *is* the four lanes, so both paths compute the identical digest.
+// are whole 64-bit words (a block of doubles always is). The four
+// accumulator lanes per 32-byte stripe are independent, so the hardware
+// multiplier pipelines them.
 constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ULL;
 constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4FULL;
 constexpr std::uint64_t kP3 = 0x165667B19E3779F9ULL;
@@ -37,8 +34,7 @@ std::uint64_t lane_word(const double* data, std::size_t i) noexcept {
     return bits;
 }
 
-/// Merge + tail + avalanche shared by both paths: everything after the
-/// stripe loop is cheap and runs scalar even on the AVX2 path.
+/// Merge + tail + avalanche: everything after the stripe loop.
 std::uint64_t finish(std::uint64_t h, const double* data, std::size_t i,
                      std::size_t n) noexcept {
     h += static_cast<std::uint64_t>(n) * sizeof(double);
@@ -66,51 +62,6 @@ std::uint64_t merge_accumulators(const std::uint64_t acc[4]) noexcept {
 #if defined(__x86_64__) && !defined(HCUBE_FORCE_SCALAR_CHECKSUM)
 #define HCUBE_HAVE_AVX2_KERNELS 1
 
-/// Full 64x64→low-64 multiply from 32-bit partial products:
-/// lo(a*b) = lo(a_lo*b_lo) + ((a_lo*b_hi + a_hi*b_lo) << 32).
-__attribute__((target("avx2"))) inline __m256i
-mul64_avx2(__m256i a, __m256i b) noexcept {
-    const __m256i lo = _mm256_mul_epu32(a, b);
-    const __m256i cross = _mm256_add_epi64(
-        _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)),
-        _mm256_mul_epu32(_mm256_srli_epi64(a, 32), b));
-    return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
-__attribute__((target("avx2"))) inline __m256i
-rotl64_avx2(__m256i x, int r) noexcept {
-    return _mm256_or_si256(_mm256_slli_epi64(x, r),
-                           _mm256_srli_epi64(x, 64 - r));
-}
-
-__attribute__((target("avx2"))) std::uint64_t
-checksum_avx2(const double* data, std::size_t n) noexcept {
-    std::size_t i = 0;
-    std::uint64_t h;
-    if (n >= 4) {
-        const __m256i p1 = _mm256_set1_epi64x(static_cast<long long>(kP1));
-        const __m256i p2 = _mm256_set1_epi64x(static_cast<long long>(kP2));
-        __m256i acc = _mm256_setr_epi64x(
-            static_cast<long long>(kP1 + kP2),
-            static_cast<long long>(kP2), 0,
-            static_cast<long long>(0 - kP1));
-        for (; i + 4 <= n; i += 4) {
-            const __m256i lanes = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(data + i));
-            acc = mul64_avx2(
-                rotl64_avx2(_mm256_add_epi64(acc, mul64_avx2(lanes, p2)),
-                            31),
-                p1);
-        }
-        alignas(32) std::uint64_t lanes[4];
-        _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-        h = merge_accumulators(lanes);
-    } else {
-        h = kP5;
-    }
-    return finish(h, data, i, n);
-}
-
 __attribute__((target("avx2"))) void
 accumulate_avx2(double* dst, const double* src, std::size_t n) noexcept {
     std::size_t i = 0;
@@ -129,69 +80,25 @@ accumulate_avx2(double* dst, const double* src, std::size_t n) noexcept {
 #endif // x86_64 && !HCUBE_FORCE_SCALAR_CHECKSUM
 
 struct Dispatch {
-    std::uint64_t (*checksum)(const double*, std::size_t) noexcept;
     void (*accumulate)(double*, const double*, std::size_t) noexcept;
     const char* name;
 };
 
-#if defined(HCUBE_HAVE_AVX2_KERNELS)
-/// One-shot micro-probe: is the AVX2 hash actually faster than scalar on
-/// this machine? xxHash64's per-lane dependency chain is two full 64-bit
-/// multiplies deep, and AVX2 has no 64x64 multiply — the three-partial
-/// emulation in mul64_avx2 often *loses* to the hardware scalar multiplier
-/// pipelined across the four independent lanes. Picking per machine keeps
-/// the dispatch honest; the digest is bit-identical either way, so speed
-/// is the only stake.
-bool avx2_hash_wins() noexcept {
-    constexpr std::size_t kProbeWords = 2048;
-    static double block[kProbeWords]; // zero-init; content is irrelevant
-    const auto time_of =
-        [](std::uint64_t (*fn)(const double*, std::size_t) noexcept) {
-            // A volatile pointer keeps the call opaque: both candidates are
-            // timed as real indirect calls, none constant-folded away.
-            std::uint64_t (*volatile vfn)(const double*,
-                                          std::size_t) noexcept = fn;
-            std::uint64_t sink = 0;
-            sink ^= vfn(block, kProbeWords); // warm icache + dispatch
-            const auto t0 = std::chrono::steady_clock::now();
-            for (int rep = 0; rep < 16; ++rep) {
-                sink ^= vfn(block, kProbeWords);
-            }
-            const auto t1 = std::chrono::steady_clock::now();
-            // Fold the digest into the duration's low bit so the calls
-            // cannot be optimized away; the bit is noise either way.
-            return (t1 - t0).count() | static_cast<long>(sink & 1);
-        };
-    return time_of(&checksum_avx2) < time_of(&checksum_scalar);
-}
-#endif
-
 const Dispatch& dispatch() noexcept {
     static const Dispatch d = [] {
 #if defined(HCUBE_HAVE_AVX2_KERNELS)
-        const char* env = std::getenv("HCUBE_CHECKSUM");
-        const bool force_scalar =
-            env != nullptr && std::strcmp(env, "scalar") == 0;
-        const bool force_avx2 =
-            env != nullptr && std::strcmp(env, "avx2") == 0;
-        if (!force_scalar && __builtin_cpu_supports("avx2")) {
-            // The vector accumulate (pure adds, no multiply emulation) is
-            // a clear win; the vector hash must earn its slot.
-            if (force_avx2 || avx2_hash_wins()) {
-                return Dispatch{&checksum_avx2, &accumulate_avx2, "avx2"};
-            }
-            return Dispatch{&checksum_scalar, &accumulate_avx2,
-                            "avx2-reduce"};
+        if (__builtin_cpu_supports("avx2")) {
+            return Dispatch{&accumulate_avx2, "avx2"};
         }
 #endif
-        return Dispatch{&checksum_scalar, &accumulate_scalar, "scalar"};
+        return Dispatch{&accumulate_scalar, "scalar"};
     }();
     return d;
 }
 
 } // namespace
 
-std::uint64_t checksum_scalar(const double* data, std::size_t n) noexcept {
+std::uint64_t checksum(const double* data, std::size_t n) noexcept {
     std::size_t i = 0;
     std::uint64_t h;
     if (n >= 4) {
@@ -207,10 +114,6 @@ std::uint64_t checksum_scalar(const double* data, std::size_t n) noexcept {
         h = kP5;
     }
     return finish(h, data, i, n);
-}
-
-std::uint64_t checksum(const double* data, std::size_t n) noexcept {
-    return dispatch().checksum(data, n);
 }
 
 void accumulate_scalar(double* dst, const double* src,

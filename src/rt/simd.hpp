@@ -1,17 +1,17 @@
-// Runtime-dispatched SIMD kernels for the per-block byte work of the
-// threaded runtime: a lane-parallel 64-bit block checksum (xxHash64-style,
-// four independent accumulator lanes over the doubles' bit patterns) and
-// the elementwise accumulation of combine-mode delivery.
+// Per-block byte kernels of the threaded runtime: a lane-parallel 64-bit
+// block checksum (xxHash64 with seed 0, four independent accumulator lanes
+// over the doubles' bit patterns) and the elementwise accumulation of
+// combine-mode delivery.
 //
-// Dispatch happens once, at first use. The vector accumulate engages
-// whenever the CPU has AVX2 (pure adds — a clear win); the vector *hash*
-// must additionally beat the scalar hash in a one-shot micro-probe, since
-// AVX2 lacks a 64x64 multiply and the emulated one can lose to the
-// hardware scalar multiplier on xxHash64's serial per-lane chain. Both
-// paths implement the same integer algorithm, so they produce bit-identical
-// digests — the property the forced-scalar CI leg (HCUBE_CHECKSUM_SCALAR)
-// and the checksum unit tests pin down. HCUBE_CHECKSUM=scalar|avx2 forces
-// either hash path at runtime for A/B measurement.
+// The checksum is scalar everywhere: the four independent lanes already
+// keep the hardware 64-bit multiplier busy, and an AVX2 transliteration
+// (which must emulate the 64x64 multiply from 32-bit partial products)
+// never beat it at any block size from 8 to 8192 doubles
+// (docs/PERFORMANCE.md § The runtime's per-block hot path). The
+// accumulate is the one vector kernel: on x86-64 it dispatches once, at
+// first use, to an AVX2 loop when the CPU has AVX2 (pure adds — a clear
+// win), unless the build sets HCUBE_CHECKSUM_SCALAR, which compiles it
+// out.
 //
 // Elementwise double addition is performed in the same element order on
 // both paths (no reassociation), so combine-mode reductions stay bit-exact
@@ -23,12 +23,7 @@
 
 namespace hcube::rt::simd {
 
-/// Portable reference path: the algorithm's definition. Exposed so tests
-/// can pin the dispatched path against it bit for bit.
-[[nodiscard]] std::uint64_t checksum_scalar(const double* data,
-                                            std::size_t n) noexcept;
-
-/// Dispatched 64-bit digest of `n` doubles (their bit patterns).
+/// 64-bit digest of `n` doubles (their bit patterns): xxHash64, seed 0.
 [[nodiscard]] std::uint64_t checksum(const double* data,
                                      std::size_t n) noexcept;
 
@@ -39,8 +34,7 @@ void accumulate_scalar(double* dst, const double* src, std::size_t n) noexcept;
 /// `src` must not overlap.
 void accumulate(double* dst, const double* src, std::size_t n) noexcept;
 
-/// Active dispatch target: "avx2" (vector hash + vector reduce),
-/// "avx2-reduce" (scalar hash won the probe, vector reduce), or "scalar".
+/// Active accumulate() kernel: "avx2" or "scalar".
 [[nodiscard]] const char* dispatch_name() noexcept;
 
 } // namespace hcube::rt::simd

@@ -161,12 +161,10 @@ struct Session::PlanEntry {
 Session::Session(dim_t n, SessionParams params)
     : n_(n), params_(params),
       threads_(rt::pick_worker_threads(n, params.threads)),
-      byte_budget_(params.plan_cache_bytes != 0),
       pool_(threads_ > 1 ? std::make_unique<rt::WorkerPool>(threads_)
                          : nullptr),
       selector_(params_.comm ? *params_.comm : calibrate()),
-      cache_(byte_budget_ ? params_.plan_cache_bytes
-                          : params_.plan_cache_capacity),
+      cache_(params_.plan_cache_bytes),
       view_(n) {
     HCUBE_ENSURE(n >= 1 && n <= hc::kMaxDimension);
 }
@@ -241,7 +239,8 @@ Session::entry_for(const Signature& sig, const mbr::View& sub,
         const std::uint32_t workers = std::min(threads_, sub.count());
         e->plan = std::make_unique<rt::Plan>(
             rt::compile_plan(e->gen.exec, e->gen.mode, sig.block_elems,
-                             workers, 8, params_.plan_layout, e->members));
+                             workers, 8, rt::PlanLayout::automatic,
+                             e->members));
         if (params_.engine == rt::Engine::async) {
             e->async = std::make_unique<rt::AsyncPlayer>(*e->plan);
         } else {
@@ -251,14 +250,10 @@ Session::entry_for(const Signature& sig, const mbr::View& sub,
         }
         return e;
     };
-    auto entry =
-        byte_budget_
-            ? cache_.get_or_create(
-                  sig, factory,
-                  [](const std::shared_ptr<PlanEntry>& e) {
-                      return e->resident_bytes();
-                  })
-            : cache_.get_or_create(sig, factory);
+    auto entry = cache_.get_or_create(
+        sig, factory, [](const std::shared_ptr<PlanEntry>& e) {
+            return e->resident_bytes();
+        });
     cache_hit = !built;
     return entry;
 }
@@ -361,7 +356,7 @@ ExecStats Session::execute(const Signature& sig) {
     // The first verified pass changes what the entry keeps resident (the
     // combine image materializes); re-price it so the byte budget stays
     // exact.
-    if (byte_budget_ && full_check) {
+    if (full_check) {
         cache_.update_cost(keyed, out.plan_resident_bytes);
     }
     static obs::Gauge& m_resident =

@@ -21,7 +21,6 @@
 #include "mbr/view.hpp"
 #include "model/broadcast_model.hpp"
 #include "rt/communicator.hpp" // Engine
-#include "rt/plan.hpp"         // PlanLayout
 #include "svc/rejection.hpp"
 #include "svc/selector.hpp"
 #include "svc/signature.hpp"
@@ -42,20 +41,12 @@ namespace hcube::svc {
 struct SessionParams {
     /// Worker threads; 0 picks min(2^n, max(2, hardware_concurrency)).
     std::uint32_t threads = 0;
-    /// Compiled plans (and their player) kept resident; 0 = unbounded.
-    /// Entry-count mode, used only while plan_cache_bytes is 0.
-    std::size_t plan_cache_capacity = 32;
-    /// Byte budget for the plan cache. When nonzero the cache charges each
-    /// entry its exact resident bytes (plan + player + expected image; see
-    /// Plan::resident_bytes) and evicts least-recently-used entries until
-    /// the total fits — thousands of small-cube signatures coexist with a
-    /// few large ones under one bound. 0 (the default) preserves the
-    /// entry-count behavior of plan_cache_capacity.
-    std::uint64_t plan_cache_bytes = 0;
-    /// Plan encoding (rt::PlanLayout). The automatic default compiles the
-    /// compact residency layout inside its validated envelope; wide is the
-    /// pre-compaction reference encoding.
-    rt::PlanLayout plan_layout = rt::PlanLayout::automatic;
+    /// Byte budget for the plan cache: each entry is charged its exact
+    /// resident bytes (plan + player + expected image; see
+    /// Plan::resident_bytes) and least-recently-used entries are evicted
+    /// until the total fits — thousands of small-cube signatures coexist
+    /// with a few large ones under one bound. 0 = unbounded.
+    std::uint64_t plan_cache_bytes = std::uint64_t{64} << 20;
     /// Engine that executes every run.
     rt::Engine engine = rt::Engine::async;
     /// Ring slots per link channel for the barrier engine.
@@ -169,9 +160,7 @@ class Session {
 
     [[nodiscard]] hcube::CacheStats cache_stats() const noexcept;
     [[nodiscard]] std::size_t cached_plans() const;
-    /// Total cost currently charged to the plan cache: exact resident
-    /// bytes under a plan_cache_bytes budget, resident entry count in
-    /// entry-count mode.
+    /// Exact resident bytes currently charged to the plan cache.
     [[nodiscard]] std::uint64_t cache_resident_bytes() const;
     /// Jobs dispatched onto the resident pool (0 when single-threaded).
     [[nodiscard]] std::uint64_t pool_jobs() const;
@@ -191,7 +180,6 @@ class Session {
     dim_t n_;
     SessionParams params_;
     std::uint32_t threads_;
-    bool byte_budget_; ///< plan_cache_bytes != 0: cost-aware eviction
     std::unique_ptr<rt::WorkerPool> pool_;
     AlgorithmSelector selector_;
     LruCache<Signature, std::shared_ptr<PlanEntry>> cache_;

@@ -155,18 +155,28 @@ TEST(ObsSvc, AdmissionRejectCounts) {
 }
 
 TEST(ObsSvc, SessionCacheMetricsTrackEvictions) {
-    const obs::RegistrySnapshot base = obs::registry().snapshot();
     SessionParams params;
     params.threads = 2;
     params.comm = synthetic;
-    params.plan_cache_capacity = 2;
+    // Three same-shape signatures under a budget of two entries' measured
+    // bytes: at least one eviction, all misses.
+    std::uint64_t entry_bytes = 0;
+    {
+        Session probe(3, params);
+        entry_bytes = probe
+                          .execute(sig_of(Op::broadcast, Family::sbt, 3, 0,
+                                          2, 32))
+                          .plan_resident_bytes;
+    }
+    ASSERT_GT(entry_bytes, 0u);
+    params.plan_cache_bytes = 2 * entry_bytes;
+    const obs::RegistrySnapshot base = obs::registry().snapshot();
     Session session(3, params);
-    // Three distinct signatures through a 2-entry cache: at least one
-    // eviction, all misses.
     for (const node_t root : {0u, 1u, 2u}) {
         const ExecStats stats = session.execute(
             sig_of(Op::broadcast, Family::sbt, 3, root, 2, 32));
         EXPECT_TRUE(stats.verified);
+        EXPECT_EQ(stats.plan_resident_bytes, entry_bytes);
     }
     const obs::RegistrySnapshot now = obs::registry().snapshot();
     EXPECT_GE(delta(now, base, "svc.plan_cache.misses"), 3u);

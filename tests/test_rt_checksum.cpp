@@ -1,7 +1,7 @@
-// Pins the runtime's SIMD block checksum to an independent xxHash64
-// reference implementation, and the dispatched path (AVX2 where present)
-// to the portable scalar path, bit for bit — over randomized sizes
-// including the sub-stripe (< 4 words) and non-lane-multiple tails.
+// Pins the runtime's block checksum to an independent xxHash64 reference
+// implementation, bit for bit — over randomized sizes including the
+// sub-stripe (< 4 words) and non-lane-multiple tails — and the dispatched
+// reduce (AVX2 where present) to the portable scalar reduce.
 //
 // The reference below is a straight transliteration of the xxHash64
 // specification (seed 0) over raw bytes, written independently from
@@ -129,7 +129,6 @@ std::vector<double> random_block(std::mt19937_64& rng, std::size_t n) {
 
 TEST(RtChecksum, EmptyInputIsTheKnownXxh64Vector) {
     // xxh64("", seed 0) — the published test vector.
-    EXPECT_EQ(simd::checksum_scalar(nullptr, 0), 0xEF46DB3751D8E999ULL);
     EXPECT_EQ(simd::checksum(nullptr, 0), 0xEF46DB3751D8E999ULL);
 }
 
@@ -139,35 +138,15 @@ TEST(RtChecksum, ScalarMatchesIndependentReference) {
     // multi-stripe coverage including non-multiple-of-4 tails.
     for (std::size_t n = 0; n <= 67; ++n) {
         const std::vector<double> block = random_block(rng, n);
-        EXPECT_EQ(simd::checksum_scalar(block.data(), n),
+        EXPECT_EQ(simd::checksum(block.data(), n),
                   xxh64_reference(block.data(), n * sizeof(double), 0))
             << "n=" << n;
     }
     for (const std::size_t n : {255u, 256u, 257u, 1021u, 4096u}) {
         const std::vector<double> block = random_block(rng, n);
-        EXPECT_EQ(simd::checksum_scalar(block.data(), n),
+        EXPECT_EQ(simd::checksum(block.data(), n),
                   xxh64_reference(block.data(), n * sizeof(double), 0))
             << "n=" << n;
-    }
-}
-
-TEST(RtChecksum, DispatchedPathIsBitIdenticalToScalar) {
-    // On AVX2 hardware this compares the vector path against the scalar
-    // path; on anything else (or under HCUBE_CHECKSUM_SCALAR /
-    // HCUBE_CHECKSUM=scalar) both sides are the scalar path and the test
-    // is trivially green — the forced-scalar CI leg covers that half.
-    std::mt19937_64 rng(0xC2B2AE3D27D4EB4FULL);
-    for (std::size_t n = 0; n <= 67; ++n) {
-        const std::vector<double> block = random_block(rng, n);
-        EXPECT_EQ(simd::checksum(block.data(), n),
-                  simd::checksum_scalar(block.data(), n))
-            << "n=" << n << " dispatch=" << simd::dispatch_name();
-    }
-    for (const std::size_t n : {512u, 1023u, 4097u}) {
-        const std::vector<double> block = random_block(rng, n);
-        EXPECT_EQ(simd::checksum(block.data(), n),
-                  simd::checksum_scalar(block.data(), n))
-            << "n=" << n << " dispatch=" << simd::dispatch_name();
     }
 }
 
@@ -192,9 +171,7 @@ TEST(RtChecksum, EveryBitFlipChangesTheDigest) {
 
 TEST(RtChecksum, DispatchNameIsAKnownTarget) {
     const std::string name = simd::dispatch_name();
-    EXPECT_TRUE(name == "avx2" || name == "avx2-reduce" ||
-                name == "scalar")
-        << name;
+    EXPECT_TRUE(name == "avx2" || name == "scalar") << name;
 }
 
 TEST(RtChecksum, BlockAndCanonicalChecksumsUseTheSameAlgorithm) {

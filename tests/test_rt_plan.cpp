@@ -8,14 +8,13 @@
 #include "routing/broadcast.hpp"
 #include "routing/schedule_export.hpp"
 #include "rt/async_player.hpp"
+#include "rt/expected.hpp"
 #include "rt/player.hpp"
 #include "trees/bst.hpp"
 #include "trees/sbt.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 namespace hcube::rt {
@@ -125,33 +124,29 @@ TEST(RtPlan, BucketsPartitionEverySendByCycleAndOwner) {
     const sim::Schedule schedule = routing::make_msbt_broadcast(
         4, 0, 8, sim::PortModel::one_port_full_duplex);
     const std::uint32_t workers = 3;
-    for (const PlanLayout layout : {PlanLayout::compact, PlanLayout::wide}) {
-        const Plan plan = compile_plan(schedule, DataMode::move, 2, workers,
-                                       8, layout);
-        ASSERT_EQ(plan.send_begin.size(),
-                  std::size_t{plan.cycles} * workers + 1);
-        EXPECT_EQ(plan.send_begin.back(), schedule.sends.size());
-        EXPECT_EQ(plan.recv_begin.back(), schedule.sends.size());
-        // Every action sits in the bucket of its cycle and its node's
-        // owner, in both encodings. The bucketed accessors hide the
-        // layout; the node is recovered through the action's slot.
-        const auto send_node = [&plan](std::size_t pos) {
-            return plan.slot_node[plan.bucket_send(pos).slot];
-        };
-        const auto recv_node = [&plan](std::size_t pos) {
-            return plan.slot_node[plan.bucket_recv(pos).slot];
-        };
-        for (std::uint32_t c = 0; c < plan.cycles; ++c) {
-            for (std::uint32_t w = 0; w < workers; ++w) {
-                const std::size_t b = std::size_t{c} * workers + w;
-                for (std::size_t i = plan.send_begin[b];
-                     i < plan.send_begin[b + 1]; ++i) {
-                    EXPECT_EQ(plan.owner_of(send_node(i)), w);
-                }
-                for (std::size_t i = plan.recv_begin[b];
-                     i < plan.recv_begin[b + 1]; ++i) {
-                    EXPECT_EQ(plan.owner_of(recv_node(i)), w);
-                }
+    const Plan plan = compile_plan(schedule, DataMode::move, 2, workers);
+    ASSERT_EQ(plan.send_begin.size(),
+              std::size_t{plan.cycles} * workers + 1);
+    EXPECT_EQ(plan.send_begin.back(), schedule.sends.size());
+    EXPECT_EQ(plan.recv_begin.back(), schedule.sends.size());
+    // Every action sits in the bucket of its cycle and its node's owner;
+    // the node is recovered through the action's slot.
+    const auto send_node = [&plan](std::size_t pos) {
+        return plan.slot_node[plan.bucket_send(pos).slot];
+    };
+    const auto recv_node = [&plan](std::size_t pos) {
+        return plan.slot_node[plan.bucket_recv(pos).slot];
+    };
+    for (std::uint32_t c = 0; c < plan.cycles; ++c) {
+        for (std::uint32_t w = 0; w < workers; ++w) {
+            const std::size_t b = std::size_t{c} * workers + w;
+            for (std::size_t i = plan.send_begin[b];
+                 i < plan.send_begin[b + 1]; ++i) {
+                EXPECT_EQ(plan.owner_of(send_node(i)), w);
+            }
+            for (std::size_t i = plan.recv_begin[b];
+                 i < plan.recv_begin[b + 1]; ++i) {
+                EXPECT_EQ(plan.owner_of(recv_node(i)), w);
             }
         }
     }
@@ -245,8 +240,7 @@ TEST(RtPlan, EveryDependencyEdgePointsForward) {
     // edge's head sorts strictly after its tail in (cycle, sends-before-
     // recvs) order, so a feasible schedule can never compile into a
     // cyclic (deadlocking) dependency graph. The per-hop cycle comes from
-    // the cycle CSR (binary search in the compact layout), which both
-    // encodings carry.
+    // the cycle CSR (binary search).
     const auto check = [](const Plan& plan) {
         const auto key = [&plan](std::uint32_t id) -> std::uint64_t {
             const bool recv = !plan.is_send_action(id);
@@ -287,147 +281,38 @@ TEST(RtPlan, EveryDependencyEdgePointsForward) {
     check(compile_plan(allreduce, DataMode::combine, 2, 1));
 }
 
-// ------------------------------------------------------- layout selection
+// ------------------------------------------------------ beyond n = 20 ---
 
-TEST(RtPlan, LayoutResolvesCompactInsideEnvelopeWideBeyond) {
-    const Schedule chain = two_hop_chain();
-    EXPECT_EQ(compile_plan(chain, DataMode::move, 4, 1).layout,
-              PlanLayout::compact);
-    EXPECT_EQ(compile_plan(chain, DataMode::move, 4, 1, 8,
-                           PlanLayout::wide)
-                  .layout,
-              PlanLayout::wide);
+TEST(RtPlan, CompilesAndPlaysBeyondTwentyDimensions) {
+    // The packed channel word is the only field whose width depends on n,
+    // so a 21-cube compiles to the same encoding as any other. A 3-hop
+    // chain 0 -> 1 -> 3 -> 2^20 + 3 ends with a send across dimension 20,
+    // the top bit of the packed node field at this n.
+    Schedule chain;
+    chain.n = 21;
+    chain.packet_count = 1;
+    chain.initial_holder = {0};
+    const node_t far = (node_t{1} << 20) | 3u;
+    chain.sends = {{0, 0, 1, 0}, {1, 1, 3, 0}, {2, 3, far, 0}};
+    const Plan plan = compile_plan(chain, DataMode::move, 4, 1);
+    ASSERT_EQ(plan.channel_count, 3u);
+    EXPECT_EQ(plan.channel_dim(2), 20);
+    EXPECT_EQ(plan.channel_from(2), 3u);
+    EXPECT_EQ(plan.channel_to(2), far);
+    EXPECT_NE(plan.slot_of(far, 0), Plan::kNoSlot);
 
-    // A 21-cube is outside the compact envelope: automatic falls back to
-    // the wide encoding, an explicit compact request is rejected.
-    Schedule big;
-    big.n = kCompactMaxDimension + 1;
-    big.packet_count = 1;
-    big.initial_holder = {0};
-    big.sends = {{0, 0, 1, 0}};
-    EXPECT_EQ(compile_plan(big, DataMode::move, 4, 1).layout,
-              PlanLayout::wide);
-    EXPECT_THROW((void)compile_plan(big, DataMode::move, 4, 1, 8,
-                                    PlanLayout::compact),
-                 check_error);
-}
-
-TEST(RtPlan, CompactEnvVarForcesWideLayout) {
-    // HCUBE_PLAN_COMPACT=0 is the no-rebuild escape hatch: automatic
-    // resolves to the wide reference encoding while it is set.
-    ASSERT_EQ(setenv("HCUBE_PLAN_COMPACT", "0", 1), 0);
-    const Plan wide = compile_plan(two_hop_chain(), DataMode::move, 4, 1);
-    ASSERT_EQ(unsetenv("HCUBE_PLAN_COMPACT"), 0);
-    EXPECT_EQ(wide.layout, PlanLayout::wide);
-    EXPECT_FALSE(wide.flat_sends.empty());
-    // Any other value (or absence) keeps the compact default.
-    ASSERT_EQ(setenv("HCUBE_PLAN_COMPACT", "1", 1), 0);
-    const Plan compact =
-        compile_plan(two_hop_chain(), DataMode::move, 4, 1);
-    ASSERT_EQ(unsetenv("HCUBE_PLAN_COMPACT"), 0);
-    EXPECT_EQ(compact.layout, PlanLayout::compact);
-}
-
-// --------------------------------------- compact-vs-wide differential ----
-
-/// Compiles `schedule` under both encodings and requires byte-identical
-/// final memory from both engines — the wide layout is the pre-compaction
-/// reference, so any decode slip in the packed accessors shows up here.
-void expect_layouts_agree(const Schedule& schedule, DataMode mode,
-                          const std::string& label) {
-    SCOPED_TRACE(label);
-    const Plan compact =
-        compile_plan(schedule, mode, 4, 2, 8, PlanLayout::compact);
-    const Plan wide = compile_plan(schedule, mode, 4, 2, 8, PlanLayout::wide);
-    ASSERT_EQ(compact.layout, PlanLayout::compact);
-    ASSERT_EQ(wide.layout, PlanLayout::wide);
-    EXPECT_TRUE(compact.flat_sends.empty());
-    EXPECT_TRUE(compact.sends.empty());
-    EXPECT_EQ(compact.send_order.size(), wide.sends.size());
-    EXPECT_LT(compact.resident_bytes(), wide.resident_bytes());
-
-    const auto compare = [&](auto& packed_player, auto& ref_player,
-                             const char* engine) {
-        SCOPED_TRACE(engine);
-        const PlayStats a = packed_player.play();
-        const PlayStats b = ref_player.play();
-        EXPECT_TRUE(a.clean());
-        EXPECT_TRUE(b.clean());
-        EXPECT_EQ(a.blocks_delivered, b.blocks_delivered);
-        for (std::uint64_t s = 0; s < compact.total_slots; ++s) {
-            const auto lhs = packed_player.block(compact.slot_node[s],
-                                                 compact.slot_packet[s]);
-            const auto rhs = ref_player.block(wide.slot_node[s],
-                                              wide.slot_packet[s]);
-            ASSERT_EQ(lhs.size(), rhs.size());
-            ASSERT_EQ(std::memcmp(lhs.data(), rhs.data(),
-                                  lhs.size() * sizeof(double)),
-                      0)
-                << "layouts diverge at slot " << s;
-        }
-    };
-    Player barrier_packed(compact);
-    Player barrier_ref(wide);
-    compare(barrier_packed, barrier_ref, "barrier");
-    AsyncPlayer async_packed(compact);
-    AsyncPlayer async_ref(wide);
-    compare(async_packed, async_ref, "async");
-}
-
-TEST(RtPlanLayoutDiff, EveryExportHookBothEngines) {
-    using routing::BroadcastDiscipline;
-    using routing::ScatterPolicy;
-    for (const dim_t n : {4, 7}) {
-        const std::string tag = " n=" + std::to_string(n);
-        const auto sbt = trees::build_sbt(n, 0);
-        const auto bst = trees::build_bst(n, 0);
-        expect_layouts_agree(
-            routing::make_tree_broadcast(
-                sbt, BroadcastDiscipline::port_oriented, 4,
-                sim::PortModel::one_port_full_duplex),
-            DataMode::move, "sbt_bcast" + tag);
-        expect_layouts_agree(
-            routing::make_tree_broadcast(
-                sbt, BroadcastDiscipline::paced, 4,
-                sim::PortModel::one_port_full_duplex),
-            DataMode::move, "sbt_paced_bcast" + tag);
-        expect_layouts_agree(
-            routing::make_msbt_broadcast(
-                n, 0, static_cast<packet_t>(n) * 2,
-                sim::PortModel::one_port_full_duplex),
-            DataMode::move, "msbt_bcast" + tag);
-        expect_layouts_agree(
-            routing::make_tree_scatter(sbt, ScatterPolicy::descending, 2,
-                                       sim::PortModel::one_port_full_duplex),
-            DataMode::move, "sbt_scatter" + tag);
-        expect_layouts_agree(
-            routing::make_tree_scatter(bst, ScatterPolicy::cyclic, 2,
-                                       sim::PortModel::one_port_full_duplex),
-            DataMode::move, "bst_scatter" + tag);
-        expect_layouts_agree(
-            routing::make_tree_scatter(sbt, ScatterPolicy::per_port, 2,
-                                       sim::PortModel::all_port),
-            DataMode::move, "per_port_scatter" + tag);
-        expect_layouts_agree(
-            routing::make_tree_gather(sbt, ScatterPolicy::descending, 2,
-                                      sim::PortModel::one_port_full_duplex),
-            DataMode::move, "sbt_gather" + tag);
-        expect_layouts_agree(
-            routing::make_tree_gather(bst, ScatterPolicy::cyclic, 2,
-                                      sim::PortModel::one_port_full_duplex),
-            DataMode::move, "bst_gather" + tag);
-        expect_layouts_agree(routing::make_allgather_schedule(n),
-                             DataMode::move, "allgather" + tag);
-        expect_layouts_agree(routing::make_alltoall_schedule(n, 1),
-                             DataMode::move, "alltoall" + tag);
-        expect_layouts_agree(
-            routing::reverse_broadcast_for_reduce(
-                routing::make_tree_broadcast(
-                    sbt, BroadcastDiscipline::port_oriented, 3,
-                    sim::PortModel::one_port_full_duplex),
-                0),
-            DataMode::combine, "reduce" + tag);
-    }
+    const sim::CycleStats expected =
+        sim::execute_schedule(chain, sim::PortModel::one_port_full_duplex);
+    Player barrier(plan);
+    const PlayStats b = barrier.play();
+    EXPECT_TRUE(b.clean());
+    EXPECT_EQ(b.blocks_delivered, 3u);
+    EXPECT_TRUE(check_move_run(plan, expected, barrier));
+    AsyncPlayer async(plan);
+    const PlayStats a = async.play();
+    EXPECT_TRUE(a.clean());
+    EXPECT_EQ(a.blocks_delivered, 3u);
+    EXPECT_TRUE(check_move_run(plan, expected, async));
 }
 
 // ------------------------------------------------ residency regression ---
@@ -449,12 +334,12 @@ TEST(RtPlanFootprint, ItemizedTotalsAndTrimmedCapacity) {
               std::size_t{plan.packet_count} * plan.arena_stride);
 }
 
-/// Regression pins for the compact layout's resident footprint: per
+/// Regression pins for the plan's resident footprint: per
 /// family, at every n in 3..8, the compiled plan (workers=2, block 4,
 /// arena excluded — block size is a runtime choice, not an encoding
 /// property) must fit `bytes_per_hop` bytes per lowered hop plus a fixed
 /// allowance. The pins are ~15% above the measured encoding so a field
-/// widening or an accidental AoS mirror in the compact path fails loudly.
+/// widening or an accidental AoS mirror fails loudly.
 struct FootprintPin {
     const char* family;
     Schedule (*make)(dim_t n);
@@ -502,8 +387,7 @@ TEST(RtPlanFootprint, CompactBytesStayPinnedPerFamily) {
             SCOPED_TRACE(std::string(pin.family) +
                          " n=" + std::to_string(n));
             const Schedule schedule = pin.make(n);
-            const Plan plan = compile_plan(schedule, DataMode::move, 4, 2,
-                                           8, PlanLayout::compact);
+            const Plan plan = compile_plan(schedule, DataMode::move, 4, 2);
             const PlanFootprint f = plan.footprint();
             const std::uint64_t encoding = f.total() - f.arena;
             const std::uint64_t hops = plan.lowered_count();
@@ -516,27 +400,6 @@ TEST(RtPlanFootprint, CompactBytesStayPinnedPerFamily) {
                 << "hops=" << hops << " encoding=" << encoding;
         }
     }
-}
-
-TEST(RtPlanFootprint, CompactShrinksSbtBroadcastActionEncoding) {
-    // At n = 8 the compact sbt_broadcast action + bucket encoding is at
-    // least 3x smaller than the wide reference encoding (32 + 8 bytes per
-    // hop against the reference's 132). The ISSUE's >= 4x bar is an
-    // *entry*-level number — it additionally drops the per-entry oracle
-    // image — and is measured by bench_svc's footprint sweep.
-    const Schedule schedule = routing::make_tree_broadcast(
-        trees::build_sbt(8, 0), routing::BroadcastDiscipline::port_oriented,
-        4, sim::PortModel::one_port_full_duplex);
-    const Plan compact =
-        compile_plan(schedule, DataMode::move, 4, 2, 8, PlanLayout::compact);
-    const Plan wide =
-        compile_plan(schedule, DataMode::move, 4, 2, 8, PlanLayout::wide);
-    const PlanFootprint fc = compact.footprint();
-    const PlanFootprint fw = wide.footprint();
-    EXPECT_GE(fw.actions + fw.buckets, (fc.actions + fc.buckets) * 3)
-        << "wide=" << fw.actions + fw.buckets
-        << " compact=" << fc.actions + fc.buckets;
-    EXPECT_LT(compact.resident_bytes(), wide.resident_bytes());
 }
 
 } // namespace

@@ -13,9 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,6 +51,20 @@ SessionParams fast_session(std::uint32_t threads = 2) {
     p.threads = threads;
     p.comm = synthetic; // skip calibration probes in unit tests
     return p;
+}
+
+/// Byte budget that holds any two of `sigs`' cache entries and never all
+/// of them: the two largest entries' bytes, measured on a probe session
+/// after each entry's first execution (the cost the cache re-prices it
+/// to).
+std::uint64_t two_entry_budget(dim_t n, const std::vector<Signature>& sigs) {
+    Session probe(n, fast_session());
+    std::vector<std::uint64_t> bytes;
+    for (const Signature& sig : sigs) {
+        bytes.push_back(probe.execute(sig).plan_resident_bytes);
+    }
+    std::ranges::sort(bytes, std::greater<>{});
+    return bytes[0] + bytes[1];
 }
 
 // ---------------------------------------------------------------- LruCache
@@ -119,6 +136,57 @@ TEST(SvcLruCache, NeverEvictsTheEntryBeingInserted) {
     EXPECT_FALSE(cache.contains(1));
     EXPECT_FALSE(cache.contains(2));
     EXPECT_EQ(cache.total_cost(), 99u);
+    EXPECT_EQ(cache.stats().evictions, 2u);
+}
+
+TEST(SvcLruCache, ShedsAnOversizeEntryBeforeTheNextBuild) {
+    // An entry costlier than the whole budget stays resident alone until
+    // the next miss, which evicts it before its factory runs, so the two
+    // values are never held together; entries that fit stay resident
+    // through a build and are evicted only by the insertion.
+    using Handle = std::shared_ptr<int>;
+    LruCache<int, Handle> cache(10);
+    const auto costing = [](std::uint64_t c) {
+        return [c](const Handle&) { return c; };
+    };
+    std::weak_ptr<int> big;
+    (void)cache.get_or_create(
+        1,
+        [&] {
+            Handle v = std::make_shared<int>(1);
+            big = v;
+            return v;
+        },
+        costing(99));
+    EXPECT_TRUE(cache.get(1).has_value()); // a hit keeps it
+    bool big_alive_in_build = true;
+    (void)cache.get_or_create(
+        2,
+        [&] {
+            big_alive_in_build = !big.expired();
+            return std::make_shared<int>(2);
+        },
+        costing(4));
+    EXPECT_FALSE(big_alive_in_build);
+    EXPECT_FALSE(cache.contains(1));
+    EXPECT_EQ(cache.stats().evictions, 1u);
+
+    (void)cache.get_or_create(3, [] { return std::make_shared<int>(3); },
+                              costing(4));
+    bool fitting_resident_in_build = false;
+    (void)cache.get_or_create(
+        4,
+        [&] {
+            fitting_resident_in_build =
+                cache.contains(2) && cache.contains(3);
+            return std::make_shared<int>(4);
+        },
+        costing(4));
+    EXPECT_TRUE(fitting_resident_in_build);
+    EXPECT_FALSE(cache.contains(2));
+    EXPECT_TRUE(cache.contains(3));
+    EXPECT_TRUE(cache.contains(4));
+    EXPECT_EQ(cache.total_cost(), 8u);
     EXPECT_EQ(cache.stats().evictions, 2u);
 }
 
@@ -364,16 +432,16 @@ TEST(SvcSession, ExecutesEveryOpVerified) {
 }
 
 TEST(SvcSession, FullCheckOnFirstExecutionOfEachEntry) {
-    // Both data modes through a 2-entry cache: every entry's first
-    // execution runs the full expected-state check, repeats take the
-    // steady-state path, and so does a re-built entry after an eviction
-    // or a membership transition.
-    SessionParams params = fast_session();
-    params.plan_cache_capacity = 2;
-    Session session(3, params);
+    // Both data modes through a cache that holds two entries: every
+    // entry's first execution runs the full expected-state check, repeats
+    // take the steady-state path, and so does a re-built entry after an
+    // eviction or a membership transition.
     const Signature move = sig_of(Op::broadcast, Family::sbt, 3, 0, 4, 16);
     const Signature combine = sig_of(Op::reduce, Family::sbt, 3, 0, 2, 16);
     const Signature other = sig_of(Op::scatter, Family::sbt, 3, 0, 2, 16);
+    SessionParams params = fast_session();
+    params.plan_cache_bytes = two_entry_budget(3, {move, combine, other});
+    Session session(3, params);
     const auto expect_first_then_steady = [&](const Signature& sig,
                                               const char* when) {
         SCOPED_TRACE(sig.to_string() + " " + when);
@@ -417,12 +485,12 @@ TEST(SvcSession, BarrierEngineMatchesMakespanInSteadyState) {
 }
 
 TEST(SvcSession, CacheEvictionRecompiles) {
-    SessionParams params = fast_session();
-    params.plan_cache_capacity = 2;
-    Session session(3, params);
     const Signature a = sig_of(Op::broadcast, Family::sbt, 3, 0, 2, 16);
     const Signature b = sig_of(Op::broadcast, Family::sbt, 3, 1, 2, 16);
     const Signature c = sig_of(Op::broadcast, Family::sbt, 3, 2, 2, 16);
+    SessionParams params = fast_session();
+    params.plan_cache_bytes = two_entry_budget(3, {a, b, c});
+    Session session(3, params);
     EXPECT_FALSE(session.execute(a).cache_hit);
     EXPECT_FALSE(session.execute(b).cache_hit);
     EXPECT_TRUE(session.execute(b).cache_hit);
@@ -480,8 +548,9 @@ TEST(SvcSession, ReportsExactResidentBytes) {
     const ExecStats sb = session.execute(b);
     EXPECT_GT(sa.plan_resident_bytes, 0u);
     EXPECT_GT(sb.plan_resident_bytes, 0u);
-    // Entry-count mode still tracks resident cost (one unit per entry).
-    EXPECT_EQ(session.cache_resident_bytes(), 2u);
+    // The cache is charged exactly what each entry reports.
+    EXPECT_EQ(session.cache_resident_bytes(),
+              sa.plan_resident_bytes + sb.plan_resident_bytes);
     // A hit reports the same entry bytes as the compile that built it.
     const ExecStats repeat = session.execute(a);
     EXPECT_TRUE(repeat.cache_hit);
@@ -540,19 +609,6 @@ TEST(SvcSession, ByteBudgetHoldsManySmallPlans) {
     EXPECT_EQ(session.cache_stats().evictions, 0u);
     EXPECT_LE(session.cache_resident_bytes(), params.plan_cache_bytes);
     EXPECT_GT(session.cache_resident_bytes(), 0u);
-}
-
-TEST(SvcSession, WideLayoutSessionStaysVerified) {
-    // The HCUBE_PLAN_COMPACT=0 equivalent, selected through params: the
-    // wide reference encoding must verify identically through the full
-    // session path (compile, cache, steady-state byte checks).
-    SessionParams params = fast_session();
-    params.plan_layout = rt::PlanLayout::wide;
-    Session session(3, params);
-    const Signature sig = sig_of(Op::reduce, Family::sbt, 3, 0, 2, 16);
-    for (int i = 0; i < 3; ++i) {
-        EXPECT_TRUE(session.execute(sig).verified);
-    }
 }
 
 // ----------------------------------------------------------------- Service
