@@ -1,6 +1,6 @@
 // Recovery-latency and degraded-throughput benchmark of the self-healing
-// collectives (hcube::ft): for each op and engine, deterministic link
-// kills are injected mid-stream and the full inject → detect → recover
+// collectives (hcube::ft): for each op, deterministic link kills are
+// injected mid-stream and the full inject → detect → recover
 // loop runs to byte-verified completion against the op's expected state:
 // its contract, checked once against the cycle executor's holdings of the
 // fault-free schedule, with every pair holding its canonical block. Per
@@ -31,8 +31,8 @@
 //               [--threads 0] [--faults-max 2] [--json <path>]
 //               [--trace-out <path>]
 //
-// --trace-out writes one chrome://tracing process per (op, n, engine,
-// faults) configuration; the aborted attempt and the recovered re-run land
+// --trace-out writes one chrome://tracing process per (op, n, faults)
+// configuration; the aborted attempt and the recovered re-run land
 // in the same timeline, so the replan gap between them is directly
 // visible. (On the in-process ring bank detection does not stall: the
 // aborted attempt ends as soon as the receive behind the dead link runs.)
@@ -75,7 +75,6 @@ struct OpCase {
 
 struct Row {
     std::string op;
-    std::string engine;
     dim_t n = 0;
     std::uint32_t threads = 0;
     std::uint32_t faults = 0;
@@ -186,92 +185,76 @@ int main(int argc, char** argv) {
          }},
     };
 
-    std::printf("%-12s %3s %-8s %6s %8s %7s %9s %11s %9s %8s %8s %5s\n",
-                "op", "n", "engine", "faults", "attempts", "dropped",
-                "oracle ms", "recovery ms", "final ms", "GB/s", "copied",
-                "ok");
+    std::printf("%-12s %3s %6s %8s %7s %9s %11s %9s %8s %8s %5s\n", "op",
+                "n", "faults", "attempts", "dropped", "oracle ms",
+                "recovery ms", "final ms", "GB/s", "copied", "ok");
 
     std::vector<Row> rows;
     for (const OpCase& c : cases) {
         for (dim_t n = nmin; n <= nmax; ++n) {
             const Schedule schedule = c.generate(n);
-            for (const rt::Engine engine :
-                 {rt::Engine::barrier, rt::Engine::async}) {
-                ft::ResilientParams params;
-                params.threads = threads;
-                params.block_elems = block;
-                params.engine = engine;
-                ft::ResilientComm comm(n, params);
+            ft::ResilientParams params;
+            params.threads = threads;
+            params.block_elems = block;
+            ft::ResilientComm comm(n, params);
 
-                std::unique_ptr<rt::TraceRecorder> recorder;
-                if (trace_json != nullptr) {
-                    recorder = std::make_unique<rt::TraceRecorder>(
-                        comm.threads());
+            std::unique_ptr<rt::TraceRecorder> recorder;
+            if (trace_json != nullptr) {
+                recorder = std::make_unique<rt::TraceRecorder>(comm.threads());
+            }
+
+            // Fault count 0 measures the healthy baseline (and the
+            // expected-state build); each further count reuses the cached
+            // contract, so the sweep isolates the cost of healing.
+            for (std::uint32_t faults = 0; faults <= faults_max; ++faults) {
+                if (recorder != nullptr) {
+                    recorder->reset();
+                    // A run the arbiter aborts flushes its partial
+                    // timeline here even if recovery then throws.
+                    recorder->set_abort_path(trace_path + ".abort.json");
+                    comm.set_trace(recorder.get());
+                }
+                const ft::RecoveryResult r =
+                    c.run(comm, n, spaced_kills(schedule, faults));
+                if (recorder != nullptr) {
+                    comm.set_trace(nullptr);
+                    recorder->append_chrome_events(
+                        *trace_json, trace_pid++,
+                        c.name + " n=" + std::to_string(n) +
+                            " f=" + std::to_string(faults));
                 }
 
-                // Fault count 0 measures the healthy baseline (and the
-                // expected-state build); each further count reuses the
-                // cached contract, so the sweep isolates the cost of
-                // healing.
-                for (std::uint32_t faults = 0; faults <= faults_max;
-                     ++faults) {
-                    if (recorder != nullptr) {
-                        recorder->reset();
-                        // A run the arbiter aborts flushes its partial
-                        // timeline here even if recovery then throws.
-                        recorder->set_abort_path(trace_path +
-                                                 ".abort.json");
-                        comm.set_trace(recorder.get());
-                    }
-                    const ft::RecoveryResult r =
-                        c.run(comm, n, spaced_kills(schedule, faults));
-                    if (recorder != nullptr) {
-                        comm.set_trace(nullptr);
-                        recorder->append_chrome_events(
-                            *trace_json, trace_pid++,
-                            c.name + " n=" + std::to_string(n) + " " +
-                                std::string(to_string(engine)) + " f=" +
-                                std::to_string(faults));
-                    }
+                Row row;
+                row.op = c.name;
+                row.n = n;
+                row.threads = comm.threads();
+                row.faults = faults;
+                row.attempts = r.attempts;
+                row.dropped_trees =
+                    static_cast<std::uint32_t>(r.dropped_trees.size());
+                row.payload_bytes = r.stats.payload_bytes;
+                row.bytes_copied = r.stats.bytes_copied;
+                row.oracle_ms = r.oracle_seconds * 1e3;
+                row.recovery_ms = r.recovery_seconds * 1e3;
+                row.final_ms = r.final_seconds * 1e3;
+                row.gbps = r.final_seconds > 0
+                               ? static_cast<double>(r.stats.payload_bytes) /
+                                     r.final_seconds * 1e-9
+                               : 0.0;
+                row.verified =
+                    r.delivered && r.stats.clean() &&
+                    (faults == 0 ? !r.recovered
+                                 : r.recovered && !r.dead_links.empty());
+                rows.push_back(row);
 
-                    Row row;
-                    row.op = c.name;
-                    row.engine = std::string(to_string(engine));
-                    row.n = n;
-                    row.threads = comm.threads();
-                    row.faults = faults;
-                    row.attempts = r.attempts;
-                    row.dropped_trees =
-                        static_cast<std::uint32_t>(r.dropped_trees.size());
-                    row.payload_bytes = r.stats.payload_bytes;
-                    row.bytes_copied = r.stats.bytes_copied;
-                    row.oracle_ms = r.oracle_seconds * 1e3;
-                    row.recovery_ms = r.recovery_seconds * 1e3;
-                    row.final_ms = r.final_seconds * 1e3;
-                    row.gbps = r.final_seconds > 0
-                                   ? static_cast<double>(
-                                         r.stats.payload_bytes) /
-                                         r.final_seconds * 1e-9
-                                   : 0.0;
-                    row.verified =
-                        r.delivered && r.stats.clean() &&
-                        (faults == 0
-                             ? !r.recovered
-                             : r.recovered &&
-                                   !r.dead_links.empty());
-                    rows.push_back(row);
-
-                    std::printf("%-12s %3d %-8s %6u %8u %7u %9.3f %11.3f "
-                                "%9.3f %8.3f %8llu %5s\n",
-                                row.op.c_str(), n, row.engine.c_str(),
-                                row.faults, row.attempts,
-                                row.dropped_trees, row.oracle_ms,
-                                row.recovery_ms, row.final_ms, row.gbps,
-                                static_cast<unsigned long long>(
-                                    row.bytes_copied),
-                                row.verified ? "yes" : "NO");
-                    std::fflush(stdout);
-                }
+                std::printf("%-12s %3d %6u %8u %7u %9.3f %11.3f "
+                            "%9.3f %8.3f %8llu %5s\n",
+                            row.op.c_str(), n, row.faults, row.attempts,
+                            row.dropped_trees, row.oracle_ms,
+                            row.recovery_ms, row.final_ms, row.gbps,
+                            static_cast<unsigned long long>(row.bytes_copied),
+                            row.verified ? "yes" : "NO");
+                std::fflush(stdout);
             }
         }
     }
@@ -286,7 +269,6 @@ int main(int argc, char** argv) {
         for (const Row& r : rows) {
             json.begin_row();
             json.field("op", r.op);
-            json.field("engine", r.engine);
             json.field("n", r.n);
             json.field("threads", r.threads);
             json.field("block_elems", static_cast<std::uint64_t>(block));

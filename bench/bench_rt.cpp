@@ -53,7 +53,6 @@
 #include "routing/schedule_export.hpp"
 #include "rt/async_player.hpp"
 #include "rt/checksum.hpp"
-#include "rt/communicator.hpp"
 #include "rt/plan.hpp"
 #include "rt/player.hpp"
 #include "rt/pool.hpp"

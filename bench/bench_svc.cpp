@@ -15,12 +15,12 @@
 // Every request remains byte-verified — a row with "verified": false fails
 // this binary (exit 1) and the CI grep gate. Each Session row also records
 // `barrier_plays`, the rt.plays_barrier delta over the session's
-// construction and all its requests: nothing a Session does under
-// Engine::async plays the barrier engine, so anything but 0 fails the
-// binary as well — a count, not a speed, so it repeats exactly on any
-// machine. The selector rows record the calibrated cost model picking the
-// SBT in the small-message regime and the MSBT above the measured
-// crossover (Table 3's regimes, live).
+// construction and all its requests: nothing a Session does plays the
+// barrier engine, so anything but 0 fails the binary as well — a count,
+// not a speed, so it repeats exactly on any machine. The selector rows
+// record the cost model under the session's machine constants (the
+// paper's iPSC τ and t_c) picking the SBT in the small-message regime and
+// the MSBT above the crossover (Table 3's regimes).
 //
 //   bench_svc [--n 5] [--requests 96] [--block 256] [--queue 256]
 //             [--json <path>]
@@ -150,8 +150,8 @@ Measured run_baseline(dim_t n, const std::vector<Signature>& mix,
 }
 
 /// Barrier-engine plays so far in this process. A Session row's
-/// barrier_plays is the delta over the session's construction (its
-/// calibration probes included) and every request of the row.
+/// barrier_plays is the delta over the session's construction and every
+/// request of the row.
 std::uint64_t barrier_plays_now() {
     return hcube::obs::registry().counter("rt.plays_barrier").value();
 }
@@ -587,13 +587,13 @@ int main(int argc, char** argv) {
         json->end_row();
     }
 
-    // Selector regimes under the session's calibrated machine constants:
-    // the SBT below the measured crossover, the MSBT above it (Table 3).
+    // Selector regimes under the session's machine constants (the iPSC
+    // defaults): the SBT below the crossover, the MSBT above it (Table 3).
     Session session(n, SessionParams{});
     const auto& selector = session.selector();
     const auto model = hcube::sim::PortModel::one_port_full_duplex;
     const std::uint64_t crossover = selector.broadcast_crossover(n, model);
-    std::printf("\ncalibrated: tau=%.3g s  tc=%.3g s/elem  "
+    std::printf("\nmachine constants (iPSC): tau=%.3g s  tc=%.3g s/elem  "
                 "broadcast crossover=%llu elems\n",
                 selector.comm_params().tau, selector.comm_params().tc,
                 static_cast<unsigned long long>(crossover));
@@ -639,7 +639,7 @@ int main(int argc, char** argv) {
     if (barrier_plays != 0) {
         std::fprintf(stderr,
                      "%llu barrier-engine plays on the Session rows' "
-                     "request paths (expected 0 under Engine::async)\n",
+                     "request paths (expected 0)\n",
                      static_cast<unsigned long long>(barrier_plays));
         return 1;
     }

@@ -112,9 +112,8 @@ scatter_contract(const Schedule& schedule) {
 /// (the recovered plan may hold extra relay copies; only the contract is
 /// demanded). The plan's arena is checked against the canonical digests
 /// first, so the comparison never trusts anything the run produced.
-template <typename PlayerT>
 [[nodiscard]] bool
-matches_contract(const rt::Plan& plan, const PlayerT& player,
+matches_contract(const rt::Plan& plan, const rt::AsyncPlayer& player,
                  const std::vector<std::pair<node_t, packet_t>>& contract) {
     if (!rt::arena_is_canonical(plan)) {
         return false;
@@ -151,25 +150,17 @@ constexpr std::uint64_t kResidentAttempts = 8;
 } // namespace
 
 struct ResilientComm::Attempt {
-    /// Compiles `schedule` (see compile_attempt) and allocates the player
-    /// for params.engine.
+    /// Compiles `schedule` (see compile_attempt) and allocates its player.
     Attempt(const Schedule& schedule, const ResilientParams& params,
             std::uint32_t threads, const mbr::View* view)
-        : plan(compile_attempt(schedule, params, threads, view)) {
-        if (params.engine == rt::Engine::barrier) {
-            barrier =
-                std::make_unique<rt::Player>(plan, params.channel_capacity);
-        } else {
-            async = std::make_unique<rt::AsyncPlayer>(plan);
-        }
-    }
-    // The players hold a reference to plan, so an Attempt never moves.
+        : plan(compile_attempt(schedule, params, threads, view)),
+          player(plan) {}
+    // The player holds a reference to plan, so an Attempt never moves.
     Attempt(const Attempt&) = delete;
     Attempt& operator=(const Attempt&) = delete;
 
     rt::Plan plan;
-    std::unique_ptr<rt::Player> barrier;    ///< Engine::barrier
-    std::unique_ptr<rt::AsyncPlayer> async; ///< Engine::async
+    rt::AsyncPlayer player;
 };
 
 struct ResilientComm::Resident {
@@ -241,32 +232,28 @@ bool ResilientComm::play_attempt(Attempt& attempt, const Schedule& schedule,
                                  clock::time_point start,
                                  RecoveryResult& out) {
     injector.arm(attempt.plan);
-    const auto play = [&](auto& player) {
-        player.set_detection(params_.detect);
-        player.set_fault_hook(injector.inert() ? nullptr : &injector);
-        player.set_trace(trace_);
-        const rt::PlayStats stats = player.play();
-        ++out.attempts;
-        if (!stats.clean() ||
-            stats.blocks_delivered != schedule.sends.size()) {
-            out.reports.push_back(player.fault_report());
-            // Detection latency: attempt start to the failed run's join —
-            // how long the fault took to surface and drain.
-            static obs::Histogram& m_detect =
-                obs::registry().histogram("ft.detect_ns");
-            m_detect.record(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    clock::now() - start)
-                    .count()));
-            return false;
-        }
-        out.delivered = matches_contract(attempt.plan, player, expected);
-        out.stats = stats;
-        out.final_seconds = stats.seconds;
-        return true;
-    };
-    return attempt.barrier != nullptr ? play(*attempt.barrier)
-                                      : play(*attempt.async);
+    rt::AsyncPlayer& player = attempt.player;
+    player.set_detection(params_.detect);
+    player.set_fault_hook(injector.inert() ? nullptr : &injector);
+    player.set_trace(trace_);
+    const rt::PlayStats stats = player.play();
+    ++out.attempts;
+    if (!stats.clean() || stats.blocks_delivered != schedule.sends.size()) {
+        out.reports.push_back(player.fault_report());
+        // Detection latency: attempt start to the failed run's join — how
+        // long the fault took to surface and drain.
+        static obs::Histogram& m_detect =
+            obs::registry().histogram("ft.detect_ns");
+        m_detect.record(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                clock::now() - start)
+                .count()));
+        return false;
+    }
+    out.delivered = matches_contract(attempt.plan, player, expected);
+    out.stats = stats;
+    out.final_seconds = stats.seconds;
+    return true;
 }
 
 RecoveryResult ResilientComm::run_resilient(

@@ -9,7 +9,7 @@
 //      that schedule feasible. Every contract pair must end up holding its
 //      packet's canonical block, so no reference run is needed.
 //   2. Attempt: the fault scenario is armed on the attempt plan's
-//      channels, and the configured engine executes it with detection on.
+//      channels, and the AsyncPlayer executes it with detection on.
 //      The first attempt replays the op's resident fault-free attempt —
 //      schedule, checked contract, compiled plan and player, kept per
 //      operation signature (LRU, a constant capacity) — so a repeated
@@ -42,8 +42,7 @@
 #include "ft/injector.hpp"
 #include "ft/recovery.hpp"
 #include "mbr/view.hpp"
-#include "rt/communicator.hpp" // rt::Engine
-#include "rt/player.hpp"       // rt::PlayStats
+#include "rt/player.hpp" // rt::PlayStats
 #include "rt/tracing.hpp"
 
 #include <chrono>
@@ -61,10 +60,6 @@ struct ResilientParams {
     std::uint32_t threads = 0;
     /// Elements (doubles) per packet block.
     std::size_t block_elems = 64;
-    /// Ring slots per link channel (barrier engine).
-    std::uint32_t channel_capacity = 2;
-    /// Engine that executes the attempts.
-    rt::Engine engine = rt::Engine::async;
     /// Detection policy for the attempts; the timeout must be nonzero. The
     /// attempts run on the in-process ring bank, where a receive never
     /// waits (rt/detect.hpp): the timeout only switches detection on.
@@ -190,7 +185,7 @@ private:
     using Contract = std::vector<std::pair<node_t, sim::packet_t>>;
     /// Derives an op's semantic contract from the schedule it runs.
     using ContractOf = std::function<Contract(const sim::Schedule&)>;
-    /// A compiled plan plus a player for params.engine.
+    /// A compiled plan plus its AsyncPlayer.
     struct Attempt;
     /// An op's fault-free attempt, resident between calls: its schedule,
     /// checked contract, and compiled Attempt.

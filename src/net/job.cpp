@@ -183,6 +183,38 @@ std::span<const double> JobResult::block(const rt::Plan& plan, node_t node,
             block_elems};
 }
 
+namespace {
+
+/// A job's assembled image, read the way rt/expected.hpp reads a player.
+struct JobImage {
+    const rt::Plan& plan;
+    const JobResult& result;
+
+    [[nodiscard]] std::span<const double>
+    slot_block(std::uint64_t slot) const {
+        return result.block(plan, plan.slot_node[slot],
+                            plan.slot_packet[slot]);
+    }
+    [[nodiscard]] std::span<const double> block(node_t node,
+                                                packet_t packet) const {
+        return result.block(plan, node, packet);
+    }
+};
+
+} // namespace
+
+bool image_follows_rule(const JobSpec& spec, const JobResult& result) {
+    const CompiledJob job = compile(spec);
+    if (result.total_slots != job.plan.total_slots ||
+        result.block_elems != job.plan.block_elems ||
+        result.have.size() != result.total_slots ||
+        result.memory.size() != result.total_slots * result.block_elems) {
+        return false;
+    }
+    return follows_rule(job.gen, spec.sig.model, job.plan,
+                        JobImage{job.plan, result});
+}
+
 int run_child(const JobSpec& spec, std::uint32_t rank) {
     HCUBE_ENSURE_MSG(!spec.dir.empty(), "run_child requires spec.dir");
     HCUBE_ENSURE_MSG(spec.transport == ft::TransportClass::uds ||

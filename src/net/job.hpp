@@ -26,6 +26,8 @@
 #include "net/net_player.hpp"
 #include "net/peer.hpp"
 #include "obs/metrics.hpp"
+#include "rt/expected.hpp"
+#include "sim/cycle.hpp"
 #include "svc/signature.hpp"
 
 #include <cstdint>
@@ -102,6 +104,32 @@ struct JobResult {
                                                 node_t node,
                                                 packet_t packet) const;
 };
+
+/// The runtime's verification rule (rt/expected.hpp) for a run of
+/// `plan`, compiled from `gen`: check_move_run against the cycle
+/// executor's holdings of gen.feasibility under `model`, or
+/// check_combine_run into the schedule's root. `image` is the run's final
+/// memory read like a player: slot_block(slot) and block(node, packet).
+template <class Image>
+[[nodiscard]] bool follows_rule(const svc::GeneratedSchedule& gen,
+                                sim::PortModel model, const rt::Plan& plan,
+                                const Image& image) {
+    if (gen.mode == rt::DataMode::combine) {
+        return rt::check_combine_run(plan, gen.exec,
+                                     gen.exec.initial_holder[0], {}, image)
+            .has_value();
+    }
+    return rt::check_move_run(plan, sim::execute_schedule(gen.feasibility,
+                                                          model),
+                              image);
+}
+
+/// Judges a job's assembled image by follows_rule: `spec`'s schedule is
+/// regenerated and its plan compiled with workers == procs, exactly as
+/// the ranks compile it, and a slot whose dump never arrived reads as an
+/// empty block. False as well when the image's shape is not the plan's.
+[[nodiscard]] bool image_follows_rule(const JobSpec& spec,
+                                      const JobResult& result);
 
 /// Launches the job, runs the collective across the rank processes, and
 /// returns the assembled result. Throws check_error on invalid specs;

@@ -46,16 +46,12 @@ struct alignas(64) AsyncPlayer::Worker {
     PlayStats stats;
 };
 
-AsyncPlayer::AsyncPlayer(const Plan& plan, std::uint32_t channel_capacity)
+AsyncPlayer::AsyncPlayer(const Plan& plan)
     : plan_(plan),
-      channels_(plan.channel_count,
-                channel_capacity == 0 ? plan.async_depth : channel_capacity,
-                plan.block_elems, plan.mode == DataMode::combine),
+      channels_(plan.channel_count, plan.async_depth, plan.block_elems,
+                plan.mode == DataMode::combine),
       views_(static_cast<std::size_t>(plan.total_slots), nullptr),
       deps_(plan.dep_count.size()) {
-    HCUBE_ENSURE_MSG(channels_.capacity() >= plan.async_depth,
-                     "channel ring shallower than the depth the plan's "
-                     "capacity edges were emitted for");
     const std::uint64_t bytes =
         plan.total_slots * plan.block_elems * sizeof(double);
     HCUBE_ENSURE_MSG(bytes <= (std::uint64_t{1} << 34),

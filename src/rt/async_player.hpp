@@ -59,12 +59,9 @@ using RunContext = RunContextT<ChannelBank>;
 class AsyncPlayer {
 public:
     /// Allocates node-local block memory and a channel bank of
-    /// `channel_capacity` ring slots per link (0 picks the plan's
-    /// async_depth; anything smaller than async_depth is rejected, since
-    /// the plan's capacity edges only guard that depth). The plan must
-    /// outlive the player.
-    explicit AsyncPlayer(const Plan& plan,
-                         std::uint32_t channel_capacity = 0);
+    /// plan.async_depth ring slots per link (the depth the plan's capacity
+    /// edges guard). The plan must outlive the player.
+    explicit AsyncPlayer(const Plan& plan);
 
     /// Enables fault detection (and, per config, the abort-and-drain
     /// path). Only valid between runs.

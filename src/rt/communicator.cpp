@@ -1,67 +1,14 @@
 #include "rt/communicator.hpp"
 
 #include "common/check.hpp"
-#include "rt/async_player.hpp"
 #include "rt/expected.hpp"
-#include "rt/player.hpp"
 #include "rt/pool.hpp"
 #include "rt/threads.hpp"
-#include "sim/cycle.hpp"
 
 namespace hcube::rt {
 
-namespace {
-
 using sim::packet_t;
 using sim::Schedule;
-
-/// The per-run numbers every operation reports identically, including the
-/// fault counters the ft layer (and bench JSON) watches.
-void copy_play_stats(Result& result, const PlayStats& stats) {
-    result.rt_cycles = stats.cycles;
-    result.blocks_delivered = stats.blocks_delivered;
-    result.payload_bytes = stats.payload_bytes;
-    result.bytes_copied = stats.bytes_copied;
-    result.seconds = stats.seconds;
-    result.steals = stats.steals;
-    result.exec_mode = stats.mode;
-    result.transport = stats.transport;
-    result.checksum_failures = stats.checksum_failures;
-    result.channel_faults = stats.channel_faults;
-    result.timeouts = stats.timeouts;
-}
-
-/// Plays `plan` on `params.engine` and verifies the run: clean stats,
-/// `sends` deliveries, a final memory `check(player)` accepts (the
-/// expected-state rule), and under Engine::barrier cycles == `makespan`.
-template <class Check>
-Result play_checked(const Plan& plan, const Params& params,
-                    WorkerPool* pool, std::uint32_t threads,
-                    std::size_t sends, std::uint32_t makespan,
-                    const Check& check) {
-    Result result;
-    result.engine = params.engine;
-    result.threads = threads;
-    result.pool_reused = pool != nullptr || threads == 1;
-    result.sim_makespan = makespan;
-    const auto finish = [&](const auto& player, const PlayStats& stats) {
-        copy_play_stats(result, stats);
-        result.verified = stats.clean() && stats.blocks_delivered == sends &&
-                          check(player);
-    };
-    if (params.engine == Engine::barrier) {
-        Player player(plan, params.channel_capacity);
-        const PlayStats stats = player.play(pool);
-        finish(player, stats);
-        result.verified = result.verified && stats.cycles == makespan;
-    } else {
-        AsyncPlayer player(plan);
-        finish(player, player.play(pool));
-    }
-    return result;
-}
-
-} // namespace
 
 Communicator::Communicator(hc::dim_t n, Params params)
     : n_(n), params_(params),
@@ -74,18 +21,32 @@ Communicator::Communicator(hc::dim_t n, Params params)
 
 Communicator::~Communicator() = default;
 
+Result Communicator::run(CheckedPlan& checked) {
+    const CheckedRun run = checked.play(pool_.get());
+    const PlayStats& stats = run.stats;
+    Result result;
+    result.rt_cycles = stats.cycles;
+    result.sim_makespan = checked.makespan();
+    result.blocks_delivered = stats.blocks_delivered;
+    result.payload_bytes = stats.payload_bytes;
+    result.bytes_copied = stats.bytes_copied;
+    result.seconds = stats.seconds;
+    result.steals = stats.steals;
+    result.checksum_failures = stats.checksum_failures;
+    result.channel_faults = stats.channel_faults;
+    result.timeouts = stats.timeouts;
+    result.verified = run.verified;
+    result.pool_reused = pool_ != nullptr || threads_ == 1;
+    result.exec_mode = stats.mode;
+    result.transport = stats.transport;
+    result.threads = threads_;
+    return result;
+}
+
 Result Communicator::run_move(const Schedule& schedule) {
-    // The cycle executor proves the schedule feasible under the port model
-    // and records the holdings the run's final memory must reproduce.
-    const sim::CycleStats sim_stats =
-        sim::execute_schedule(schedule, params_.model);
-    const Plan plan = compile_plan(schedule, DataMode::move,
-                                   params_.block_elems, threads_);
-    return play_checked(plan, params_, pool_.get(), threads_,
-                        schedule.sends.size(), sim_stats.makespan,
-                        [&](const auto& player) {
-                            return check_move_run(plan, sim_stats, player);
-                        });
+    CheckedPlan checked(schedule, schedule, DataMode::move, params_.model,
+                        params_.block_elems, threads_);
+    return run(checked);
 }
 
 Result Communicator::broadcast(const trees::SpanningTree& tree,
@@ -129,26 +90,16 @@ Result Communicator::alltoall(packet_t packets_per_pair) {
 Result Communicator::reduce(const trees::SpanningTree& tree,
                             packet_t packets) {
     HCUBE_ENSURE(tree.n == n_);
-    // The forward broadcast provides the feasibility proof and the
-    // makespan; time reversal preserves both (every constraint the
-    // executor checks is symmetric under reversal).
+    // The forward broadcast is the feasibility proof; time reversal
+    // preserves it (every constraint the executor checks is symmetric
+    // under reversal).
     const Schedule forward = routing::make_tree_broadcast(
         tree, routing::BroadcastDiscipline::port_oriented, packets,
         params_.model);
-    const sim::CycleStats sim_stats =
-        sim::execute_schedule(forward, params_.model);
-    const Schedule reduction =
-        routing::reverse_broadcast_for_reduce(forward, tree.root);
-
-    const Plan plan = compile_plan(reduction, DataMode::combine,
-                                   params_.block_elems, threads_);
-    return play_checked(plan, params_, pool_.get(), threads_,
-                        reduction.sends.size(), sim_stats.makespan,
-                        [&](const auto& player) {
-                            return check_combine_run(plan, reduction,
-                                                     tree.root, {}, player)
-                                .has_value();
-                        });
+    CheckedPlan checked(
+        routing::reverse_broadcast_for_reduce(forward, tree.root), forward,
+        DataMode::combine, params_.model, params_.block_elems, threads_);
+    return run(checked);
 }
 
 } // namespace hcube::rt

@@ -4,17 +4,16 @@
 // simulator* (simulated seconds), this communicator runs the cycle-exact
 // schedules as *real data movement*: logical cube nodes mapped onto a
 // thread pool, directed links as sequence-stamped ring-buffer channels,
-// and a checksum check on every delivered block. Two engines execute a
-// compiled plan: the two-barrier-per-cycle Player (cycle-exact by
-// construction) and the dependency-driven AsyncPlayer (the fast path, no
-// global barriers). Every operation first executes the schedule through
-// sim::execute_schedule, which proves it feasible and fixes the final
-// state a correct run leaves behind; the run's final memory is then
-// checked against that expected state (rt/expected.hpp), so the result
-// carries both the measured wall clock and the cycle-model cross-check:
-// for uniform packets the barrier engine's cycle count equals the
-// CycleExecutor makespan exactly (the async engine reports the same
-// logical depth without ever synchronizing on it).
+// and a checksum check on every delivered block. Every operation builds
+// one rt::CheckedPlan (rt/expected.hpp): the cycle executor proves the
+// schedule feasible and fixes the final state a correct run leaves
+// behind, the plan compiles, the dependency-driven AsyncPlayer plays it,
+// and the run's final memory is checked against that expected state. The
+// result carries the measured wall clock next to the schedule's logical
+// depth and the CycleExecutor makespan. (The two-barrier-per-cycle
+// rt::Player, whose cycle count equals the makespan by construction,
+// stays the cycle-exact reference that tests and bench_rt construct
+// directly.)
 //
 // Operations map onto the paper's schedule families via the
 // routing/schedule_export.hpp hooks:
@@ -33,19 +32,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <string_view>
 
 namespace hcube::rt {
 
-/// Which execution engine runs the schedule.
-enum class Engine {
-    barrier, ///< cycle-exact two-barrier-per-cycle Player
-    async,   ///< dependency-driven work-stealing AsyncPlayer (no barriers)
-};
-
-[[nodiscard]] constexpr std::string_view to_string(Engine e) noexcept {
-    return e == Engine::barrier ? "barrier" : "async";
-}
+class CheckedPlan;
 
 struct Params {
     /// Worker threads; 0 picks min(2^n, max(2, hardware_concurrency))
@@ -53,13 +43,8 @@ struct Params {
     std::uint32_t threads = 0;
     /// Elements (doubles) per packet — the internal packet size B_int.
     std::size_t block_elems = 256;
-    /// Ring slots per link channel (barrier engine; the async engine sizes
-    /// its rings from the plan's async_depth).
-    std::uint32_t channel_capacity = 2;
     /// Port model the schedules are generated for and validated under.
     sim::PortModel model = sim::PortModel::one_port_full_duplex;
-    /// Engine that executes every operation.
-    Engine engine = Engine::async;
 };
 
 struct Result {
@@ -68,29 +53,27 @@ struct Result {
     std::uint64_t blocks_delivered = 0;
     std::uint64_t payload_bytes = 0; ///< bytes drained from link channels
     std::uint64_t bytes_copied = 0;  ///< payload bytes memcpy'd by the
-                                     ///< reported engine (0 = pure zero-copy)
-    double seconds = 0;              ///< wall clock of the reported engine
-    std::uint64_t steals = 0; ///< work-stealing count (async engine)
-    /// Fault counters of the reported engine's run (all zero on a healthy
-    /// machine; nonzero under ft fault injection or real failures).
+                                     ///< run (0 = pure zero-copy)
+    double seconds = 0;              ///< wall clock of the run
+    std::uint64_t steals = 0;        ///< work-stealing count
+    /// Fault counters of the run (all zero on a healthy machine; nonzero
+    /// under ft fault injection or real failures).
     std::uint64_t checksum_failures = 0;
     std::uint64_t channel_faults = 0;
     std::uint64_t timeouts = 0;
     /// Clean run, one delivery per scheduled send, and a final memory
-    /// that passes the expected-state rule (rt/expected.hpp); under
-    /// Engine::barrier also cycles == the CycleExecutor makespan.
+    /// that passes the expected-state rule (rt/expected.hpp).
     bool verified = false;
     /// The run executed on a persistent worker pool (or the single-worker
     /// serial path) — no thread was created or joined for this operation.
     bool pool_reused = false;
-    Engine engine = Engine::barrier; ///< engine the stats above came from
-    /// How the reported engine's run actually executed: barrier phases,
-    /// the AsyncPlayer's serial fast path, or its work-stealing mode (a
-    /// pure function of the plan and run; see rt/async_player.hpp).
-    ExecMode exec_mode = ExecMode::barrier;
-    /// Medium the reported engine moved blocks over ("ring" for the
-    /// in-process bank; "uds"/"tcp" when a net-backend result is folded
-    /// into the same schema).
+    /// How the run executed: the AsyncPlayer's serial fast path or its
+    /// work-stealing mode (a pure function of the plan and run; see
+    /// rt/async_player.hpp).
+    ExecMode exec_mode = ExecMode::serial;
+    /// Medium the run moved blocks over ("ring" for the in-process bank;
+    /// "uds"/"tcp" when a net-backend result is folded into the same
+    /// schema).
     ft::TransportClass transport = ft::TransportClass::ring;
     std::uint32_t threads = 1;
 
@@ -144,9 +127,10 @@ public:
     Result alltoall(sim::packet_t packets_per_pair);
 
 private:
-    /// Validates via the cycle executor, compiles, plays, and checks the
-    /// final memory against the executor's holdings.
+    /// Proves, compiles, plays and checks a move-mode schedule.
     Result run_move(const sim::Schedule& schedule);
+    /// Plays `checked` once on the resident pool and reports the run.
+    Result run(CheckedPlan& checked);
 
     hc::dim_t n_;
     Params params_;

@@ -2,8 +2,30 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 namespace hcube::rt {
+
+namespace {
+
+/// FNV-1a over the slot-ordered canonical block digests: the identity of
+/// a move plan's arena-derived expected image. Stored by the first passing
+/// check and recomputed on every steady-state run, so a perturbed slot
+/// table or arena is caught without a second copy of the image.
+std::uint64_t arena_fingerprint(const Plan& plan) {
+    std::vector<std::uint64_t> digest(plan.packet_count);
+    for (packet_t p = 0; p < plan.packet_count; ++p) {
+        digest[p] = canonical_checksum(p, plan.block_elems);
+    }
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
+        h ^= digest[plan.slot_packet[s]];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+} // namespace
 
 bool slots_are_holdings(const Plan& plan, const sim::CycleStats& sim) {
     const sim::DeliveryMap& held = sim.delivery_cycle;
@@ -82,6 +104,75 @@ combine_image(const Plan& plan, const sim::Schedule& schedule) {
         begin = end;
     }
     return image;
+}
+
+struct CheckedPlan::Proof {
+    explicit Proof(sim::CycleStats proven) : sim(std::move(proven)) {}
+
+    sim::CycleStats sim;         ///< move: the holdings the run must match
+    sim::Schedule schedule;      ///< combine: evaluated into the image
+    std::vector<node_t> members; ///< combine: whose sums reach the root
+};
+
+CheckedPlan::CheckedPlan(sim::Schedule exec, const sim::Schedule& proof,
+                         DataMode mode, sim::PortModel model,
+                         std::size_t block_elems, std::uint32_t workers,
+                         std::vector<node_t> members)
+    : proof_(std::make_unique<Proof>(sim::execute_schedule(proof, model))),
+      makespan_(proof_->sim.makespan), sends_(exec.sends.size()),
+      plan_(compile_plan(exec, mode, block_elems, workers, 8,
+                         PlanLayout::automatic, members)),
+      player_(plan_) {
+    if (mode == DataMode::combine) {
+        proof_->sim.delivery_cycle = {};
+        proof_->schedule = std::move(exec);
+        proof_->members = std::move(members);
+    }
+}
+
+CheckedPlan::~CheckedPlan() = default;
+
+CheckedRun CheckedPlan::play(WorkerPool* pool) {
+    CheckedRun run;
+    run.stats = player_.play(pool);
+    run.full_check = proof_ != nullptr;
+    run.verified = run.stats.clean() &&
+                   run.stats.blocks_delivered == sends_ &&
+                   (run.full_check ? judge_first() : judge_steady());
+    return run;
+}
+
+bool CheckedPlan::judge_first() {
+    if (plan_.mode == DataMode::combine) {
+        const sim::Schedule& schedule = proof_->schedule;
+        std::optional<std::vector<double>> image =
+            check_combine_run(plan_, schedule, schedule.initial_holder[0],
+                              proof_->members, player_);
+        if (!image) {
+            return false;
+        }
+        image_ = std::move(*image);
+    } else {
+        if (!check_move_run(plan_, proof_->sim, player_)) {
+            return false;
+        }
+        fingerprint_ = arena_fingerprint(plan_);
+    }
+    proof_.reset();
+    return true;
+}
+
+bool CheckedPlan::judge_steady() const {
+    if (plan_.mode == DataMode::combine) {
+        return matches_image(plan_, player_, image_);
+    }
+    return fingerprint_ == arena_fingerprint(plan_) &&
+           matches_arena(plan_, player_);
+}
+
+std::uint64_t CheckedPlan::resident_bytes() const noexcept {
+    return plan_.resident_bytes() + player_.resident_bytes() +
+           std::uint64_t{image_.capacity()} * sizeof(double);
 }
 
 } // namespace hcube::rt

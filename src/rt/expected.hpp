@@ -23,14 +23,18 @@
 //
 // Both engines answer to the same rule; the barrier engine additionally
 // owes cycles == makespan, which callers read off its PlayStats
-// (docs/RUNTIME.md § Verification).
+// (docs/RUNTIME.md § Verification). rt::CheckedPlan, at the end of this
+// file, is the one resident run that applies the rule: the Communicator
+// builds one per call and the svc::Session caches one per signature.
 #pragma once
 
+#include "rt/async_player.hpp"
 #include "rt/checksum.hpp"
 #include "rt/plan.hpp"
 #include "sim/cycle.hpp"
 
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -160,5 +164,70 @@ check_combine_run(const Plan& plan, const sim::Schedule& schedule,
     }
     return image;
 }
+
+/// One play of a CheckedPlan and its verdict.
+struct CheckedRun {
+    PlayStats stats;
+    /// Clean, one delivery per scheduled send, and a final memory the
+    /// check of this run accepted.
+    bool verified = false;
+    /// This run was judged by the rule above (the plan's first run, or a
+    /// repeat of one that failed); false on the steady-state path.
+    bool full_check = false;
+};
+
+/// A schedule proven, compiled and kept resident with its AsyncPlayer,
+/// verifying every run it plays. Construction proves the schedule with
+/// the cycle executor (throwing check_error when it is infeasible). The
+/// first run, and any repeat of one that failed, is judged by
+/// check_move_run / check_combine_run; once one passes, the schedule and
+/// the executor's holdings are dropped and later runs take the
+/// steady-state checks: a combine plan byte-compares against the image
+/// the first check computed, and a move plan re-derives its expected
+/// state from the plan's immutable arena (pointer identity on the
+/// zero-copy path) and checks the arena's fingerprint, so no second copy
+/// of the arena exists. One play at a time; the player holds a reference
+/// to the plan, so a CheckedPlan never moves.
+class CheckedPlan {
+public:
+    /// Proves `proof` under `model`, then compiles `exec`, the schedule
+    /// the engine plays (== proof except for a reduction, whose proof is
+    /// the forward broadcast), in `mode` with `block_elems`-double blocks
+    /// on `workers` workers over `members` (ascending live addresses;
+    /// empty = the full cube).
+    CheckedPlan(sim::Schedule exec, const sim::Schedule& proof,
+                DataMode mode, sim::PortModel model, std::size_t block_elems,
+                std::uint32_t workers, std::vector<node_t> members = {});
+    ~CheckedPlan();
+    CheckedPlan(const CheckedPlan&) = delete;
+    CheckedPlan& operator=(const CheckedPlan&) = delete;
+
+    /// Plays the plan (on `pool`, as AsyncPlayer::play) and judges the run.
+    [[nodiscard]] CheckedRun play(WorkerPool* pool = nullptr);
+
+    /// The cycle executor's makespan of the proven schedule.
+    [[nodiscard]] std::uint32_t makespan() const noexcept {
+        return makespan_;
+    }
+    /// Exact heap bytes kept resident once a run passed: the compiled
+    /// plan, the player's run state and the combine image.
+    [[nodiscard]] std::uint64_t resident_bytes() const noexcept;
+
+private:
+    /// What the first check reads: the executor's holdings (move), or the
+    /// schedule and its members (combine). Dropped once a run passes.
+    struct Proof;
+
+    [[nodiscard]] bool judge_first();
+    [[nodiscard]] bool judge_steady() const;
+
+    std::unique_ptr<Proof> proof_; ///< until a run passes
+    std::uint32_t makespan_ = 0;
+    std::uint64_t sends_ = 0;
+    Plan plan_;
+    AsyncPlayer player_;
+    std::vector<double> image_;     ///< combine: the expected image
+    std::uint64_t fingerprint_ = 0; ///< move: of the arena-derived image
+};
 
 } // namespace hcube::rt

@@ -15,6 +15,10 @@ namespace hcube::rt {
 
 namespace {
 
+/// Ring slots per link channel: a lockstep cycle pushes at most one block
+/// per link and drains it before the next cycle starts.
+constexpr std::uint32_t kChannelCapacity = 2;
+
 /// Worker-local stats padded to a cache line so concurrent increments never
 /// false-share.
 struct alignas(64) WorkerStats {
@@ -23,9 +27,9 @@ struct alignas(64) WorkerStats {
 
 } // namespace
 
-Player::Player(const Plan& plan, std::uint32_t channel_capacity)
+Player::Player(const Plan& plan)
     : plan_(plan),
-      channels_(plan.channel_count, channel_capacity, plan.block_elems,
+      channels_(plan.channel_count, kChannelCapacity, plan.block_elems,
                 plan.mode == DataMode::combine),
       views_(static_cast<std::size_t>(plan.total_slots), nullptr) {
     const std::uint64_t bytes =

@@ -87,7 +87,7 @@ class Player {
 public:
     /// Allocates node-local block memory and the channel bank for `plan`.
     /// The plan must outlive the player.
-    explicit Player(const Plan& plan, std::uint32_t channel_capacity = 2);
+    explicit Player(const Plan& plan);
 
     /// Enables fault detection (and, per config, the abort-and-drain
     /// path). Only valid between runs.

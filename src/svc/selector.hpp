@@ -6,10 +6,10 @@
 // MSBT splits the message across n rotated edge-disjoint trees and pipelines
 // it (T = (M/B + n - 1)·(τ + B·t_c), minimized at B_opt = √(M·τ/(n·t_c))).
 // The crossover point depends on the machine constants τ and t_c — so the
-// selector carries a model::CommParams, either calibrated from micro-probes
-// on the actual runtime (Session does this at construction) or injected
-// synthetically by tests, and evaluates model::broadcast_time at each
-// family's optimal internal packet size to pick the cheaper tree.
+// selector carries a model::CommParams, the paper's iPSC constants unless
+// the Session is given others (tests inject synthetic ones), and evaluates
+// model::broadcast_time at each family's optimal internal packet size to
+// pick the cheaper tree.
 #pragma once
 
 #include "model/broadcast_model.hpp"

@@ -169,14 +169,12 @@ void Service::dispatch_loop() {
         Pending head = std::move(queue_.front());
         queue_.pop_front();
         std::vector<Pending> riders;
-        if (params_.batching) {
-            for (auto it = queue_.begin(); it != queue_.end();) {
-                if (it->sig == head.sig) {
-                    riders.push_back(std::move(*it));
-                    it = queue_.erase(it);
-                } else {
-                    ++it;
-                }
+        for (auto it = queue_.begin(); it != queue_.end();) {
+            if (it->sig == head.sig) {
+                riders.push_back(std::move(*it));
+                it = queue_.erase(it);
+            } else {
+                ++it;
             }
         }
         busy_ = true;

@@ -88,9 +88,6 @@ struct ServiceParams {
     /// Pending requests admitted before backpressure engages.
     std::size_t queue_depth = 64;
     Admission admission = Admission::block;
-    /// Coalesce queued requests with identical signatures into one
-    /// execution.
-    bool batching = true;
 };
 
 class Service {

@@ -2,40 +2,16 @@
 
 #include "common/check.hpp"
 #include "obs/metrics.hpp"
-#include "rt/async_player.hpp"
-#include "rt/checksum.hpp"
 #include "rt/expected.hpp"
-#include "rt/plan.hpp"
-#include "rt/player.hpp"
 #include "rt/pool.hpp"
 #include "rt/threads.hpp"
-#include "sim/cycle.hpp"
 
-#include <limits>
+#include <utility>
 #include <vector>
 
 namespace hcube::svc {
 
 namespace {
-
-using sim::packet_t;
-
-/// FNV-1a over the slot-ordered canonical block digests — the identity of
-/// the derived move-mode expected image. Stored on the first verified pass
-/// and recomputed on every steady-state run, so a perturbed slot table or
-/// arena is caught even though no second image copy exists.
-std::uint64_t arena_fingerprint(const rt::Plan& plan) {
-    std::vector<std::uint64_t> digest(plan.packet_count);
-    for (packet_t p = 0; p < plan.packet_count; ++p) {
-        digest[p] = rt::canonical_checksum(p, plan.block_elems);
-    }
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        h ^= digest[plan.slot_packet[s]];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 /// Preflight of `sig` against the session cube `n` and membership `view`
 /// (nullopt = admissible). Pure — callers hold whatever lock keeps the
@@ -112,50 +88,19 @@ void sync_monotonic(obs::Counter& c,
 
 } // namespace
 
-/// One cached signature: the generated schedules, the compiled plan, the
-/// resident player, and the expected image its steady-state runs are
-/// compared against. Heap-allocated and shared_ptr-held so an eviction
-/// while another thread executes the entry only drops a reference.
+/// One cached signature: its verified resident run. Heap-allocated and
+/// shared_ptr-held so an eviction while another thread executes the entry
+/// only drops a reference.
 struct Session::PlanEntry {
-    GeneratedSchedule gen;
-    /// Live members the schedule spans, ascending — populated only when
-    /// the signature's sub-cube view was incomplete (empty = full cube,
-    /// costing nothing against the byte budget), consumed by the
-    /// member-aware combine verification and the plan's worker partition.
-    std::vector<node_t> members;
-    /// Of gen.feasibility: the makespan, plus the holdings the first
-    /// execution is checked against (released once it passes).
-    sim::CycleStats sim_stats;
-    std::unique_ptr<rt::Plan> plan;
-    std::unique_ptr<rt::Player> barrier;    ///< executor, Engine::barrier
-    std::unique_ptr<rt::AsyncPlayer> async; ///< executor, Engine::async
-    /// Expected image of a combine-mode run, computed by the first
-    /// execution's check. Move mode stores no image (it would duplicate
-    /// the plan's immutable arena); steady runs re-derive it and check
-    /// oracle_fingerprint.
-    std::vector<double> oracle_image;
-    std::uint64_t oracle_fingerprint = 0; ///< move mode, arena-derived
-    bool image_valid = false; ///< first verified pass has happened
+    PlanEntry(GeneratedSchedule gen, const Signature& sig,
+              std::uint32_t workers, std::vector<node_t> members)
+        : checked(std::move(gen.exec), gen.feasibility, gen.mode, sig.model,
+                  sig.block_elems, workers, std::move(members)) {}
+
+    rt::CheckedPlan checked;
     /// Serializes executions of this entry (the player holds mutable run
     /// state); distinct entries only contend on the worker pool.
     std::mutex exec_mutex;
-
-    /// Exact bytes this entry keeps resident — the cost the byte-budgeted
-    /// plan cache charges it. Itemized: the compiled plan (actions, dep
-    /// graph, buckets, slots, channels, arena), the resident player's run
-    /// state, and the combine-mode expected image.
-    [[nodiscard]] std::uint64_t resident_bytes() const {
-        std::uint64_t bytes = plan->resident_bytes();
-        if (async != nullptr) {
-            bytes += async->resident_bytes();
-        }
-        if (barrier != nullptr) {
-            bytes += barrier->resident_bytes();
-        }
-        bytes += std::uint64_t{oracle_image.capacity()} * sizeof(double);
-        bytes += std::uint64_t{members.capacity()} * sizeof(node_t);
-        return bytes;
-    }
 };
 
 Session::Session(dim_t n, SessionParams params)
@@ -163,43 +108,13 @@ Session::Session(dim_t n, SessionParams params)
       threads_(rt::pick_worker_threads(n, params.threads)),
       pool_(threads_ > 1 ? std::make_unique<rt::WorkerPool>(threads_)
                          : nullptr),
-      selector_(params_.comm ? *params_.comm : calibrate()),
+      selector_(params_.comm.value_or(model::ipsc_params())),
       cache_(params_.plan_cache_bytes),
       view_(n) {
     HCUBE_ENSURE(n >= 1 && n <= hc::kMaxDimension);
 }
 
 Session::~Session() = default;
-
-model::CommParams Session::calibrate() const {
-    // Two serial single-link micro-probes (n = 1, one packet, small and
-    // large block): time = τ + B·t_c fitted through both points. Below
-    // timer resolution the fit degenerates; fall back to the iPSC
-    // constants so selection still behaves sanely.
-    const auto probe = [](std::uint32_t block) {
-        const Signature sig{Op::broadcast, Family::sbt, 1, 0, 1, block,
-                            sim::PortModel::one_port_full_duplex};
-        const GeneratedSchedule gen = make_schedule(sig);
-        const rt::Plan plan =
-            rt::compile_plan(gen.exec, gen.mode, block, 1);
-        rt::AsyncPlayer player(plan);
-        double best = std::numeric_limits<double>::infinity();
-        for (int rep = 0; rep < 5; ++rep) {
-            const rt::PlayStats stats = player.play();
-            if (stats.seconds > 0 && stats.seconds < best) {
-                best = stats.seconds;
-            }
-        }
-        return best == std::numeric_limits<double>::infinity() ? 0.0 : best;
-    };
-    const double small_t = probe(64);
-    const double large_t = probe(8192);
-    try {
-        return model::fit_params(64.0, small_t, 8192.0, large_t);
-    } catch (const std::exception&) {
-        return model::ipsc_params();
-    }
-}
 
 Signature Session::plan_signature(Op op, node_t root,
                                   std::uint64_t message_elems) const {
@@ -222,37 +137,22 @@ Session::entry_for(const Signature& sig, const mbr::View& sub,
     bool built = false;
     const auto factory = [&] {
         built = true;
-        auto e = std::make_shared<PlanEntry>();
-        if (sub.full()) {
-            e->gen = make_schedule(sig);
-        } else {
-            e->gen = make_schedule(sig, sub);
-            e->members = sub.members();
-        }
-        // The cycle executor proves the schedule feasible under the port
-        // model and pins the makespan + delivery matrix (for reduce:
-        // of the forward broadcast, which time-reversal preserves).
-        e->sim_stats = sim::execute_schedule(e->gen.feasibility, sig.model);
         // A signature never spreads over more workers than it has live
         // nodes (the plan compiler's partition balances workers over the
-        // member set).
+        // member set); an incomplete sub-cube's schedule spans exactly
+        // its live members.
         const std::uint32_t workers = std::min(threads_, sub.count());
-        e->plan = std::make_unique<rt::Plan>(
-            rt::compile_plan(e->gen.exec, e->gen.mode, sig.block_elems,
-                             workers, 8, rt::PlanLayout::automatic,
-                             e->members));
-        if (params_.engine == rt::Engine::async) {
-            e->async = std::make_unique<rt::AsyncPlayer>(*e->plan);
-        } else {
-            e->barrier =
-                std::make_unique<rt::Player>(*e->plan,
-                                             params_.channel_capacity);
+        if (sub.full()) {
+            return std::make_shared<PlanEntry>(make_schedule(sig), sig,
+                                               workers,
+                                               std::vector<node_t>{});
         }
-        return e;
+        return std::make_shared<PlanEntry>(make_schedule(sig, sub), sig,
+                                           workers, sub.members());
     };
     auto entry = cache_.get_or_create(
         sig, factory, [](const std::shared_ptr<PlanEntry>& e) {
-            return e->resident_bytes();
+            return e->checked.resident_bytes();
         });
     cache_hit = !built;
     return entry;
@@ -286,77 +186,25 @@ ExecStats Session::execute(const Signature& sig) {
     (out.cache_hit ? m_hits : m_misses).inc();
     const std::lock_guard<std::mutex> lock(entry->exec_mutex);
 
-    const rt::Plan& plan = *entry->plan;
-    const sim::Schedule& exec = entry->gen.exec;
-    const bool combining = entry->gen.mode == rt::DataMode::combine;
-    out.sim_makespan = entry->sim_stats.makespan;
     // The entry's first execution (and any repeat of one that failed) is
     // checked against the schedule's expected final state; later runs
-    // take the steady-state path.
-    const bool full_check = !entry->image_valid;
-    out.full_check = full_check;
-
-    const auto verify = [&](const auto& player, const rt::PlayStats& stats) {
-        if (!stats.clean() || stats.blocks_delivered != exec.sends.size()) {
-            return false;
-        }
-        if (!full_check) {
-            // Steady state: combine entries byte-compare against the
-            // expected image of the first execution; move entries
-            // re-derive the expected image from the plan's immutable
-            // arena (pointer-identity on the zero-copy path) and check its
-            // stored fingerprint — no second image copy exists.
-            if (combining) {
-                return rt::matches_image(plan, player, entry->oracle_image);
-            }
-            return entry->oracle_fingerprint == arena_fingerprint(plan) &&
-                   rt::matches_arena(plan, player);
-        }
-        // Full check against the schedule's own cube (exec.n), which may
-        // be a sub-cube of the session's.
-        if (combining) {
-            std::optional<std::vector<double>> image = rt::check_combine_run(
-                plan, exec, exec.initial_holder[0], entry->members, player);
-            if (!image) {
-                return false;
-            }
-            entry->oracle_image = std::move(*image);
-        } else {
-            if (!rt::check_move_run(plan, entry->sim_stats, player)) {
-                return false;
-            }
-            entry->oracle_fingerprint = arena_fingerprint(plan);
-        }
-        // Steady state never reads the holdings again.
-        entry->sim_stats.delivery_cycle = {};
-        entry->image_valid = true;
-        return true;
-    };
-
-    rt::PlayStats stats;
-    bool ok = false;
-    if (params_.engine == rt::Engine::barrier) {
-        stats = entry->barrier->play(pool_.get());
-        // The barrier engine also owes the cycle-model makespan.
-        ok = stats.cycles == entry->sim_stats.makespan &&
-             verify(*entry->barrier, stats);
-    } else {
-        stats = entry->async->play(pool_.get());
-        ok = verify(*entry->async, stats);
-    }
-    out.rt_cycles = stats.cycles;
-    out.blocks_delivered = stats.blocks_delivered;
-    out.payload_bytes = stats.payload_bytes;
-    out.bytes_copied = stats.bytes_copied;
-    out.exec_mode = stats.mode;
-    out.transport = stats.transport;
-    out.seconds = stats.seconds;
-    out.verified = ok;
-    out.plan_resident_bytes = entry->resident_bytes();
+    // take the steady-state path (rt::CheckedPlan).
+    const rt::CheckedRun run = entry->checked.play(pool_.get());
+    out.verified = run.verified;
+    out.full_check = run.full_check;
+    out.rt_cycles = run.stats.cycles;
+    out.sim_makespan = entry->checked.makespan();
+    out.blocks_delivered = run.stats.blocks_delivered;
+    out.payload_bytes = run.stats.payload_bytes;
+    out.bytes_copied = run.stats.bytes_copied;
+    out.exec_mode = run.stats.mode;
+    out.transport = run.stats.transport;
+    out.seconds = run.stats.seconds;
+    out.plan_resident_bytes = entry->checked.resident_bytes();
     // The first verified pass changes what the entry keeps resident (the
     // combine image materializes); re-price it so the byte budget stays
     // exact.
-    if (full_check) {
+    if (run.full_check) {
         cache_.update_cost(keyed, out.plan_resident_bytes);
     }
     static obs::Gauge& m_resident =

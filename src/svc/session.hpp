@@ -1,26 +1,26 @@
 // svc::Session — the persistent execution context of the collective
 // service: one resident worker pool, one compiled-plan cache, one set of
-// calibrated machine constants, shared across every operation submitted for
-// the session's lifetime.
+// machine constants for the selector, shared across every operation
+// submitted for the session's lifetime.
 //
-// Where rt::Communicator recompiles the schedule and reallocates player
-// memory on every call (its pool already persists — PR 5's satellite), the
-// Session also caches the *compiled plan and its player*: a cache hit
-// replays the resident AsyncPlayer (or barrier Player) on the resident
-// pool, touching no allocator and no schedule generator. An entry's first
-// execution checks the run's final memory against the state the schedule
-// alone implies (rt/expected.hpp); later runs stay byte-exact at a lower
-// cost: combine-mode entries byte-compare against the expected image that
-// check computed, and move-mode entries re-derive the expected final state
-// from the plan's immutable block arena (storing only a fingerprint of it
-// — the image would be a second full copy of arena bytes) (docs/SERVICE.md
+// Where rt::Communicator builds one rt::CheckedPlan per call (proving,
+// compiling and allocating player memory each time; its pool already
+// persists), the Session caches one per signature: a cache hit replays
+// the resident AsyncPlayer on the resident pool, touching no allocator
+// and no schedule generator. An entry's first execution checks the run's
+// final memory against the state the schedule alone implies
+// (rt/expected.hpp); later runs stay byte-exact at a lower cost:
+// combine-mode entries byte-compare against the expected image that check
+// computed, and move-mode entries re-derive the expected final state from
+// the plan's immutable block arena (storing only a fingerprint of it — the
+// image would be a second full copy of arena bytes) (docs/SERVICE.md
 // § Verification: first run and steady state).
 #pragma once
 
 #include "common/lru_cache.hpp"
 #include "mbr/view.hpp"
 #include "model/broadcast_model.hpp"
-#include "rt/communicator.hpp" // Engine
+#include "rt/player.hpp" // ExecMode
 #include "svc/rejection.hpp"
 #include "svc/selector.hpp"
 #include "svc/signature.hpp"
@@ -43,20 +43,15 @@ struct SessionParams {
     std::uint32_t threads = 0;
     /// Byte budget for the plan cache: each entry is charged its exact
     /// resident bytes (plan + player + expected image; see
-    /// Plan::resident_bytes) and least-recently-used entries are evicted
-    /// until the total fits — thousands of small-cube signatures coexist
-    /// with a few large ones under one bound. 0 = unbounded.
+    /// rt::CheckedPlan::resident_bytes) and least-recently-used entries
+    /// are evicted until the total fits — thousands of small-cube
+    /// signatures coexist with a few large ones under one bound.
+    /// 0 = unbounded.
     std::uint64_t plan_cache_bytes = std::uint64_t{64} << 20;
-    /// Engine that executes every run.
-    rt::Engine engine = rt::Engine::async;
-    /// Ring slots per link channel for the barrier engine.
-    std::uint32_t channel_capacity = 2;
     /// Port model schedules are generated for and validated under.
     sim::PortModel model = sim::PortModel::one_port_full_duplex;
-    /// Machine constants for the AlgorithmSelector. Unset → calibrated at
-    /// construction from two serial micro-probes (model::fit_params), with
-    /// model::ipsc_params() as the fallback when the probes are below
-    /// timer resolution.
+    /// Machine constants for the AlgorithmSelector. Unset → the paper's
+    /// iPSC constants (model::ipsc_params()); construction does no timing.
     std::optional<model::CommParams> comm;
 };
 
@@ -72,12 +67,11 @@ struct ExecStats {
     std::uint32_t sim_makespan = 0;
     std::uint64_t blocks_delivered = 0;
     std::uint64_t payload_bytes = 0;
-    /// Payload bytes the reported engine memcpy'd (0 on the zero-copy
-    /// delivery path; nonzero under copy-through — combine plans or
-    /// fault-hooked runs).
+    /// Payload bytes the run memcpy'd (0 on the zero-copy delivery path;
+    /// nonzero under copy-through — combine plans or fault-hooked runs).
     std::uint64_t bytes_copied = 0;
-    /// How the reported engine executed (barrier / serial / stealing).
-    rt::ExecMode exec_mode = rt::ExecMode::barrier;
+    /// How the AsyncPlayer executed (serial / stealing).
+    rt::ExecMode exec_mode = rt::ExecMode::serial;
     /// Medium the blocks moved over (always ring for an in-process
     /// session; netd reports its serving endpoint's transport instead).
     ft::TransportClass transport = ft::TransportClass::ring;
@@ -85,7 +79,7 @@ struct ExecStats {
     /// run (compiled plan + player + expected image) — the cost the
     /// byte-budgeted cache charges it.
     std::uint64_t plan_resident_bytes = 0;
-    double seconds = 0; ///< wall clock of the reported engine's play()
+    double seconds = 0; ///< wall clock of the run's play()
     /// Member-set epoch the plan was keyed on (the signature sub-cube's
     /// epoch at execution time).
     std::uint64_t view_epoch = 0;
@@ -148,7 +142,7 @@ class Session {
     /// cache_stats().evictions).
     [[nodiscard]] std::uint64_t epoch_evictions() const noexcept;
 
-    /// Cost-model selection with the session's calibrated constants.
+    /// Cost-model selection with the session's machine constants.
     [[nodiscard]] const AlgorithmSelector& selector() const noexcept {
         return selector_;
     }
@@ -172,7 +166,6 @@ class Session {
     /// view lock the caller holds across the lookup).
     [[nodiscard]] std::shared_ptr<PlanEntry>
     entry_for(const Signature& sig, const mbr::View& sub, bool& cache_hit);
-    [[nodiscard]] model::CommParams calibrate() const;
     /// Evicts every cached plan whose sub-cube epoch no longer matches
     /// the view. Caller holds the exclusive view lock.
     std::size_t evict_stale_epochs();

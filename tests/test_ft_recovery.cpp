@@ -1,7 +1,7 @@
 // The recover leg of hcube::ft, closed-loop and differential: every
 // single-link kill injected mid-broadcast / mid-scatter must be detected,
 // replanned around, and re-executed to a final memory whose contract pairs
-// hold their canonical blocks byte for byte — on both engines, for every
+// hold their canonical blocks byte for byte — for every
 // directed link the initial schedule uses, across n = 3..8 (stride-sampled
 // at the largest sizes and under sanitizers; the sampling offset varies by
 // n so repeated CI runs of the matrix cover different links).
@@ -50,11 +50,10 @@ std::size_t fault_budget(dim_t n) {
 #endif
 }
 
-ResilientParams params_for(rt::Engine engine) {
+ResilientParams test_params() {
     ResilientParams p;
     p.threads = 2;
     p.block_elems = 16;
-    p.engine = engine;
     // Tight by design: a published block is always visible by pop time, so
     // the bound only ever expires on genuinely missing blocks.
     p.detect.arrival_timeout_us = 500;
@@ -111,7 +110,7 @@ RecoveryResult run_op(ResilientComm& comm, Op op, node_t root,
 }
 
 /// Kills every (sampled) link of the op's schedule mid-stream, one run per
-/// link, on both engines, and demands byte-identical recovery each time.
+/// link, and demands byte-identical recovery each time.
 void sweep_single_link_kills(Op op, dim_t n, node_t root, packet_t count) {
     const Schedule initial = initial_schedule(op, n, root, count);
     const std::vector<LinkUse> links = links_used(initial);
@@ -121,51 +120,42 @@ void sweep_single_link_kills(Op op, dim_t n, node_t root, packet_t count) {
         budget == kAll ? 1 : std::max<std::size_t>(1, links.size() / budget);
     const std::size_t first = static_cast<std::size_t>(n) % stride;
 
-    for (const rt::Engine engine :
-         {rt::Engine::barrier, rt::Engine::async}) {
-        ResilientComm comm(n, params_for(engine));
-        for (std::size_t i = first; i < links.size(); i += stride) {
-            const DirectedLink dead = links[i].link;
-            FaultPlan faults;
-            faults.kill_link(dead.from, dead.to, links[i].pushes / 2);
+    ResilientComm comm(n, test_params());
+    for (std::size_t i = first; i < links.size(); i += stride) {
+        const DirectedLink dead = links[i].link;
+        FaultPlan faults;
+        faults.kill_link(dead.from, dead.to, links[i].pushes / 2);
 
-            const RecoveryResult r = run_op(comm, op, root, count, faults);
-            const auto where = [&] {
-                return std::string(" engine=") +
-                       std::string(to_string(engine)) + " n=" +
-                       std::to_string(n) + " dead=" +
-                       std::to_string(dead.from) + "->" +
-                       std::to_string(dead.to);
-            };
-            ASSERT_TRUE(r.delivered) << where();
-            EXPECT_TRUE(r.recovered) << where();
-            EXPECT_EQ(r.attempts, 2u) << where();
-            ASSERT_EQ(r.reports.size(), 1u) << where();
-            EXPECT_EQ(r.reports[0].from, dead.from) << where();
-            EXPECT_EQ(r.reports[0].to, dead.to) << where();
-            ASSERT_EQ(r.dead_links.size(), 1u) << where();
-            EXPECT_EQ(r.dead_links[0], dead) << where();
-            EXPECT_FALSE(schedule_uses_link(r.final_schedule, dead))
-                << where();
-            EXPECT_TRUE(r.stats.clean()) << where();
-            EXPECT_EQ(r.stats.blocks_delivered,
-                      r.final_schedule.sends.size())
-                << where();
+        const RecoveryResult r = run_op(comm, op, root, count, faults);
+        const auto where = [&] {
+            return " n=" + std::to_string(n) + " dead=" +
+                   std::to_string(dead.from) + "->" +
+                   std::to_string(dead.to);
+        };
+        ASSERT_TRUE(r.delivered) << where();
+        EXPECT_TRUE(r.recovered) << where();
+        EXPECT_EQ(r.attempts, 2u) << where();
+        ASSERT_EQ(r.reports.size(), 1u) << where();
+        EXPECT_EQ(r.reports[0].from, dead.from) << where();
+        EXPECT_EQ(r.reports[0].to, dead.to) << where();
+        ASSERT_EQ(r.dead_links.size(), 1u) << where();
+        EXPECT_EQ(r.dead_links[0], dead) << where();
+        EXPECT_FALSE(schedule_uses_link(r.final_schedule, dead)) << where();
+        EXPECT_TRUE(r.stats.clean()) << where();
+        EXPECT_EQ(r.stats.blocks_delivered, r.final_schedule.sends.size())
+            << where();
 
-            if (op == Op::bcast_msbt) {
-                // The survivor-subset argument, checked edge by edge: the
-                // dead link's ERSBT was dropped, and every send of the
-                // degraded schedule belongs to a surviving tree.
-                const dim_t gone = ersbt_using_link(n, root, dead);
-                ASSERT_EQ(r.dropped_trees.size(), 1u) << where();
-                EXPECT_EQ(r.dropped_trees[0], gone) << where();
-                for (const sim::ScheduledSend& send :
-                     r.final_schedule.sends) {
-                    EXPECT_NE(ersbt_using_link(n, root,
-                                               {send.from, send.to}),
-                              gone)
-                        << where();
-                }
+        if (op == Op::bcast_msbt) {
+            // The survivor-subset argument, checked edge by edge: the dead
+            // link's ERSBT was dropped, and every send of the degraded
+            // schedule belongs to a surviving tree.
+            const dim_t gone = ersbt_using_link(n, root, dead);
+            ASSERT_EQ(r.dropped_trees.size(), 1u) << where();
+            EXPECT_EQ(r.dropped_trees[0], gone) << where();
+            for (const sim::ScheduledSend& send : r.final_schedule.sends) {
+                EXPECT_NE(ersbt_using_link(n, root, {send.from, send.to}),
+                          gone)
+                    << where();
             }
         }
     }
@@ -273,7 +263,7 @@ TEST(FtRecovery, NoSurvivingTreeThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Closed-loop differential sweeps (contract-verified, both engines)
+// Closed-loop differential sweeps (contract-verified)
 // ---------------------------------------------------------------------------
 
 TEST(FtRecoverySbtBroadcast, HealsEveryLinkN3) {
@@ -345,7 +335,7 @@ TEST(FtRecovery, CorruptionTriggersTheSameReplanLoop) {
 
     FaultPlan faults;
     faults.corrupt(target.from, target.to, 1);
-    ResilientComm comm(n, params_for(rt::Engine::barrier));
+    ResilientComm comm(n, test_params());
     const RecoveryResult r = comm.broadcast_sbt(0, 4, faults);
     ASSERT_TRUE(r.delivered);
     EXPECT_TRUE(r.recovered);
@@ -371,22 +361,19 @@ TEST(FtRecovery, TwoDeadLinksHealOverThreeAttempts) {
     faults.kill_link(dead0.from, dead0.to, 0);
     faults.kill_link(dead1.from, dead1.to, 0);
 
-    for (const rt::Engine engine :
-         {rt::Engine::barrier, rt::Engine::async}) {
-        ResilientComm comm(n, params_for(engine));
-        const RecoveryResult r = comm.broadcast_msbt(root, packets, faults);
-        ASSERT_TRUE(r.delivered);
-        EXPECT_TRUE(r.recovered);
-        EXPECT_EQ(r.attempts, 3u);
-        ASSERT_EQ(r.dead_links.size(), 2u);
-        EXPECT_EQ(r.dropped_trees, (std::vector<dim_t>{0, 2}));
-        EXPECT_FALSE(schedule_uses_link(r.final_schedule, dead0));
-        EXPECT_FALSE(schedule_uses_link(r.final_schedule, dead1));
-    }
+    ResilientComm comm(n, test_params());
+    const RecoveryResult r = comm.broadcast_msbt(root, packets, faults);
+    ASSERT_TRUE(r.delivered);
+    EXPECT_TRUE(r.recovered);
+    EXPECT_EQ(r.attempts, 3u);
+    ASSERT_EQ(r.dead_links.size(), 2u);
+    EXPECT_EQ(r.dropped_trees, (std::vector<dim_t>{0, 2}));
+    EXPECT_FALSE(schedule_uses_link(r.final_schedule, dead0));
+    EXPECT_FALSE(schedule_uses_link(r.final_schedule, dead1));
 }
 
 TEST(FtRecovery, InertFaultPlanFinishesFirstAttempt) {
-    ResilientComm comm(3, params_for(rt::Engine::async));
+    ResilientComm comm(3, test_params());
     // A fault on a link no broadcast from node 0 ever uses.
     FaultPlan faults;
     faults.kill_link(1, 0, 0);
@@ -442,47 +429,40 @@ TEST(FtRecovery, ResidentAttemptsCarryNoStateBetweenCalls) {
          }},
     };
     constexpr std::size_t kRounds = 3;
-    for (const rt::Engine engine :
-         {rt::Engine::barrier, rt::Engine::async}) {
-        for (const OpCase& op : ops) {
-            ResilientComm comm(n, params_for(engine));
-            const std::vector<LinkUse> links = links_used(op.fault_free);
-            for (std::size_t round = 0; round < kRounds; ++round) {
-                const std::string where =
-                    std::string(" engine=") +
-                    std::string(to_string(engine)) + " op=" + op.name +
-                    " round=" + std::to_string(round);
-                const LinkUse& kill =
-                    links[(round + 1) * links.size() / (kRounds + 1)];
-                FaultPlan faults;
-                faults.kill_link(kill.link.from, kill.link.to,
-                                 kill.pushes / 2);
-                const RecoveryResult faulted = op.call(comm, faults);
-                ASSERT_TRUE(faulted.delivered) << where;
-                EXPECT_TRUE(faulted.recovered) << where;
-                for (const node_t v : faulted.dead_nodes) {
-                    comm.readmit(v);
-                }
-                for (int clean_call = 0; clean_call < 2; ++clean_call) {
-                    const RecoveryResult clean = op.call(comm, FaultPlan{});
-                    ASSERT_TRUE(clean.delivered) << where;
-                    EXPECT_EQ(clean.attempts, 1u) << where;
-                    EXPECT_TRUE(clean.reports.empty()) << where;
-                    EXPECT_EQ(clean.stats.bytes_copied, 0u) << where;
-                    EXPECT_EQ(clean.final_schedule.sends,
-                              op.fault_free.sends)
-                        << where;
-                    EXPECT_EQ(clean.final_schedule.initial_holder,
-                              op.fault_free.initial_holder)
-                        << where;
-                }
+    for (const OpCase& op : ops) {
+        ResilientComm comm(n, test_params());
+        const std::vector<LinkUse> links = links_used(op.fault_free);
+        for (std::size_t round = 0; round < kRounds; ++round) {
+            const std::string where = std::string(" op=") + op.name +
+                                      " round=" + std::to_string(round);
+            const LinkUse& kill =
+                links[(round + 1) * links.size() / (kRounds + 1)];
+            FaultPlan faults;
+            faults.kill_link(kill.link.from, kill.link.to, kill.pushes / 2);
+            const RecoveryResult faulted = op.call(comm, faults);
+            ASSERT_TRUE(faulted.delivered) << where;
+            EXPECT_TRUE(faulted.recovered) << where;
+            for (const node_t v : faulted.dead_nodes) {
+                comm.readmit(v);
+            }
+            for (int clean_call = 0; clean_call < 2; ++clean_call) {
+                const RecoveryResult clean = op.call(comm, FaultPlan{});
+                ASSERT_TRUE(clean.delivered) << where;
+                EXPECT_EQ(clean.attempts, 1u) << where;
+                EXPECT_TRUE(clean.reports.empty()) << where;
+                EXPECT_EQ(clean.stats.bytes_copied, 0u) << where;
+                EXPECT_EQ(clean.final_schedule.sends, op.fault_free.sends)
+                    << where;
+                EXPECT_EQ(clean.final_schedule.initial_holder,
+                          op.fault_free.initial_holder)
+                    << where;
             }
         }
     }
 }
 
 TEST(FtRecovery, OracleIsCachedAcrossASweep) {
-    ResilientComm comm(3, params_for(rt::Engine::barrier));
+    ResilientComm comm(3, test_params());
     FaultPlan none;
     const RecoveryResult first = comm.broadcast_sbt(0, 4, none);
     const RecoveryResult second = comm.broadcast_sbt(0, 4, none);

@@ -20,11 +20,10 @@ using routing::BroadcastDiscipline;
 using sim::PortModel;
 using sim::Schedule;
 
-ResilientParams params_for(rt::Engine engine) {
+ResilientParams test_params() {
     ResilientParams p;
     p.threads = 2;
     p.block_elems = 16;
-    p.engine = engine;
     p.detect.arrival_timeout_us = 500;
     return p;
 }
@@ -37,7 +36,7 @@ bool touches(const Schedule& schedule, node_t v) {
 }
 
 TEST(MbrFt, CleanFullViewRunIsTheSbtBroadcast) {
-    ResilientComm comm(3, params_for(rt::Engine::async));
+    ResilientComm comm(3, test_params());
     const RecoveryResult result = comm.broadcast_members(0, 4, FaultPlan{});
     EXPECT_TRUE(result.delivered);
     EXPECT_FALSE(result.recovered);
@@ -52,26 +51,24 @@ TEST(MbrFt, CleanFullViewRunIsTheSbtBroadcast) {
 }
 
 TEST(MbrFt, NodeDeathHealsBroadcastOnBothEngines) {
-    for (const rt::Engine engine : {rt::Engine::async, rt::Engine::barrier}) {
-        ResilientComm comm(4, params_for(engine));
-        FaultPlan faults;
-        faults.kill_link(0, 8); // root 0's port-3 child dies
-        const RecoveryResult result = comm.broadcast_members(0, 3, faults);
-        EXPECT_TRUE(result.delivered);
-        EXPECT_TRUE(result.recovered);
-        EXPECT_EQ(result.attempts, 2u);
-        EXPECT_EQ(result.dead_nodes, (std::vector<node_t>{8}));
-        EXPECT_EQ(result.view_epoch, 1u);
-        EXPECT_EQ(comm.view().count(), 15u);
-        EXPECT_FALSE(comm.view().contains(8));
-        EXPECT_FALSE(touches(result.final_schedule, 8));
-    }
+    ResilientComm comm(4, test_params());
+    FaultPlan faults;
+    faults.kill_link(0, 8); // root 0's port-3 child dies
+    const RecoveryResult result = comm.broadcast_members(0, 3, faults);
+    EXPECT_TRUE(result.delivered);
+    EXPECT_TRUE(result.recovered);
+    EXPECT_EQ(result.attempts, 2u);
+    EXPECT_EQ(result.dead_nodes, (std::vector<node_t>{8}));
+    EXPECT_EQ(result.view_epoch, 1u);
+    EXPECT_EQ(comm.view().count(), 15u);
+    EXPECT_FALSE(comm.view().contains(8));
+    EXPECT_FALSE(touches(result.final_schedule, 8));
 }
 
 TEST(MbrFt, RelayDeathReparentsItsSubtree) {
     // Node 1 relays to 3 and 5 in the SBT at root 0; killing 1 must leave
     // 3 and 5 reachable through live relays in the healed schedule.
-    ResilientComm comm(3, params_for(rt::Engine::async));
+    ResilientComm comm(3, test_params());
     FaultPlan faults;
     faults.kill_link(0, 1);
     const RecoveryResult result = comm.broadcast_members(0, 2, faults);
@@ -83,7 +80,7 @@ TEST(MbrFt, RelayDeathReparentsItsSubtree) {
 }
 
 TEST(MbrFt, NodeDeathShrinksTheScatterContract) {
-    ResilientComm comm(3, params_for(rt::Engine::async));
+    ResilientComm comm(3, test_params());
     FaultPlan faults;
     faults.kill_link(0, 4);
     const RecoveryResult result = comm.scatter_members(0, 2, faults);
@@ -98,7 +95,7 @@ TEST(MbrFt, NodeDeathShrinksTheScatterContract) {
 
 TEST(MbrFt, NonRootEndpointIsTheVictimWhenTheRootSends) {
     // The failed link's non-root endpoint dies — never the root.
-    ResilientComm comm(3, params_for(rt::Engine::async));
+    ResilientComm comm(3, test_params());
     FaultPlan faults;
     faults.kill_link(1, 3); // a relay edge away from the root
     const RecoveryResult result = comm.broadcast_members(0, 2, faults);
@@ -109,7 +106,7 @@ TEST(MbrFt, NonRootEndpointIsTheVictimWhenTheRootSends) {
 }
 
 TEST(MbrFt, TwoDeathsAccumulateAcrossAttempts) {
-    ResilientComm comm(3, params_for(rt::Engine::async));
+    ResilientComm comm(3, test_params());
     FaultPlan faults;
     faults.kill_link(0, 1);
     faults.kill_link(0, 2);
@@ -124,7 +121,7 @@ TEST(MbrFt, TwoDeathsAccumulateAcrossAttempts) {
 }
 
 TEST(MbrFt, ProactiveTransitionsShapeTheNextOperation) {
-    ResilientComm comm(3, params_for(rt::Engine::async));
+    ResilientComm comm(3, test_params());
     comm.mark_dead(5);
     const RecoveryResult degraded =
         comm.broadcast_members(0, 2, FaultPlan{});
@@ -141,7 +138,7 @@ TEST(MbrFt, ProactiveTransitionsShapeTheNextOperation) {
 }
 
 TEST(MbrFt, DeadRootIsRefused) {
-    ResilientComm comm(3, params_for(rt::Engine::async));
+    ResilientComm comm(3, test_params());
     comm.mark_dead(2);
     EXPECT_THROW((void)comm.broadcast_members(2, 2, FaultPlan{}),
                  check_error);

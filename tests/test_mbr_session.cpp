@@ -207,18 +207,6 @@ TEST(MbrSession, ExecuteThrowsStructuredRejection) {
     }
 }
 
-TEST(MbrSession, BarrierEngineVerifiesIncompleteViewsToo) {
-    SessionParams params = fast_session();
-    params.engine = rt::Engine::barrier;
-    Session session(4, params);
-    (void)session.leave(7);
-    (void)session.leave(12);
-    const ExecStats stats = session.execute(
-        sig_of(Op::broadcast, Family::sbt, 4, 1, 2, 16));
-    EXPECT_TRUE(stats.verified);
-    EXPECT_EQ(stats.member_count, 14u);
-}
-
 // ---------------------------------------------------------------- service
 
 TEST(MbrService, RejectionTravelsThroughTheFrontDoor) {

@@ -196,8 +196,8 @@ TEST(ObsSvc, RuntimeAggregatesAdvance) {
         sig_of(Op::broadcast, Family::sbt, 3, 0, 3, 64));
     EXPECT_EQ(r.status, Status::ok);
     const obs::RegistrySnapshot now = obs::registry().snapshot();
-    // The async engine ran; under Engine::async nothing plays the barrier
-    // engine, not even on the first pass. Cycle and byte aggregates moved.
+    // The async engine ran; nothing a Session does plays the barrier
+    // engine, not even the first pass. Cycle and byte aggregates moved.
     EXPECT_GE(delta(now, base, "rt.plays_serial") +
                   delta(now, base, "rt.plays_stealing"),
               1u);
@@ -210,9 +210,8 @@ TEST(ObsSvc, RuntimeAggregatesAdvance) {
 }
 
 TEST(ObsSvc, AsyncSessionNeverPlaysTheBarrierEngine) {
-    // Calibrated at construction (no preset constants), then both data
-    // modes' first and steady-state executions: under Engine::async no
-    // step plays the barrier engine.
+    // Construction with no preset constants, then both data modes' first
+    // and steady-state executions: no step plays the barrier engine.
     const obs::RegistrySnapshot base = obs::registry().snapshot();
     SessionParams params;
     params.threads = 2;

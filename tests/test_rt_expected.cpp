@@ -14,7 +14,6 @@
 #include "ft/injector.hpp"
 #include "mbr/view.hpp"
 #include "rt/async_player.hpp"
-#include "rt/communicator.hpp"
 #include "rt/player.hpp"
 #include "routing/schedule_export.hpp"
 #include "sim/cycle.hpp"
@@ -23,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -67,7 +67,8 @@ void expect_move_accepted(const Schedule& schedule, PortModel model,
 /// Plays a combine schedule reducing into `root` over `members` (empty =
 /// the full cube) on both engines and asserts the rule accepts each run,
 /// with the evaluator's image equal to the barrier engine's final memory
-/// byte for byte.
+/// byte for byte, and that the barrier engine's cycle count equals the
+/// schedule's depth (1 + its last send's cycle).
 void expect_combine_accepted(const Schedule& schedule, node_t root,
                              const std::string& label,
                              std::span<const node_t> members = {}) {
@@ -77,9 +78,15 @@ void expect_combine_accepted(const Schedule& schedule, node_t root,
     const std::optional<std::vector<double>> image =
         combine_image(plan, schedule);
     ASSERT_TRUE(image.has_value());
+    std::uint32_t depth = 0;
+    for (const sim::ScheduledSend& send : schedule.sends) {
+        depth = std::max(depth, send.cycle + 1);
+    }
 
     Player barrier(plan);
-    EXPECT_TRUE(barrier.play().clean());
+    const PlayStats ref = barrier.play();
+    EXPECT_TRUE(ref.clean());
+    EXPECT_EQ(ref.cycles, depth);
     EXPECT_TRUE(matches_image(plan, barrier, *image));
     EXPECT_TRUE(check_combine_run(plan, schedule, root, members, barrier));
     AsyncPlayer async(plan);
@@ -288,24 +295,35 @@ TEST(RtExpected, RejectsPlanCheckedAgainstAnotherSchedulesHoldings) {
     EXPECT_FALSE(check_move_run(plan, other, player));
 }
 
-TEST(RtExpected, CommunicatorBarrierEngineOwesTheMakespan) {
-    Params params;
-    params.threads = 2;
-    params.block_elems = 16;
-    params.engine = Engine::barrier;
-    Communicator comm(4, params);
+TEST(RtExpected, CheckedPlanFullyChecksOnlyItsFirstRun) {
+    constexpr PortModel full = PortModel::one_port_full_duplex;
     const auto sbt = trees::build_sbt(4, 3);
-    const std::vector<Result> results = {
-        comm.broadcast(sbt, BroadcastDiscipline::paced, 4),
-        comm.broadcast_msbt(3, 8),
-        comm.scatter(trees::build_bst(4, 0), ScatterPolicy::cyclic, 2),
-        comm.reduce(sbt, 3),
-        comm.allgather(),
-    };
-    for (const Result& r : results) {
-        EXPECT_TRUE(r.verified);
-        EXPECT_EQ(r.engine, Engine::barrier);
-        EXPECT_EQ(r.rt_cycles, r.sim_makespan);
+    const Schedule bcast = routing::make_msbt_broadcast(4, 3, 8, full);
+    const Schedule forward = routing::make_tree_broadcast(
+        sbt, BroadcastDiscipline::port_oriented, 3, full);
+    const Schedule reduce = routing::reverse_broadcast_for_reduce(forward, 3);
+    CheckedPlan move(bcast, bcast, DataMode::move, full, kBlock, 2);
+    CheckedPlan combine(reduce, forward, DataMode::combine, full, kBlock, 2);
+    EXPECT_EQ(move.makespan(), sim::execute_schedule(bcast, full).makespan);
+    EXPECT_EQ(combine.makespan(),
+              sim::execute_schedule(forward, full).makespan);
+    for (CheckedPlan* checked : {&move, &combine}) {
+        SCOPED_TRACE(checked == &move ? "move" : "combine");
+        const std::uint64_t before = checked->resident_bytes();
+        for (int run = 0; run < 3; ++run) {
+            const CheckedRun r = checked->play();
+            EXPECT_TRUE(r.verified) << "run " << run;
+            EXPECT_EQ(r.full_check, run == 0) << "run " << run;
+            EXPECT_EQ(r.stats.cycles, checked->makespan());
+        }
+        // Only the combine plan keeps an image: the expected one.
+        const std::uint64_t image_bytes =
+            checked == &combine
+                ? compile_plan(reduce, DataMode::combine, kBlock, 2)
+                          .total_slots *
+                      kBlock * sizeof(double)
+                : 0;
+        EXPECT_EQ(checked->resident_bytes(), before + image_bytes);
     }
 }
 

@@ -471,19 +471,6 @@ TEST(SvcSession, FullCheckOnFirstExecutionOfEachEntry) {
     EXPECT_EQ(stats.hits, 12u);
 }
 
-TEST(SvcSession, BarrierEngineMatchesMakespanInSteadyState) {
-    SessionParams params = fast_session();
-    params.engine = rt::Engine::barrier;
-    Session session(3, params);
-    const Signature sig = sig_of(Op::broadcast, Family::sbt, 3, 0, 2, 16);
-    for (int i = 0; i < 3; ++i) {
-        const ExecStats stats = session.execute(sig);
-        EXPECT_TRUE(stats.verified);
-        EXPECT_EQ(stats.full_check, i == 0);
-        EXPECT_EQ(stats.rt_cycles, stats.sim_makespan);
-    }
-}
-
 TEST(SvcSession, CacheEvictionRecompiles) {
     const Signature a = sig_of(Op::broadcast, Family::sbt, 3, 0, 2, 16);
     const Signature b = sig_of(Op::broadcast, Family::sbt, 3, 1, 2, 16);
