@@ -17,7 +17,11 @@
 // `barrier_plays`, the rt.plays_barrier delta over the session's
 // construction and all its requests: nothing a Session does plays the
 // barrier engine, so anything but 0 fails the binary as well — a count,
-// not a speed, so it repeats exactly on any machine. The selector rows
+// not a speed, so it repeats exactly on any machine. Each Service row
+// also records `steady_digests`, the rt.canonical_digests delta over its
+// measured phase (after the warm-up that executes every signature once):
+// a cache hit compares against its plan's arena and derives no canonical
+// digest, so anything but 0 fails the binary too. The selector rows
 // record the cost model under the session's machine constants (the
 // paper's iPSC τ and t_c) picking the SBT in the small-message regime and
 // the MSBT above the crossover (Table 3's regimes).
@@ -156,11 +160,18 @@ std::uint64_t barrier_plays_now() {
     return hcube::obs::registry().counter("rt.plays_barrier").value();
 }
 
+/// Canonical digests derived so far in this process (one per
+/// rt::canonical_checksum call).
+std::uint64_t digests_now() {
+    return hcube::obs::registry().counter("rt.canonical_digests").value();
+}
+
 struct ServiceMeasured : Measured {
     double cache_hit_rate = 0;
     std::uint64_t batched = 0;
     std::uint64_t executed = 0;
     std::uint64_t barrier_plays = 0; ///< rt.plays_barrier over the row
+    std::uint64_t steady_digests = 0; ///< rt.canonical_digests, measured
 };
 
 ServiceMeasured run_service(dim_t n, const std::vector<Signature>& mix,
@@ -188,6 +199,7 @@ ServiceMeasured run_service(dim_t n, const std::vector<Signature>& mix,
         static_cast<std::size_t>(concurrency));
     std::atomic<bool> all_verified{true};
     const int per_client = requests / concurrency;
+    const std::uint64_t digests_before = digests_now();
     const double begin = now_seconds();
     std::vector<std::thread> clients;
     for (int c = 0; c < concurrency; ++c) {
@@ -210,6 +222,7 @@ ServiceMeasured run_service(dim_t n, const std::vector<Signature>& mix,
         t.join();
     }
     const double elapsed = now_seconds() - begin;
+    m.steady_digests = digests_now() - digests_before;
 
     std::vector<double> all_ms;
     for (const auto& lane : latencies) {
@@ -402,8 +415,8 @@ struct ShrinkMeasured {
 /// pre-compaction entry, reconstructed analytically: the compact entry,
 /// plus the AoS mirrors the old encoding kept per lowered hop, plus the
 /// full expected image the cache used to snapshot for move-mode plans
-/// (total_slots x block doubles; it now keeps an 8-byte arena
-/// fingerprint instead).
+/// (total_slots x block doubles; it now compares against the plan's
+/// arena instead).
 ShrinkMeasured measure_sbt8_shrink(std::uint32_t block) {
     // Per lowered hop the old encoding added four 24-byte Action records
     // (flat and bucketed, send and receive) and a 4-byte cycle stamp, and
@@ -459,6 +472,7 @@ int main(int argc, char** argv) {
 
     bool verified = true;
     std::uint64_t barrier_plays = 0; ///< summed over every Session row
+    std::uint64_t steady_digests = 0; ///< summed over the Service rows
 
     const Measured baseline = run_baseline(n, mix, block, requests);
     verified = verified && baseline.verified;
@@ -488,6 +502,7 @@ int main(int argc, char** argv) {
             run_service(n, mix, requests, concurrency, queue_depth);
         verified = verified && svc.verified;
         barrier_plays += svc.barrier_plays;
+        steady_digests += svc.steady_digests;
         const double speedup = baseline.ops_per_sec > 0
                                    ? svc.ops_per_sec / baseline.ops_per_sec
                                    : 0;
@@ -511,6 +526,7 @@ int main(int argc, char** argv) {
             json->field("batched", svc.batched);
             json->field("executed", svc.executed);
             json->field("barrier_plays", svc.barrier_plays);
+            json->field("steady_digests", svc.steady_digests);
             json->field("transport", svc.transport);
             json->field("verified", svc.verified);
             json->end_row();
@@ -641,6 +657,13 @@ int main(int argc, char** argv) {
                      "%llu barrier-engine plays on the Session rows' "
                      "request paths (expected 0)\n",
                      static_cast<unsigned long long>(barrier_plays));
+        return 1;
+    }
+    if (steady_digests != 0) {
+        std::fprintf(stderr,
+                     "%llu canonical digests derived on the Service rows' "
+                     "cache hits (expected 0)\n",
+                     static_cast<unsigned long long>(steady_digests));
         return 1;
     }
     std::printf("\nall requests byte-verified\n");

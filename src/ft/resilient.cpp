@@ -108,24 +108,6 @@ scatter_contract(const Schedule& schedule) {
     return contract;
 }
 
-/// Every contract pair holds its packet's canonical block, byte for byte
-/// (the recovered plan may hold extra relay copies; only the contract is
-/// demanded). The plan's arena is checked against the canonical digests
-/// first, so the comparison never trusts anything the run produced.
-[[nodiscard]] bool
-matches_contract(const rt::Plan& plan, const rt::AsyncPlayer& player,
-                 const std::vector<std::pair<node_t, packet_t>>& contract) {
-    if (!rt::arena_is_canonical(plan)) {
-        return false;
-    }
-    for (const auto& [node, packet] : contract) {
-        if (!rt::is_arena_block(plan, player.block(node, packet), packet)) {
-            return false;
-        }
-    }
-    return true;
-}
-
 /// `schedule` compiled for an attempt: over the full cube on `threads`
 /// workers, or (member ops) over `view`'s live members.
 rt::Plan compile_attempt(const Schedule& schedule,
@@ -159,8 +141,33 @@ struct ResilientComm::Attempt {
     Attempt(const Attempt&) = delete;
     Attempt& operator=(const Attempt&) = delete;
 
+    /// Every contract pair of the last play holds its packet's canonical
+    /// block, byte for byte (the recovered plan may hold extra relay
+    /// copies; only the contract is demanded). The first check also proves
+    /// the plan's arena and digest table against independently derived
+    /// canonical digests, so the comparison never trusts anything the run
+    /// produced. The arena is immutable (fault hooks stage copies and
+    /// never write it), so once proven a resident attempt's later plays
+    /// check only the contract pairs.
+    [[nodiscard]] bool holds(const Contract& contract) {
+        if (!arena_proven) {
+            if (!rt::arena_is_canonical(plan)) {
+                return false;
+            }
+            arena_proven = true;
+        }
+        for (const auto& [node, packet] : contract) {
+            if (!rt::is_arena_block(plan, player.block(node, packet),
+                                    packet)) {
+                return false;
+            }
+        }
+        return true;
+    }
+
     rt::Plan plan;
     rt::AsyncPlayer player;
+    bool arena_proven = false; ///< arena_is_canonical accepted this plan
 };
 
 struct ResilientComm::Resident {
@@ -250,7 +257,7 @@ bool ResilientComm::play_attempt(Attempt& attempt, const Schedule& schedule,
                 .count()));
         return false;
     }
-    out.delivered = matches_contract(attempt.plan, player, expected);
+    out.delivered = attempt.holds(expected);
     out.stats = stats;
     out.final_seconds = stats.seconds;
     return true;

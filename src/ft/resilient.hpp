@@ -30,7 +30,11 @@
 //      simply declared dead like a persistent failure.
 //   4. Verify: the survivor run's block for every contract (node, packet)
 //      pair is compared byte for byte with the packet's canonical block
-//      (the plan's arena, itself checked against the canonical digests).
+//      (the plan's arena). The arena and the plan's digest table are
+//      checked against independently derived canonical digests on an
+//      attempt's first clean play; a resident attempt's later plays skip
+//      that proof (the arena is immutable), and a healing attempt, being
+//      freshly compiled, always takes it.
 //
 // The loop terminates: every failed attempt permanently grows the dead-link
 // set, and max_attempts bounds the total work even under adversarial fault
@@ -185,7 +189,8 @@ private:
     using Contract = std::vector<std::pair<node_t, sim::packet_t>>;
     /// Derives an op's semantic contract from the schedule it runs.
     using ContractOf = std::function<Contract(const sim::Schedule&)>;
-    /// A compiled plan plus its AsyncPlayer.
+    /// A compiled plan plus its AsyncPlayer, and whether the plan's arena
+    /// was already proven canonical (a resident attempt proves it once).
     struct Attempt;
     /// An op's fault-free attempt, resident between calls: its schedule,
     /// checked contract, and compiled Attempt.

@@ -1,7 +1,6 @@
 #include "net/net_player.hpp"
 
 #include "common/check.hpp"
-#include "rt/checksum.hpp"
 #include "rt/delivery.hpp"
 
 #include <chrono>
@@ -23,13 +22,6 @@ NetPlayer::NetPlayer(const rt::Plan& plan, std::uint32_t rank,
     if (!detect_.enabled()) {
         detect_ = ft::DetectConfig::for_transport(transport);
     }
-    if (plan.mode == rt::DataMode::move) {
-        expected_checksum_.resize(plan.packet_count);
-        for (packet_t p = 0; p < plan.packet_count; ++p) {
-            expected_checksum_[p] =
-                rt::canonical_checksum(p, plan.block_elems);
-        }
-    }
     // Copy-through always: seed every slot and point the views at the
     // local memory image, exactly like the barrier Player's copy-through
     // prepare_views() — the precondition for byte-identical finals.
@@ -44,10 +36,10 @@ NetPlayStats NetPlayer::play() {
     arbiter_.reset();
     rt::PlayStats stats;
     const rt::RunContextT<SocketChannelBank> ctx{
-        plan_,    bank_,     views_.data(),
-        memory_.data(),      expected_checksum_.data(),
-        detect_,  arbiter_,  nullptr,
-        /*detecting=*/true,  /*copy_through=*/true};
+        plan_,    bank_,    views_.data(),
+        memory_.data(),     detect_,
+        arbiter_, nullptr,  /*detecting=*/true,
+        /*copy_through=*/true};
 
     const auto start = std::chrono::steady_clock::now();
     const std::uint32_t workers = plan_.workers;

@@ -13,9 +13,10 @@
 // patience than a ring buffer; ft::DetectConfig::for_transport).
 //
 // Copy-through is unconditional (inbound payloads land in transient wire
-// buffers), so delivery re-digests every arrived block against the
-// canonical expectation — the third integrity check a block crosses after
-// the sender-side frame digest and the bus's wire verification. The final
+// buffers), so delivery re-digests every arrived block against the plan's
+// digest table (rt::Plan::packet_digest, hashed once at compile) — the
+// third integrity check a block crosses after the sender-side frame digest
+// and the bus's wire verification. The final
 // memory image is byte-comparable against the in-process oracle: same
 // seeding, same accumulation order, same delivery protocol.
 #pragma once
@@ -70,7 +71,6 @@ private:
     ft::TransportClass transport_;
     std::vector<const double*> views_;
     std::vector<double> memory_;
-    std::vector<std::uint64_t> expected_checksum_;
     rt::FaultArbiter arbiter_;
 };
 

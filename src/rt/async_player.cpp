@@ -2,7 +2,6 @@
 
 #include "common/check.hpp"
 #include "obs/metrics.hpp"
-#include "rt/checksum.hpp"
 #include "rt/delivery.hpp"
 #include "rt/pool.hpp"
 
@@ -57,12 +56,7 @@ AsyncPlayer::AsyncPlayer(const Plan& plan)
     HCUBE_ENSURE_MSG(bytes <= (std::uint64_t{1} << 34),
                      "runtime payload exceeds 16 GiB; shrink the schedule "
                      "or the block size");
-    if (plan.mode == DataMode::move) {
-        expected_checksum_.resize(plan.packet_count);
-        for (packet_t p = 0; p < plan.packet_count; ++p) {
-            expected_checksum_[p] = canonical_checksum(p, plan.block_elems);
-        }
-    } else {
+    if (plan.mode == DataMode::combine) {
         memory_.assign(static_cast<std::size_t>(plan.total_slots) *
                            plan.block_elems,
                        0.0);
@@ -103,8 +97,6 @@ std::uint64_t AsyncPlayer::resident_bytes() const noexcept {
     return channels_.resident_bytes() +
            std::uint64_t{views_.capacity()} * sizeof(const double*) +
            std::uint64_t{memory_.capacity()} * sizeof(double) +
-           std::uint64_t{expected_checksum_.capacity()} *
-               sizeof(std::uint64_t) +
            std::uint64_t{deps_.size()} *
                sizeof(std::atomic<std::uint32_t>);
 }
@@ -152,11 +144,10 @@ void AsyncPlayer::run_worker(std::uint32_t worker, Worker* workers) {
     Worker& self = workers[worker];
     const std::uint32_t count = plan_.workers;
     const std::uint64_t total = plan_.action_count();
-    const RunContext ctx{plan_,          channels_,
-                         views_.data(),  memory_.data(),
-                         expected_checksum_.data(),
-                         detect_,        arbiter_,
-                         trace_,         detect_.enabled(),
+    const RunContext ctx{plan_,         channels_,
+                         views_.data(), memory_.data(),
+                         detect_,       arbiter_,
+                         trace_,        detect_.enabled(),
                          copy_through_};
     std::uint32_t misses = 0;
     // On abort every worker simply exits its loop: unfinished actions stay
@@ -211,11 +202,10 @@ void AsyncPlayer::run_serial(PlayStats& stats) {
     // the dependency graph and exactly the barrier engine's execution
     // order, so this walk is byte-identical to it — including combine-mode
     // accumulation order — with no queues, no atomics, no barriers.
-    const RunContext ctx{plan_,          channels_,
-                         views_.data(),  memory_.data(),
-                         expected_checksum_.data(),
-                         detect_,        arbiter_,
-                         trace_,         detect_.enabled(),
+    const RunContext ctx{plan_,         channels_,
+                         views_.data(), memory_.data(),
+                         detect_,       arbiter_,
+                         trace_,        detect_.enabled(),
                          copy_through_};
     // Zero-copy move traffic with no tracer and no detector needs no ring
     // at all when there is only one executing thread: the rings exist to

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace hcube::rt {
 
@@ -72,17 +71,14 @@ block_checksum(std::span<const double> block) noexcept {
     return simd::checksum(block.data(), block.size());
 }
 
-/// Checksum the canonical block for `packet` would have. Materializes the
-/// block into thread-local scratch so the digest comes from the exact same
-/// kernel as block_checksum — one algorithm definition, no drift.
-[[nodiscard]] inline std::uint64_t
-canonical_checksum(std::uint32_t packet, std::size_t block_elems) {
-    thread_local std::vector<double> scratch;
-    if (scratch.size() < block_elems) {
-        scratch.resize(block_elems);
-    }
-    fill_canonical({scratch.data(), block_elems}, packet);
-    return simd::checksum(scratch.data(), block_elems);
-}
+/// Checksum the canonical block for `packet` would have, derived from the
+/// packet id alone: materializes the block into thread-local scratch so
+/// the digest comes from the exact same kernel as block_checksum — one
+/// algorithm definition, no drift. This is the verification rule's
+/// independent derivation (rt/expected.hpp); a compiled plan hashes its
+/// arena into Plan::packet_digest instead, and a replayed plan derives
+/// nothing. Every call counts one in the obs counter rt.canonical_digests.
+[[nodiscard]] std::uint64_t canonical_checksum(std::uint32_t packet,
+                                               std::size_t block_elems);
 
 } // namespace hcube::rt

@@ -13,13 +13,13 @@
 //     views an immutable canonical block in the plan's arena, so a
 //     delivery is pointer motion: record the view in the receiving slot's
 //     entry of `views` and compare the descriptor's checksum word against
-//     the expected digest. A forward re-publishes the same view. No
-//     payload byte is touched.
+//     the packet's entry in the plan's digest table. A forward
+//     re-publishes the same view. No payload byte is touched.
 //
 //   copy-through (combine mode, or any run with a fault hook installed) —
 //     the legacy protocol, preserved bit for bit: the bank stages payload
 //     into channel-owned storage on push (where the hook may corrupt it),
-//     the receiver hashes the arrived bytes against the expected digest,
+//     the receiver hashes the arrived bytes against the plan's digest,
 //     and delivery memcpys (move) or accumulates (combine) into the
 //     player's slot memory, which `views` points into. Every copied byte
 //     is counted in PlayStats::bytes_copied.
@@ -48,7 +48,6 @@ struct RunContextT {
     Bank& channels;
     const double** views; ///< per slot: current block view (size total_slots)
     double* memory;       ///< copy-through slot storage; null in zero-copy
-    const std::uint64_t* expected_checksum; ///< per packet; move mode only
     const ft::DetectConfig& detect;
     FaultArbiter& arbiter;
     TraceRecorder* trace;
@@ -102,7 +101,7 @@ HCUBE_DELIVERY_INLINE void send_block(const RunContextT<Bank>& ctx,
     // partial sum with no precomputable expectation); receivers there
     // verify by exact-sum comparison after the run instead.
     const std::uint64_t checksum = ctx.plan.mode == DataMode::move
-                                       ? ctx.expected_checksum[a.packet]
+                                       ? ctx.plan.packet_digest[a.packet]
                                        : 0;
     const TraceRecorder::clock::time_point t0 =
         ctx.trace != nullptr ? TraceRecorder::clock::now()
@@ -185,7 +184,7 @@ deliver_block(const RunContextT<Bank>& ctx, const ActionRef& a,
         // digest word — O(1), no payload touched.
         const std::uint64_t digest =
             ctx.copy_through ? simd::checksum(d.data, blk) : d.checksum;
-        if (digest != ctx.expected_checksum[a.packet]) [[unlikely]] {
+        if (digest != ctx.plan.packet_digest[a.packet]) [[unlikely]] {
             ++stats.checksum_failures;
             if (ctx.detecting) {
                 ctx.arbiter.raise(

@@ -1,31 +1,25 @@
 #include "rt/expected.hpp"
 
+#include "obs/metrics.hpp"
+
 #include <algorithm>
 #include <numeric>
 #include <utility>
 
 namespace hcube::rt {
 
-namespace {
-
-/// FNV-1a over the slot-ordered canonical block digests: the identity of
-/// a move plan's arena-derived expected image. Stored by the first passing
-/// check and recomputed on every steady-state run, so a perturbed slot
-/// table or arena is caught without a second copy of the image.
-std::uint64_t arena_fingerprint(const Plan& plan) {
-    std::vector<std::uint64_t> digest(plan.packet_count);
-    for (packet_t p = 0; p < plan.packet_count; ++p) {
-        digest[p] = canonical_checksum(p, plan.block_elems);
+std::uint64_t canonical_checksum(std::uint32_t packet,
+                                 std::size_t block_elems) {
+    static obs::Counter& m_derived =
+        obs::registry().counter("rt.canonical_digests");
+    m_derived.inc();
+    thread_local std::vector<double> scratch;
+    if (scratch.size() < block_elems) {
+        scratch.resize(block_elems);
     }
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        h ^= digest[plan.slot_packet[s]];
-        h *= 0x100000001b3ull;
-    }
-    return h;
+    fill_canonical({scratch.data(), block_elems}, packet);
+    return simd::checksum(scratch.data(), block_elems);
 }
-
-} // namespace
 
 bool slots_are_holdings(const Plan& plan, const sim::CycleStats& sim) {
     const sim::DeliveryMap& held = sim.delivery_cycle;
@@ -44,12 +38,15 @@ bool slots_are_holdings(const Plan& plan, const sim::CycleStats& sim) {
 }
 
 bool arena_is_canonical(const Plan& plan) {
-    if (plan.mode != DataMode::move) {
+    if (plan.mode != DataMode::move ||
+        plan.packet_digest.size() != plan.packet_count) {
         return false;
     }
     for (packet_t p = 0; p < plan.packet_count; ++p) {
-        if (block_checksum({plan.arena_block(p), plan.block_elems}) !=
-            canonical_checksum(p, plan.block_elems)) {
+        const std::uint64_t digest = canonical_checksum(p, plan.block_elems);
+        if (plan.packet_digest[p] != digest ||
+            block_checksum({plan.arena_block(p), plan.block_elems}) !=
+                digest) {
             return false;
         }
     }
@@ -156,7 +153,6 @@ bool CheckedPlan::judge_first() {
         if (!check_move_run(plan_, proof_->sim, player_)) {
             return false;
         }
-        fingerprint_ = arena_fingerprint(plan_);
     }
     proof_.reset();
     return true;
@@ -166,8 +162,7 @@ bool CheckedPlan::judge_steady() const {
     if (plan_.mode == DataMode::combine) {
         return matches_image(plan_, player_, image_);
     }
-    return fingerprint_ == arena_fingerprint(plan_) &&
-           matches_arena(plan_, player_);
+    return matches_arena(plan_, player_);
 }
 
 std::uint64_t CheckedPlan::resident_bytes() const noexcept {

@@ -8,11 +8,12 @@
 // (combine mode). So the expected final state needs no reference run:
 //
 //   move    — the plan's slots are exactly the (node, packet) pairs the
-//             executor records as held; every arena block hashes to its
-//             packet's canonical digest (one digest per packet, not per
-//             pair); and every slot's final block is its packet's arena
-//             block — the same pointer on the zero-copy path, equal bytes
-//             under copy-through.
+//             executor records as held; every arena block, and its entry
+//             in the plan's digest table, agrees with its packet's
+//             canonical digest derived from the packet id alone (one
+//             derivation per packet, not per pair); and every slot's final
+//             block is its packet's arena block — the same pointer on the
+//             zero-copy path, equal bytes under copy-through.
 //   combine — the root holds the exact elementwise sums of the live
 //             members' contributions, and every slot equals, byte for
 //             byte, the image of evaluating the schedule (not the lowered
@@ -46,8 +47,10 @@ namespace hcube::rt {
 [[nodiscard]] bool slots_are_holdings(const Plan& plan,
                                       const sim::CycleStats& sim);
 
-/// True when every arena block of the move plan hashes to its packet's
-/// canonical digest.
+/// True when, for every packet of the move plan, the canonical digest
+/// derived from the packet id alone (canonical_checksum) equals both the
+/// hash of its arena block and its entry in Plan::packet_digest — so the
+/// table the engines trust is proven once.
 [[nodiscard]] bool arena_is_canonical(const Plan& plan);
 
 /// The final image (slot order, block_elems doubles per slot) a run of the
@@ -183,11 +186,12 @@ struct CheckedRun {
 /// check_move_run / check_combine_run; once one passes, the schedule and
 /// the executor's holdings are dropped and later runs take the
 /// steady-state checks: a combine plan byte-compares against the image
-/// the first check computed, and a move plan re-derives its expected
-/// state from the plan's immutable arena (pointer identity on the
-/// zero-copy path) and checks the arena's fingerprint, so no second copy
-/// of the arena exists. One play at a time; the player holds a reference
-/// to the plan, so a CheckedPlan never moves.
+/// the first check computed, and a move plan compares every slot's block
+/// with its packet's immutable arena block (pointer identity on the
+/// zero-copy path), so no second copy of the arena exists and a
+/// steady-state run derives no canonical digest.
+/// One play at a time; the player holds a reference to the plan, so a
+/// CheckedPlan never moves.
 class CheckedPlan {
 public:
     /// Proves `proof` under `model`, then compiles `exec`, the schedule
@@ -226,8 +230,7 @@ private:
     std::uint64_t sends_ = 0;
     Plan plan_;
     AsyncPlayer player_;
-    std::vector<double> image_;     ///< combine: the expected image
-    std::uint64_t fingerprint_ = 0; ///< move: of the arena-derived image
+    std::vector<double> image_; ///< combine: the expected image
 };
 
 } // namespace hcube::rt

@@ -44,6 +44,7 @@ PlanFootprint Plan::footprint() const noexcept {
     f.channels = vec_bytes(channel_ep) + vec_bytes(node_out_ports) +
                  vec_bytes(node_in_ports) + vec_bytes(node_owner);
     f.arena = vec_bytes(arena);
+    f.digests = vec_bytes(packet_digest);
     return f;
 }
 
@@ -387,18 +388,20 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
         plan.slot_vals.push_back(static_cast<std::uint32_t>(slot));
     }
 
-    // ---- immutable block arena (move mode) ----------------------------
+    // ---- immutable block arena + digest table (move mode) -------------
     if (mode == DataMode::move) {
         plan.arena_stride = (block_elems + 7) & ~std::size_t{7};
         plan.arena.resize(
             std::size_t{schedule.packet_count} * plan.arena_stride + 7);
+        plan.packet_digest.resize(schedule.packet_count);
         const auto raw = reinterpret_cast<std::uintptr_t>(plan.arena.data());
         double* base =
             reinterpret_cast<double*>(raw + ((0u - raw) & 63u));
         for (packet_t p = 0; p < schedule.packet_count; ++p) {
-            fill_canonical(
-                {base + std::size_t{p} * plan.arena_stride, block_elems},
-                p);
+            const std::span<double> block{
+                base + std::size_t{p} * plan.arena_stride, block_elems};
+            fill_canonical(block, p);
+            plan.packet_digest[p] = block_checksum(block);
         }
     }
 

@@ -37,7 +37,11 @@
 // Two data modes:
 //   move    — a block travels verbatim; a second delivery of the same packet
 //             to the same node is rejected at compile time (the executor's
-//             duplicate-delivery rule).
+//             duplicate-delivery rule). The plan owns each packet's
+//             canonical block (the arena) and that block's digest (the
+//             digest table), both written once here: every engine verifies
+//             deliveries against the table, so a replayed plan hashes no
+//             canonical block again.
 //   combine — duplicate arrivals accumulate elementwise into the slot, and
 //             every node's slot is pre-seeded with its own contribution:
 //             the reduction semantics of a reversed broadcast schedule.
@@ -93,9 +97,11 @@ struct PlanFootprint {
     std::uint64_t slots = 0;     ///< slot tables, lookup keys, seed list
     std::uint64_t channels = 0;  ///< packed endpoints + port bitmaps
     std::uint64_t arena = 0;     ///< immutable canonical blocks
+    std::uint64_t digests = 0;   ///< one canonical digest per packet
 
     [[nodiscard]] std::uint64_t total() const noexcept {
-        return actions + dep_graph + buckets + slots + channels + arena;
+        return actions + dep_graph + buckets + slots + channels + arena +
+               digests;
     }
 };
 
@@ -150,6 +156,12 @@ struct Plan {
     [[nodiscard]] const double* arena_block(packet_t packet) const noexcept {
         return arena_base() + std::size_t{packet} * arena_stride;
     }
+    /// Per packet: the digest (block_checksum) of its arena block, hashed
+    /// once as compile_plan fills the arena. The only copy: the engines
+    /// compare every delivery against it, and the first check
+    /// (arena_is_canonical) re-derives each entry from the packet id alone.
+    /// Empty in combine mode.
+    std::vector<std::uint64_t> packet_digest;
 
     // ---- channels ------------------------------------------------------
     std::uint32_t channel_count = 0;

@@ -3,7 +3,6 @@
 #include "common/check.hpp"
 #include "obs/metrics.hpp"
 #include "rt/barrier.hpp"
-#include "rt/checksum.hpp"
 #include "rt/delivery.hpp"
 #include "rt/pool.hpp"
 
@@ -37,12 +36,7 @@ Player::Player(const Plan& plan)
     HCUBE_ENSURE_MSG(bytes <= (std::uint64_t{1} << 34),
                      "runtime payload exceeds 16 GiB; shrink the schedule "
                      "or the block size");
-    if (plan.mode == DataMode::move) {
-        expected_checksum_.resize(plan.packet_count);
-        for (packet_t p = 0; p < plan.packet_count; ++p) {
-            expected_checksum_[p] = canonical_checksum(p, plan.block_elems);
-        }
-    } else {
+    if (plan.mode == DataMode::combine) {
         memory_.assign(static_cast<std::size_t>(plan.total_slots) *
                            plan.block_elems,
                        0.0);
@@ -84,18 +78,16 @@ std::span<const double> Player::block(node_t node, packet_t packet) const {
 std::uint64_t Player::resident_bytes() const noexcept {
     return channels_.resident_bytes() +
            std::uint64_t{views_.capacity()} * sizeof(const double*) +
-           std::uint64_t{memory_.capacity()} * sizeof(double) +
-           std::uint64_t{expected_checksum_.capacity()} *
-               sizeof(std::uint64_t);
+           std::uint64_t{memory_.capacity()} * sizeof(double);
 }
 
 void Player::run_worker(std::uint32_t worker, PlayStats& stats) {
     const std::uint32_t workers = plan_.workers;
     const bool detecting = detect_.enabled();
     const RunContext ctx{plan_,    channels_, views_.data(),
-                         memory_.data(),      expected_checksum_.data(),
-                         detect_,  arbiter_,  trace_,
-                         detecting, copy_through_};
+                         memory_.data(),      detect_,
+                         arbiter_, trace_,    detecting,
+                         copy_through_};
     for (std::uint32_t cycle = 0; cycle < plan_.cycles; ++cycle) {
         const std::size_t bucket = std::size_t{cycle} * workers + worker;
 

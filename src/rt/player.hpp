@@ -4,13 +4,13 @@
 // cycle-synchronous: during cycle c every worker first pushes its nodes'
 // scheduled blocks into the outgoing link channels (send phase), the pool
 // barriers, then drains its nodes' incoming channels (receive phase) —
-// verifying each delivered block's checksum in move mode or accumulating it
-// elementwise in combine mode — and barriers again. The two barriers per
-// cycle realize the paper's synchronized routing steps: a block pushed in
-// cycle c is consumed in cycle c and forwardable from cycle c+1, exactly
-// the store-and-forward rule the cycle simulator validates. Consequently
-// the number of cycles the player executes equals the CycleExecutor
-// makespan of the same schedule.
+// verifying each delivered block against the plan's digest table in move
+// mode or accumulating it elementwise in combine mode — and barriers
+// again. The two barriers per cycle realize the paper's synchronized
+// routing steps: a block pushed in cycle c is consumed in cycle c and
+// forwardable from cycle c+1, exactly the store-and-forward rule the cycle
+// simulator validates. Consequently the number of cycles the player
+// executes equals the CycleExecutor makespan of the same schedule.
 //
 // Violations on worker threads (channel under/overflow, packet mismatch,
 // checksum mismatch) cannot throw across the pool; they are counted in the
@@ -137,9 +137,9 @@ public:
     }
 
     /// Exact heap bytes this engine keeps resident between runs (channel
-    /// rings, slot views, copy-through storage, checksum table) — what a
-    /// byte-budgeted cache charges for keeping the player warm. The plan
-    /// itself is accounted separately by Plan::resident_bytes().
+    /// rings, slot views, copy-through storage) — what a byte-budgeted
+    /// cache charges for keeping the player warm. The plan, digest table
+    /// included, is accounted separately by Plan::resident_bytes().
     [[nodiscard]] std::uint64_t resident_bytes() const noexcept;
 
 private:
@@ -158,7 +158,6 @@ private:
     /// first copy-through run (fault hook installed) — a pure zero-copy
     /// player never materializes it.
     std::vector<double> memory_;
-    std::vector<std::uint64_t> expected_checksum_; ///< per packet, move mode
     bool copy_through_ = false; ///< decided per run in prepare_views()
     ft::DetectConfig detect_{};
     FaultArbiter arbiter_;

@@ -11,10 +11,9 @@
 // final memory against the state the schedule alone implies
 // (rt/expected.hpp); later runs stay byte-exact at a lower cost:
 // combine-mode entries byte-compare against the expected image that check
-// computed, and move-mode entries re-derive the expected final state from
-// the plan's immutable block arena (storing only a fingerprint of it — the
-// image would be a second full copy of arena bytes) (docs/SERVICE.md
-// § Verification: first run and steady state).
+// computed, and move-mode entries compare against the plan's immutable
+// block arena (keeping no image: it would be a second full copy of arena
+// bytes) (docs/SERVICE.md § Verification: first run and steady state).
 #pragma once
 
 #include "common/lru_cache.hpp"

@@ -15,6 +15,7 @@
 #include "common/check.hpp"
 #include "hc/bits.hpp"
 #include "mbr/view.hpp"
+#include "obs/metrics.hpp"
 #include "routing/schedule_export.hpp"
 #include "sim/cycle.hpp"
 #include "trees/msbt.hpp"
@@ -459,6 +460,44 @@ TEST(FtRecovery, ResidentAttemptsCarryNoStateBetweenCalls) {
             }
         }
     }
+}
+
+TEST(FtRecovery, ResidentAttemptProvesItsArenaOnce) {
+    // The resident attempt's first clean play proves its arena and digest
+    // table (one canonical derivation per packet); its later clean plays
+    // check only the contract pairs. A healing attempt is compiled fresh,
+    // so its check derives every packet's digest again.
+    constexpr dim_t n = 4;
+    constexpr node_t root = 5;
+    constexpr packet_t per_dest = 2;
+    const Schedule fault_free =
+        initial_schedule(Op::scatter_sbt, n, root, per_dest);
+    const obs::Counter& derived =
+        obs::registry().counter("rt.canonical_digests");
+    ResilientComm comm(n, test_params());
+    const auto clean_call_derives = [&] {
+        const std::uint64_t before = derived.value();
+        const RecoveryResult clean =
+            comm.scatter_sbt(root, per_dest, FaultPlan{});
+        EXPECT_TRUE(clean.delivered);
+        EXPECT_EQ(clean.attempts, 1u);
+        return derived.value() - before;
+    };
+    EXPECT_EQ(clean_call_derives(), fault_free.packet_count);
+    EXPECT_EQ(clean_call_derives(), 0u);
+
+    const std::vector<LinkUse> links = links_used(fault_free);
+    const LinkUse& kill = links[links.size() / 2];
+    FaultPlan faults;
+    faults.kill_link(kill.link.from, kill.link.to, kill.pushes / 2);
+    const std::uint64_t before = derived.value();
+    const RecoveryResult healed = comm.scatter_sbt(root, per_dest, faults);
+    ASSERT_TRUE(healed.delivered);
+    EXPECT_EQ(healed.attempts, 2u);
+    EXPECT_EQ(derived.value() - before, healed.final_schedule.packet_count);
+    EXPECT_EQ(healed.final_schedule.packet_count, fault_free.packet_count);
+
+    EXPECT_EQ(clean_call_derives(), 0u);
 }
 
 TEST(FtRecovery, OracleIsCachedAcrossASweep) {

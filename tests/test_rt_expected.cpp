@@ -13,6 +13,7 @@
 
 #include "ft/injector.hpp"
 #include "mbr/view.hpp"
+#include "obs/metrics.hpp"
 #include "rt/async_player.hpp"
 #include "rt/player.hpp"
 #include "routing/schedule_export.hpp"
@@ -302,8 +303,14 @@ TEST(RtExpected, CheckedPlanFullyChecksOnlyItsFirstRun) {
     const Schedule forward = routing::make_tree_broadcast(
         sbt, BroadcastDiscipline::port_oriented, 3, full);
     const Schedule reduce = routing::reverse_broadcast_for_reduce(forward, 3);
+    // Canonical digests are derived only by a move plan's first check, one
+    // per packet: compiling hashes the arena, and steady runs derive none.
+    const obs::Counter& derived =
+        obs::registry().counter("rt.canonical_digests");
+    const std::uint64_t built = derived.value();
     CheckedPlan move(bcast, bcast, DataMode::move, full, kBlock, 2);
     CheckedPlan combine(reduce, forward, DataMode::combine, full, kBlock, 2);
+    EXPECT_EQ(derived.value(), built);
     EXPECT_EQ(move.makespan(), sim::execute_schedule(bcast, full).makespan);
     EXPECT_EQ(combine.makespan(),
               sim::execute_schedule(forward, full).makespan);
@@ -311,10 +318,14 @@ TEST(RtExpected, CheckedPlanFullyChecksOnlyItsFirstRun) {
         SCOPED_TRACE(checked == &move ? "move" : "combine");
         const std::uint64_t before = checked->resident_bytes();
         for (int run = 0; run < 3; ++run) {
+            const std::uint64_t digests = derived.value();
             const CheckedRun r = checked->play();
             EXPECT_TRUE(r.verified) << "run " << run;
             EXPECT_EQ(r.full_check, run == 0) << "run " << run;
             EXPECT_EQ(r.stats.cycles, checked->makespan());
+            EXPECT_EQ(derived.value() - digests,
+                      checked == &move && run == 0 ? bcast.packet_count : 0u)
+                << "run " << run;
         }
         // Only the combine plan keeps an image: the expected one.
         const std::uint64_t image_bytes =
@@ -325,6 +336,30 @@ TEST(RtExpected, CheckedPlanFullyChecksOnlyItsFirstRun) {
                 : 0;
         EXPECT_EQ(checked->resident_bytes(), before + image_bytes);
     }
+}
+
+TEST(RtExpected, RejectsPlanWhoseDigestTableDisagrees) {
+    constexpr PortModel full = PortModel::one_port_full_duplex;
+    const Schedule bcast = routing::make_tree_broadcast(
+        trees::build_sbt(4, 0), BroadcastDiscipline::paced, 4, full);
+    const sim::CycleStats sim = sim::execute_schedule(bcast, full);
+    Plan plan = compile_plan(bcast, DataMode::move, kBlock, 2);
+    ASSERT_EQ(plan.packet_digest.size(), plan.packet_count);
+    EXPECT_EQ(plan.footprint().digests,
+              std::uint64_t{plan.packet_count} * sizeof(std::uint64_t));
+    EXPECT_TRUE(arena_is_canonical(plan));
+    plan.packet_digest[1] ^= 1;
+
+    EXPECT_FALSE(arena_is_canonical(plan));
+    AsyncPlayer clean(plan);
+    ASSERT_TRUE(clean.play().clean()); // zero-copy: pointer identity
+    EXPECT_FALSE(check_move_run(plan, sim, clean));
+    // Copy-through hashes every arrived block against the table.
+    ft::FaultInjector hook{ft::FaultPlan{}};
+    hook.arm(plan);
+    AsyncPlayer hooked(plan);
+    hooked.set_fault_hook(&hook);
+    EXPECT_GT(hooked.play().checksum_failures, 0u);
 }
 
 } // namespace

@@ -324,7 +324,7 @@ TEST(RtPlanFootprint, ItemizedTotalsAndTrimmedCapacity) {
         DataMode::move, 16, 3);
     const PlanFootprint f = plan.footprint();
     EXPECT_EQ(f.total(), f.actions + f.dep_graph + f.buckets + f.slots +
-                             f.channels + f.arena);
+                             f.channels + f.arena + f.digests);
     EXPECT_EQ(f.total(), plan.resident_bytes());
     // The SoA streams dominate `actions`: four u32 words per action.
     EXPECT_GE(f.actions, plan.action_count() * 16u);
@@ -336,8 +336,8 @@ TEST(RtPlanFootprint, ItemizedTotalsAndTrimmedCapacity) {
 
 /// Regression pins for the plan's resident footprint: per
 /// family, at every n in 3..8, the compiled plan (workers=2, block 4,
-/// arena excluded — block size is a runtime choice, not an encoding
-/// property) must fit `bytes_per_hop` bytes per lowered hop plus a fixed
+/// arena and digest table excluded — both are per-packet payload data,
+/// not encoding) must fit `bytes_per_hop` bytes per lowered hop plus a fixed
 /// allowance. The pins are ~15% above the measured encoding so a field
 /// widening or an accidental AoS mirror fails loudly.
 struct FootprintPin {
@@ -389,7 +389,7 @@ TEST(RtPlanFootprint, CompactBytesStayPinnedPerFamily) {
             const Schedule schedule = pin.make(n);
             const Plan plan = compile_plan(schedule, DataMode::move, 4, 2);
             const PlanFootprint f = plan.footprint();
-            const std::uint64_t encoding = f.total() - f.arena;
+            const std::uint64_t encoding = f.total() - f.arena - f.digests;
             const std::uint64_t hops = plan.lowered_count();
             // Fixed allowance: cycle/bucket CSR headers, per-node port
             // bitmaps, per-channel words, slot tables.

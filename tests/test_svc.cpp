@@ -7,6 +7,7 @@
 
 #include "common/check.hpp"
 #include "common/lru_cache.hpp"
+#include "obs/metrics.hpp"
 #include "svc/selector.hpp"
 #include "svc/session.hpp"
 #include "svc/signature.hpp"
@@ -469,6 +470,39 @@ TEST(SvcSession, FullCheckOnFirstExecutionOfEachEntry) {
     const hcube::CacheStats stats = session.cache_stats();
     EXPECT_EQ(stats.misses, 6u);
     EXPECT_EQ(stats.hits, 12u);
+}
+
+TEST(SvcSession, HitsDeriveNoCanonicalDigest) {
+    // An entry's first execution proves its plan's digest table (one
+    // canonical derivation per packet of a move plan, none for a combine
+    // plan); a hit checks against the arena and generates no block at all.
+    const obs::Counter& derived =
+        obs::registry().counter("rt.canonical_digests");
+    Session session(4, fast_session());
+    const struct {
+        Signature sig;
+        std::uint64_t first; ///< derivations on the miss: its packets
+    } cases[] = {
+        {sig_of(Op::broadcast, Family::sbt, 4, 0, 4, 16), 4},
+        {sig_of(Op::broadcast, Family::msbt, 4, 3, 8, 16), 8},
+        {sig_of(Op::scatter, Family::bst, 4, 0, 2, 16), 2 * 15},
+        {sig_of(Op::reduce, Family::sbt, 4, 0, 2, 16), 0},
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.sig.to_string());
+        std::uint64_t before = derived.value();
+        const ExecStats miss = session.execute(c.sig);
+        EXPECT_TRUE(miss.verified);
+        EXPECT_TRUE(miss.full_check);
+        EXPECT_EQ(derived.value() - before, c.first);
+        before = derived.value();
+        for (int i = 0; i < 3; ++i) {
+            const ExecStats hit = session.execute(c.sig);
+            EXPECT_TRUE(hit.verified);
+            EXPECT_TRUE(hit.cache_hit);
+        }
+        EXPECT_EQ(derived.value() - before, 0u);
+    }
 }
 
 TEST(SvcSession, CacheEvictionRecompiles) {
