@@ -1,16 +1,16 @@
 // Wall-clock benchmark of the collective service (hcube::svc): steady-state
-// request throughput of a persistent Service — plan cache, resident worker
-// pool, request batching — against the one-shot rt::Communicator baseline
-// that re-validates, recompiles, and fully checks every operation.
+// request throughput of a persistent Service — plan cache, hits played on
+// the caller's thread, join-in-flight batching — against the one-shot
+// rt::Communicator baseline that re-validates, recompiles, and fully
+// checks every operation.
 //
 // The workload cycles a small set of repeated signatures (the steady state
 // a long-running service actually sees): after one warm-up pass per
 // signature the plan cache serves every request, so the measured service
 // path is play() + the steady-state compare against the entry's expected
 // state.
-// Client concurrency is swept (1, 4, 16); at higher concurrency identical
-// queued signatures additionally coalesce into single executions
-// (batching), which is where the throughput multiple comes from.
+// Client concurrency is swept (1, 4, 16); at higher concurrency a request
+// whose signature is already executing rides that run (batching).
 //
 // Every request remains byte-verified — a row with "verified": false fails
 // this binary (exit 1) and the CI grep gate. Each Session row also records
@@ -21,7 +21,10 @@
 // also records `steady_digests`, the rt.canonical_digests delta over its
 // measured phase (after the warm-up that executes every signature once):
 // a cache hit compares against its plan's arena and derives no canonical
-// digest, so anything but 0 fails the binary too. The selector rows
+// digest, so anything but 0 fails the binary too. Each Service row also
+// records `builder_runs`, the svc.builder_runs delta over the same phase:
+// a hit plays on the caller's thread and only a miss reaches the builder
+// thread, so anything but 0 fails the binary as well. The selector rows
 // record the cost model under the session's machine constants (the
 // paper's iPSC τ and t_c) picking the SBT in the small-message regime and
 // the MSBT above the crossover (Table 3's regimes).
@@ -166,12 +169,18 @@ std::uint64_t digests_now() {
     return hcube::obs::registry().counter("rt.canonical_digests").value();
 }
 
+/// Requests that reached a Service's builder thread so far in this process.
+std::uint64_t builder_runs_now() {
+    return hcube::obs::registry().counter("svc.builder_runs").value();
+}
+
 struct ServiceMeasured : Measured {
     double cache_hit_rate = 0;
     std::uint64_t batched = 0;
     std::uint64_t executed = 0;
     std::uint64_t barrier_plays = 0; ///< rt.plays_barrier over the row
     std::uint64_t steady_digests = 0; ///< rt.canonical_digests, measured
+    std::uint64_t builder_runs = 0;   ///< svc.builder_runs, measured
 };
 
 ServiceMeasured run_service(dim_t n, const std::vector<Signature>& mix,
@@ -200,6 +209,7 @@ ServiceMeasured run_service(dim_t n, const std::vector<Signature>& mix,
     std::atomic<bool> all_verified{true};
     const int per_client = requests / concurrency;
     const std::uint64_t digests_before = digests_now();
+    const std::uint64_t builds_before = builder_runs_now();
     const double begin = now_seconds();
     std::vector<std::thread> clients;
     for (int c = 0; c < concurrency; ++c) {
@@ -223,6 +233,7 @@ ServiceMeasured run_service(dim_t n, const std::vector<Signature>& mix,
     }
     const double elapsed = now_seconds() - begin;
     m.steady_digests = digests_now() - digests_before;
+    m.builder_runs = builder_runs_now() - builds_before;
 
     std::vector<double> all_ms;
     for (const auto& lane : latencies) {
@@ -235,8 +246,8 @@ ServiceMeasured run_service(dim_t n, const std::vector<Signature>& mix,
     m.verified = all_verified.load();
     // Requests served without compiling a plan: everything except the
     // cache misses (one per distinct signature, during warm-up). Batched
-    // riders never touch the cache at all, so this is computed over
-    // completed requests rather than raw cache lookups.
+    // riders never look up the cache, so this is computed over completed
+    // requests rather than raw cache lookups.
     const hcube::CacheStats cache = service.session().cache_stats();
     const double served = completed + static_cast<double>(mix.size());
     m.cache_hit_rate =
@@ -458,8 +469,8 @@ int main(int argc, char** argv) {
 
     hcube::bench::banner(
         "hcube::svc service throughput",
-        "persistent service (plan cache + pool + batching) vs one-shot "
-        "rt::Communicator");
+        "persistent service (plan cache + caller-thread hits + batching) "
+        "vs one-shot rt::Communicator");
 
     const std::vector<Signature> mix = workload(n, block);
     std::printf("n=%d  requests=%d  block=%u doubles  mix=%zu signatures\n\n",
@@ -473,6 +484,7 @@ int main(int argc, char** argv) {
     bool verified = true;
     std::uint64_t barrier_plays = 0; ///< summed over every Session row
     std::uint64_t steady_digests = 0; ///< summed over the Service rows
+    std::uint64_t builder_runs = 0;   ///< summed over the Service rows
 
     const Measured baseline = run_baseline(n, mix, block, requests);
     verified = verified && baseline.verified;
@@ -503,6 +515,7 @@ int main(int argc, char** argv) {
         verified = verified && svc.verified;
         barrier_plays += svc.barrier_plays;
         steady_digests += svc.steady_digests;
+        builder_runs += svc.builder_runs;
         const double speedup = baseline.ops_per_sec > 0
                                    ? svc.ops_per_sec / baseline.ops_per_sec
                                    : 0;
@@ -527,6 +540,7 @@ int main(int argc, char** argv) {
             json->field("executed", svc.executed);
             json->field("barrier_plays", svc.barrier_plays);
             json->field("steady_digests", svc.steady_digests);
+            json->field("builder_runs", svc.builder_runs);
             json->field("transport", svc.transport);
             json->field("verified", svc.verified);
             json->end_row();
@@ -664,6 +678,14 @@ int main(int argc, char** argv) {
                      "%llu canonical digests derived on the Service rows' "
                      "cache hits (expected 0)\n",
                      static_cast<unsigned long long>(steady_digests));
+        return 1;
+    }
+    if (builder_runs != 0) {
+        std::fprintf(stderr,
+                     "%llu Service-row requests reached the builder thread "
+                     "after the warm-up (expected 0: hits play on the "
+                     "caller's thread)\n",
+                     static_cast<unsigned long long>(builder_runs));
         return 1;
     }
     std::printf("\nall requests byte-verified\n");

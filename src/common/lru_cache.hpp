@@ -64,18 +64,14 @@ public:
     /// Copy of the cached value, promoting it to most recent; nullopt on a
     /// miss.
     [[nodiscard]] std::optional<Value> get(const Key& key) {
-        const std::shared_lock lock(mutex_);
-        const auto it = map_.find(key);
-        if (it == map_.end()) {
-            misses_.fetch_add(1, std::memory_order_relaxed);
-            return std::nullopt;
-        }
-        {
-            const std::lock_guard list_lock(list_mutex_);
-            move_to_mru(&it->second);
-        }
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second.value;
+        return lookup(key, true);
+    }
+
+    /// get() for a caller that falls back to get_or_create() on a miss: a
+    /// hit is counted and promoted as get() counts it, a miss counts
+    /// nothing, so the probe and its fallback together count one lookup.
+    [[nodiscard]] std::optional<Value> probe(const Key& key) {
+        return lookup(key, false);
     }
 
     /// The cached value for `key`, building it with `factory()` on a miss
@@ -210,6 +206,24 @@ private:
         Entry* prev = nullptr;    ///< toward LRU
         Entry* next = nullptr;    ///< toward MRU
     };
+
+    [[nodiscard]] std::optional<Value> lookup(const Key& key,
+                                              bool count_miss) {
+        const std::shared_lock lock(mutex_);
+        const auto it = map_.find(key);
+        if (it == map_.end()) {
+            if (count_miss) {
+                misses_.fetch_add(1, std::memory_order_relaxed);
+            }
+            return std::nullopt;
+        }
+        {
+            const std::lock_guard list_lock(list_mutex_);
+            move_to_mru(&it->second);
+        }
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        return it->second.value;
+    }
 
     // ---- intrusive recency list (lru_ = coldest, mru_ = hottest) ------
     // Callers hold list_mutex_, or the exclusive map lock (which excludes

@@ -5,10 +5,11 @@
 // plane uses: clients send OP_REQUEST{req_id, Signature} frames and get
 // back OP_RESPONSE{req_id, status, ExecStats summary}. One serve thread
 // per accepted connection; requests on a connection execute in order
-// through Service::run (the service's own admission/batching machinery is
-// what provides concurrency across connections). A frame that fails to
-// decode gets a status=failed response — a daemon never tears down
-// because one client spoke garbage.
+// through Service::run, which plays a cache hit on the serve thread itself
+// and hands only a miss to the service's builder thread (the service's
+// admission bound and join-in-flight batching apply across connections).
+// A frame that fails to decode gets a status=failed response — a daemon
+// never tears down because one client spoke garbage.
 //
 // NetClient is the matching blocking client: connect once, run() many.
 #pragma once

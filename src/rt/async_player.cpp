@@ -260,6 +260,46 @@ void AsyncPlayer::run_serial(PlayStats& stats) {
     }
 }
 
+void AsyncPlayer::run_stealing(WorkerPool* pool, PlayStats& stats) {
+    const std::uint32_t total = plan_.action_count();
+    std::vector<Worker> workers(plan_.workers);
+    completed_.store(0, std::memory_order_relaxed);
+    for (std::uint32_t a = 0; a < total; ++a) {
+        deps_[a].store(plan_.dep_count[a], std::memory_order_relaxed);
+    }
+    for (std::uint32_t a = 0; a < total; ++a) {
+        if (plan_.dep_count[a] == 0) {
+            workers[plan_.owner_of(plan_.action_node(a))].queue.push_back(a);
+        }
+    }
+    if (pool != nullptr) {
+        HCUBE_ENSURE_MSG(pool->size() >= plan_.workers,
+                         "worker pool narrower than the plan");
+        pool->run(plan_.workers, [this, &workers](std::uint32_t w) {
+            run_worker(w, workers.data());
+        });
+    } else {
+        std::vector<std::thread> threads;
+        threads.reserve(plan_.workers);
+        for (std::uint32_t w = 0; w < plan_.workers; ++w) {
+            threads.emplace_back(
+                [this, w, &workers] { run_worker(w, workers.data()); });
+        }
+        for (std::thread& t : threads) {
+            t.join();
+        }
+    }
+    for (const Worker& w : workers) {
+        stats.blocks_sent += w.stats.blocks_sent;
+        stats.blocks_delivered += w.stats.blocks_delivered;
+        stats.bytes_copied += w.stats.bytes_copied;
+        stats.checksum_failures += w.stats.checksum_failures;
+        stats.channel_faults += w.stats.channel_faults;
+        stats.timeouts += w.stats.timeouts;
+        stats.steals += w.stats.steals;
+    }
+}
+
 PlayStats AsyncPlayer::play(WorkerPool* pool) {
     prepare_views();
     channels_.reset();
@@ -278,55 +318,17 @@ PlayStats AsyncPlayer::play(WorkerPool* pool) {
         std::uint64_t{total} <
             std::uint64_t{kSerialActionsPerWorker} * plan_.workers;
 
-    std::vector<Worker> workers(serial ? 1 : plan_.workers);
-    if (!serial) {
-        completed_.store(0, std::memory_order_relaxed);
-        for (std::uint32_t a = 0; a < total; ++a) {
-            deps_[a].store(plan_.dep_count[a], std::memory_order_relaxed);
-        }
-        for (std::uint32_t a = 0; a < total; ++a) {
-            if (plan_.dep_count[a] == 0) {
-                workers[plan_.owner_of(plan_.action_node(a))]
-                    .queue.push_back(a);
-            }
-        }
-    }
-
+    PlayStats stats;
     const auto start = std::chrono::steady_clock::now();
     if (serial) {
-        run_serial(workers[0].stats);
-    } else if (pool != nullptr) {
-        HCUBE_ENSURE_MSG(pool->size() >= plan_.workers,
-                         "worker pool narrower than the plan");
-        pool->run(plan_.workers, [this, &workers](std::uint32_t w) {
-            run_worker(w, workers.data());
-        });
+        run_serial(stats);
     } else {
-        std::vector<std::thread> threads;
-        threads.reserve(plan_.workers);
-        for (std::uint32_t w = 0; w < plan_.workers; ++w) {
-            threads.emplace_back(
-                [this, w, &workers] { run_worker(w, workers.data()); });
-        }
-        for (std::thread& t : threads) {
-            t.join();
-        }
+        run_stealing(pool, stats);
     }
     const auto stop = std::chrono::steady_clock::now();
-
-    PlayStats stats;
     stats.cycles = plan_.cycles; // logical schedule depth, never barriered
     stats.mode = serial ? ExecMode::serial : ExecMode::stealing;
     stats.seconds = std::chrono::duration<double>(stop - start).count();
-    for (const Worker& w : workers) {
-        stats.blocks_sent += w.stats.blocks_sent;
-        stats.blocks_delivered += w.stats.blocks_delivered;
-        stats.bytes_copied += w.stats.bytes_copied;
-        stats.checksum_failures += w.stats.checksum_failures;
-        stats.channel_faults += w.stats.channel_faults;
-        stats.timeouts += w.stats.timeouts;
-        stats.steals += w.stats.steals;
-    }
     stats.payload_bytes =
         stats.blocks_delivered * plan_.block_elems * sizeof(double);
 

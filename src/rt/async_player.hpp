@@ -120,7 +120,11 @@ private:
     struct Worker;
 
     void prepare_views();
+    /// The single-thread walk; accumulates into `stats`.
     void run_serial(PlayStats& stats);
+    /// The work-stealing run on plan.workers threads (the pool's, or
+    /// threads of its own); accumulates every worker's stats into `stats`.
+    void run_stealing(WorkerPool* pool, PlayStats& stats);
     void run_worker(std::uint32_t worker, Worker* workers);
     void execute(const RunContext& ctx, std::uint32_t action,
                  std::uint32_t worker, PlayStats& stats);

@@ -16,8 +16,10 @@
 // happens-before edges thread creation/join used to provide, which is what
 // keeps the channel bank's "caller's thread creation provides the
 // publication" comments true under pooling. Concurrent run() calls
-// serialize on an admission mutex: the pool is one machine, and the service
-// layer above it queues requests rather than timeslicing them.
+// serialize on an admission mutex: the pool is one machine. svc::Service
+// plays cache hits on its callers' threads, so stealing plays of different
+// callers take turns here rather than timeslicing the workers; serial
+// plays, which are every zero-copy hit, never reach the pool.
 #pragma once
 
 #include <condition_variable>

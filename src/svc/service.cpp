@@ -3,17 +3,17 @@
 #include "common/check.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 namespace hcube::svc {
 
 namespace {
 
 /// Process-wide mirrors of the per-instance Service counters, plus the
-/// queue/latency instruments. Looked up once; the registry hands back
+/// admission/latency instruments. Looked up once; the registry hands back
 /// stable references.
 struct ServiceMetrics {
     obs::Counter& submitted = obs::registry().counter("svc.submitted");
@@ -21,6 +21,7 @@ struct ServiceMetrics {
     obs::Counter& batched = obs::registry().counter("svc.batched");
     obs::Counter& rejected = obs::registry().counter("svc.rejected");
     obs::Counter& failed = obs::registry().counter("svc.failed");
+    obs::Counter& builder_runs = obs::registry().counter("svc.builder_runs");
     obs::Gauge& queue_depth = obs::registry().gauge("svc.queue_depth");
     obs::Histogram& queue_wait_ns =
         obs::registry().histogram("svc.queue_wait_ns");
@@ -33,69 +34,84 @@ ServiceMetrics& metrics() {
     return m;
 }
 
-std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
+using Clock = std::chrono::steady_clock;
+
+std::uint64_t elapsed_ns(Clock::time_point since,
+                         Clock::time_point until = Clock::now()) {
     return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - since)
+        std::chrono::duration_cast<std::chrono::nanoseconds>(until - since)
             .count());
+}
+
+/// The tenant's latency histogram, memoized per thread: registry cells
+/// are stable and the registry is leaked, so caching the reference skips
+/// the name build + shared-lock lookup on every answered request.
+obs::Histogram& tenant_histogram(std::uint32_t client_id) {
+    thread_local std::unordered_map<std::uint32_t, obs::Histogram*> cache;
+    auto [it, fresh] = cache.try_emplace(client_id, nullptr);
+    if (fresh) {
+        it->second = &obs::registry().histogram(
+            "svc.tenant." + std::to_string(client_id) + ".op_ns");
+    }
+    return *it->second;
+}
+
+/// Status::failed carrying what the session threw.
+void fail(Response& response, const std::exception& ex) {
+    response.status = Status::failed;
+    response.error = ex.what();
+    if (const auto* rejected = dynamic_cast<const rejected_error*>(&ex)) {
+        response.rejection = rejected->rejection();
+    }
 }
 
 } // namespace
 
+struct Service::Flight {
+    Flight(const Signature& s, Clock::time_point at) : sig(s), admitted(at) {}
+
+    const Signature sig;
+    const Clock::time_point admitted; ///< the executing request's admission
+    // The members below are guarded by the service's mutex_.
+    std::uint32_t riders = 0; ///< requests that joined this run
+    std::condition_variable done_cv;
+    std::optional<Response> response; ///< set once, by finish()
+};
+
 Service::Service(dim_t n, ServiceParams params)
     : session_(n, params.session), params_(params),
-      dispatcher_([this] { dispatch_loop(); }) {
+      builder_([this] { builder_loop(); }) {
     HCUBE_ENSURE(params_.queue_depth >= 1);
 }
 
 Service::~Service() {
+    resume();
+    drain();
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-        paused_ = false; // a paused service still drains on shutdown
+        builder_stop_ = true;
     }
-    admit_cv_.notify_all();
-    dispatch_cv_.notify_all();
-    dispatcher_.join();
+    builder_cv_.notify_all();
+    builder_.join();
 }
 
-std::future<Response> Service::submit(const Request& req) {
-    Pending pending;
-    pending.sig = req.sig;
-    pending.client_id = req.client_id;
-    std::future<Response> future = pending.promise.get_future();
-
-    std::unique_lock<std::mutex> lock(mutex_);
-    HCUBE_ENSURE_MSG(!stopping_, "submit() on a stopping service");
-    if (queue_.size() >= params_.queue_depth) {
+bool Service::admit(std::unique_lock<std::mutex>& lock) {
+    if (in_flight_ >= params_.queue_depth) {
         if (params_.admission == Admission::reject) {
-            c_rejected_.inc();
-            metrics().rejected.inc();
-            lock.unlock();
-            Response response;
-            response.status = Status::rejected;
-            fulfill(pending, std::move(response));
-            return future;
+            return false;
         }
-        admit_cv_.wait(lock, [this] {
-            return stopping_ || queue_.size() < params_.queue_depth;
-        });
-        HCUBE_ENSURE_MSG(!stopping_, "submit() raced service shutdown");
+        ++blocked_;
+        gate_cv_.wait(lock,
+                      [this] { return in_flight_ < params_.queue_depth; });
+        --blocked_;
     }
-    c_submitted_.inc();
-    metrics().submitted.inc();
-    pending.enqueued = std::chrono::steady_clock::now();
-    queue_.push_back(std::move(pending));
-    metrics().queue_depth.set(static_cast<std::int64_t>(queue_.size()));
-    lock.unlock();
-    dispatch_cv_.notify_one();
-    return future;
+    ++in_flight_;
+    return true;
 }
 
 void Service::drain() {
     std::unique_lock<std::mutex> lock(mutex_);
-    idle_cv_.wait(lock,
-                  [this] { return queue_.empty() && !busy_ && !paused_; });
+    gate_cv_.wait(lock, [this] { return in_flight_ == 0 && blocked_ == 0; });
 }
 
 void Service::pause() {
@@ -104,12 +120,9 @@ void Service::pause() {
 }
 
 void Service::resume() {
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        paused_ = false;
-    }
-    dispatch_cv_.notify_all();
-    idle_cv_.notify_all(); // a drain() waiter may now satisfy its predicate
+    const std::lock_guard<std::mutex> lock(mutex_);
+    paused_ = false;
+    gate_cv_.notify_all();
 }
 
 Service::Counters Service::counters() const noexcept {
@@ -122,110 +135,141 @@ Service::Counters Service::counters() const noexcept {
     return c;
 }
 
-namespace {
-
-/// The tenant's latency histogram, memoized per thread: registry cells
-/// are stable and the registry is leaked, so caching the reference skips
-/// the name build + shared-lock lookup on every fulfilled request.
-obs::Histogram& tenant_histogram(std::uint32_t client_id) {
-    thread_local std::unordered_map<std::uint32_t, obs::Histogram*> cache;
-    auto [it, fresh] = cache.try_emplace(client_id, nullptr);
-    if (fresh) {
-        it->second = &obs::registry().histogram(
-            "svc.tenant." + std::to_string(client_id) + ".op_ns");
-    }
-    return *it->second;
-}
-
-} // namespace
-
-void Service::fulfill(Pending& p, Response response) {
-    // End-to-end tenant latency: admission to fulfilled promise, so queue
-    // wait, batching and execution all land on the tenant that paid them.
-    // Rejected submits never set `enqueued` and bill zero wait.
-    const std::uint64_t ns =
-        p.enqueued == std::chrono::steady_clock::time_point{}
-            ? 0
-            : elapsed_ns(p.enqueued);
-    tenant_histogram(p.client_id).record(ns);
-    p.promise.set_value(std::move(response));
-}
-
-void Service::dispatch_loop() {
-    for (;;) {
-        std::unique_lock<std::mutex> lock(mutex_);
-        dispatch_cv_.wait(lock, [this] {
-            return stopping_ || (!paused_ && !queue_.empty());
+void Service::finish(Flight& f, const Response& response,
+                     bool caller_waits) {
+    // Unregistered here, a request arriving from now on starts a run of
+    // its own instead of riding one that has already ended.
+    const auto it = std::ranges::find_if(
+        flights_, [&f](const std::shared_ptr<Flight>& g) {
+            return g.get() == &f;
         });
-        if (queue_.empty()) {
-            if (stopping_) {
-                idle_cv_.notify_all();
-                return;
-            }
-            continue;
-        }
-        // FIFO head picks the signature; batching coalesces every queued
-        // request with the same signature into this execution.
-        Pending head = std::move(queue_.front());
-        queue_.pop_front();
-        std::vector<Pending> riders;
-        for (auto it = queue_.begin(); it != queue_.end();) {
-            if (it->sig == head.sig) {
-                riders.push_back(std::move(*it));
-                it = queue_.erase(it);
+    std::swap(*it, flights_.back());
+    flights_.pop_back();
+    if (f.riders > 0 || caller_waits) {
+        f.response = response;
+        f.done_cv.notify_all();
+    }
+}
+
+Response Service::await(std::unique_lock<std::mutex>& lock, Flight& f) {
+    f.done_cv.wait(lock, [&f] { return f.response.has_value(); });
+    return *f.response;
+}
+
+void Service::count_execution(Clock::time_point start) {
+    metrics().execute_ns.record(elapsed_ns(start));
+    c_executed_.inc();
+    metrics().executed.inc();
+}
+
+Response Service::run(const Request& req) {
+    Response response;
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!admit(lock)) {
+        lock.unlock();
+        c_rejected_.inc();
+        metrics().rejected.inc();
+        response.status = Status::rejected;
+        tenant_histogram(req.client_id).record(0); // never admitted
+        return response;
+    }
+    const Clock::time_point admitted = Clock::now();
+    // Counted together with the join or registration below, so a reader
+    // that sees a request counted sees it registered or riding.
+    c_submitted_.inc();
+    metrics().queue_depth.add(1);
+
+    // Join the run of an equal signature in flight, or register this one.
+    std::shared_ptr<Flight> own; // this request's run while it is registered
+    const auto it = std::ranges::find_if(
+        flights_, [&req](const std::shared_ptr<Flight>& f) {
+            return f->sig == req.sig;
+        });
+    if (it != flights_.end()) {
+        // The run this request rides has already started: its wait for
+        // execution ended at admission.
+        const std::shared_ptr<Flight> ridden = *it;
+        ++ridden->riders;
+        c_batched_.inc();
+        response = await(lock, *ridden);
+        lock.unlock();
+        metrics().submitted.inc();
+        metrics().batched.inc();
+        metrics().queue_wait_ns.record(0);
+        response.batched = true;
+        response.stats.cache_hit = true; // rode on the executed plan
+    } else {
+        own = std::make_shared<Flight>(req.sig, admitted);
+        flights_.push_back(own);
+        gate_cv_.wait(lock, [this] { return !paused_; });
+        lock.unlock();
+        metrics().submitted.inc();
+        const Clock::time_point start = Clock::now();
+        bool resident = true;
+        try {
+            std::optional<ExecStats> stats =
+                session_.execute_resident(req.sig);
+            if (stats) {
+                response.stats = *stats;
             } else {
-                ++it;
+                resident = false;
             }
+        } catch (const std::exception& ex) {
+            fail(response, ex);
         }
-        busy_ = true;
-        c_batched_.inc(riders.size());
-        metrics().batched.inc(riders.size());
-        metrics().queue_depth.set(static_cast<std::int64_t>(queue_.size()));
+        if (resident) {
+            metrics().queue_wait_ns.record(elapsed_ns(admitted, start));
+            count_execution(start);
+        } else {
+            lock.lock();
+            misses_.push_back(own);
+            builder_cv_.notify_one();
+            response = await(lock, *own);
+            lock.unlock();
+            own.reset(); // the builder unregistered it
+        }
+    }
+    if (response.status == Status::failed) {
+        c_failed_.inc();
+        metrics().failed.inc();
+    }
+    // End-to-end tenant latency: admission to answer, so the wait to
+    // execute, riding and execution all land on the tenant that paid them.
+    tenant_histogram(req.client_id).record(elapsed_ns(admitted));
+    lock.lock();
+    if (own) {
+        finish(*own, response, false); // a hit: answer the riders it has
+    }
+    --in_flight_;
+    metrics().queue_depth.add(-1);
+    gate_cv_.notify_all();
+    return response;
+}
+
+void Service::builder_loop() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+        builder_cv_.wait(lock, [this] {
+            return builder_stop_ || !misses_.empty();
+        });
+        if (misses_.empty()) {
+            return; // stopping, and every miss has been answered
+        }
+        const std::shared_ptr<Flight> flight = std::move(misses_.front());
+        misses_.pop_front();
         lock.unlock();
-        admit_cv_.notify_all(); // slots freed
-
-        metrics().queue_wait_ns.record(elapsed_ns(head.enqueued));
-        for (const Pending& rider : riders) {
-            metrics().queue_wait_ns.record(elapsed_ns(rider.enqueued));
-        }
-
+        metrics().builder_runs.inc();
+        metrics().queue_wait_ns.record(elapsed_ns(flight->admitted));
+        const Clock::time_point start = Clock::now();
         Response response;
-        {
-            const obs::ScopedTimer timer(&metrics().execute_ns);
-            try {
-                response.stats = session_.execute(head.sig);
-                response.status = Status::ok;
-            } catch (const rejected_error& ex) {
-                response.status = Status::failed;
-                response.error = ex.what();
-                response.rejection = ex.rejection();
-            } catch (const std::exception& ex) {
-                response.status = Status::failed;
-                response.error = ex.what();
-            }
+        try {
+            response.stats = session_.execute(flight->sig);
+        } catch (const std::exception& ex) {
+            fail(response, ex);
         }
-
+        count_execution(start);
         lock.lock();
-        c_executed_.inc();
-        metrics().executed.inc();
-        if (response.status == Status::failed) {
-            c_failed_.inc(1 + riders.size());
-            metrics().failed.inc(1 + riders.size());
-        }
-        busy_ = false;
-        const bool idle = queue_.empty();
-        lock.unlock();
-
-        fulfill(head, response);
-        for (Pending& rider : riders) {
-            Response ride = response;
-            ride.batched = true;
-            ride.stats.cache_hit = true; // rode on the executed plan
-            fulfill(rider, std::move(ride));
-        }
-        if (idle) {
-            idle_cv_.notify_all();
-        }
+        finish(*flight, response, true);
     }
 }
 

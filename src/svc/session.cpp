@@ -32,12 +32,14 @@ std::optional<Rejection> preflight_against(const Signature& sig, dim_t n,
                              "-cube",
                          std::nullopt};
     }
-    const mbr::View sub = view.restricted(sig.n);
-    if (!sub.contains(sig.root)) {
+    // The root lies inside the sub-cube, so the whole view answers for it;
+    // only a refusal builds the sub-cube view, to suggest a live root.
+    if (!view.contains(sig.root)) {
         Rejection r{RejectReason::root_not_live,
                     "root " + std::to_string(sig.root) +
                         " is not a live member",
                     std::nullopt};
+        const mbr::View sub = view.restricted(sig.n);
         if (sub.count() > 0) {
             r.suggested_root = mbr::nearest_member(sub, sig.root);
             r.detail += " (nearest live member: " +
@@ -45,7 +47,7 @@ std::optional<Rejection> preflight_against(const Signature& sig, dim_t n,
         }
         return r;
     }
-    if (!sub.full()) {
+    if (!view.subcube_full(sig.n)) {
         if (sig.family != Family::sbt) {
             return Rejection{
                 RejectReason::family_unsupported,
@@ -132,11 +134,11 @@ Signature Session::plan_signature(Op op, node_t root,
 }
 
 std::shared_ptr<Session::PlanEntry>
-Session::entry_for(const Signature& sig, const mbr::View& sub,
-                   bool& cache_hit) {
+Session::entry_for(const Signature& sig, bool& cache_hit) {
     bool built = false;
     const auto factory = [&] {
         built = true;
+        const mbr::View sub = view_.restricted(sig.n);
         // A signature never spreads over more workers than it has live
         // nodes (the plan compiler's partition balances workers over the
         // member set); an incomplete sub-cube's schedule spans exactly
@@ -158,11 +160,7 @@ Session::entry_for(const Signature& sig, const mbr::View& sub,
     return entry;
 }
 
-ExecStats Session::execute(const Signature& sig) {
-    // The view stays stable for the whole execution: transitions take the
-    // exclusive side, so a membership change can never invalidate a plan
-    // mid-flight.
-    const std::shared_lock<std::shared_mutex> view_lock(view_mutex_);
+Signature Session::keyed(const Signature& sig) const {
     if (std::optional<Rejection> rejection =
             preflight_against(sig, n_, view_)) {
         throw rejected_error(std::move(*rejection));
@@ -170,42 +168,68 @@ ExecStats Session::execute(const Signature& sig) {
     // Stamp the signature with its sub-cube's member-set epoch: the cache
     // key now names "this collective over this member set", so a
     // transition re-keys exactly the signatures whose sub-cube changed.
-    Signature keyed = sig;
-    keyed.view_epoch = view_.epoch_of_subcube(sig.n);
-    const mbr::View sub = view_.restricted(sig.n);
+    Signature key = sig;
+    key.view_epoch = view_.epoch_of_subcube(sig.n);
+    return key;
+}
 
+ExecStats Session::execute(const Signature& sig) {
+    // The view stays stable for the whole execution: transitions take the
+    // exclusive side, so a membership change can never invalidate a plan
+    // mid-flight.
+    const std::shared_lock<std::shared_mutex> view_lock(view_mutex_);
+    const Signature key = keyed(sig);
+    bool cache_hit = false;
+    const std::shared_ptr<PlanEntry> entry = entry_for(key, cache_hit);
+    return play_entry(*entry, key, cache_hit);
+}
+
+std::optional<ExecStats> Session::execute_resident(const Signature& sig) {
+    const std::shared_lock<std::shared_mutex> view_lock(view_mutex_);
+    const Signature key = keyed(sig);
+    const std::optional<std::shared_ptr<PlanEntry>> entry = cache_.probe(key);
+    if (!entry) {
+        return std::nullopt;
+    }
+    return play_entry(**entry, key, true);
+}
+
+ExecStats Session::play_entry(PlanEntry& entry, const Signature& key,
+                              bool cache_hit) {
     ExecStats out;
-    out.view_epoch = keyed.view_epoch;
-    out.member_count = sub.count();
-    const std::shared_ptr<PlanEntry> entry =
-        entry_for(keyed, sub, out.cache_hit);
+    out.cache_hit = cache_hit;
+    out.view_epoch = key.view_epoch;
+    out.member_count = view_.subcube_count(key.n);
     static obs::Counter& m_hits =
         obs::registry().counter("svc.plan_cache.hits");
     static obs::Counter& m_misses =
         obs::registry().counter("svc.plan_cache.misses");
-    (out.cache_hit ? m_hits : m_misses).inc();
-    const std::lock_guard<std::mutex> lock(entry->exec_mutex);
+    (cache_hit ? m_hits : m_misses).inc();
+    const std::lock_guard<std::mutex> lock(entry.exec_mutex);
 
     // The entry's first execution (and any repeat of one that failed) is
     // checked against the schedule's expected final state; later runs
     // take the steady-state path (rt::CheckedPlan).
-    const rt::CheckedRun run = entry->checked.play(pool_.get());
+    const rt::CheckedRun run = entry.checked.play(pool_.get());
     out.verified = run.verified;
     out.full_check = run.full_check;
     out.rt_cycles = run.stats.cycles;
-    out.sim_makespan = entry->checked.makespan();
+    out.sim_makespan = entry.checked.makespan();
     out.blocks_delivered = run.stats.blocks_delivered;
     out.payload_bytes = run.stats.payload_bytes;
     out.bytes_copied = run.stats.bytes_copied;
     out.exec_mode = run.stats.mode;
     out.transport = run.stats.transport;
     out.seconds = run.stats.seconds;
-    out.plan_resident_bytes = entry->checked.resident_bytes();
+    out.plan_resident_bytes = entry.checked.resident_bytes();
+    if (cache_hit && !run.full_check) {
+        return out; // a steady hit changes neither residency nor evictions
+    }
     // The first verified pass changes what the entry keeps resident (the
     // combine image materializes); re-price it so the byte budget stays
     // exact.
     if (run.full_check) {
-        cache_.update_cost(keyed, out.plan_resident_bytes);
+        cache_.update_cost(key, out.plan_resident_bytes);
     }
     static obs::Gauge& m_resident =
         obs::registry().gauge("svc.plan_cache.resident_bytes");

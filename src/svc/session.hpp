@@ -111,6 +111,14 @@ class Session {
     /// transitions wait for in-flight executions to drain.
     [[nodiscard]] ExecStats execute(const Signature& sig);
 
+    /// execute() restricted to a resident plan entry: a hit plays and
+    /// verifies exactly as execute() does and counts one cache hit. A miss
+    /// returns nullopt having counted no lookup, built nothing and played
+    /// nothing; the caller's fallback execute() then counts the miss.
+    /// Throws rejected_error as execute() does.
+    [[nodiscard]] std::optional<ExecStats>
+    execute_resident(const Signature& sig);
+
     /// Why `sig` would be refused against the current view, or nullopt if
     /// it is admissible: dimension and root in range, root a live member
     /// of the signature's sub-cube (with the XOR-nearest live member
@@ -161,10 +169,18 @@ class Session {
   private:
     struct PlanEntry;
 
-    /// `sub` is the signature's sub-cube view (held stable by the shared
-    /// view lock the caller holds across the lookup).
+    /// `sig` as the cache keys it: preflighted against the view (throws
+    /// rejected_error) and stamped with its sub-cube's epoch. Caller holds
+    /// the view lock.
+    [[nodiscard]] Signature keyed(const Signature& sig) const;
+    /// The entry for keyed `sig`, built over its sub-cube view on a miss.
+    /// Caller holds the view lock across the lookup.
     [[nodiscard]] std::shared_ptr<PlanEntry>
-    entry_for(const Signature& sig, const mbr::View& sub, bool& cache_hit);
+    entry_for(const Signature& sig, bool& cache_hit);
+    /// Plays `entry` (keyed by `key`) and reports the run. Caller holds the
+    /// view lock.
+    [[nodiscard]] ExecStats play_entry(PlanEntry& entry, const Signature& key,
+                                       bool cache_hit);
     /// Evicts every cached plan whose sub-cube epoch no longer matches
     /// the view. Caller holds the exclusive view lock.
     std::size_t evict_stale_epochs();

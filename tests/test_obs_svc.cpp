@@ -6,10 +6,11 @@
 // delta-based against a snapshot taken at test start.
 #include "obs/metrics.hpp"
 #include "svc/service.hpp"
+#include "svc_caller.hpp"
 
 #include <gtest/gtest.h>
 
-#include <future>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,7 +69,7 @@ TEST(ObsSvc, CountersMatchRegistryMirrors) {
     // This service's plan compiled once and replayed three times.
     EXPECT_GE(delta(now, base, "svc.plan_cache.misses"), 1u);
     EXPECT_GE(delta(now, base, "svc.plan_cache.hits"), 3u);
-    // The queue drained: depth gauge is back to zero.
+    // Nothing is in flight: the depth gauge is back to zero.
     EXPECT_EQ(now.gauge("svc.queue_depth"), 0);
     // Queue wait and execute latency recorded one sample per request.
     EXPECT_GE(now.find("svc.queue_wait_ns")->hist.count -
@@ -108,25 +109,29 @@ TEST(ObsSvc, PerTenantLatencyKeyedByClientId) {
 }
 
 TEST(ObsSvc, WaitFreeCountersWhilePaused) {
-    // counters() must answer without the admission mutex: readable while
-    // the dispatcher is gated and the queue holds pending work.
+    // counters() must answer without any lock: readable while admitted
+    // requests are parked and riding.
     Service service(3, fast_service());
     service.pause();
     const Signature sig =
         sig_of(Op::broadcast, Family::sbt, 3, 0, 2, 32);
-    std::vector<std::future<Response>> futures;
+    std::vector<std::unique_ptr<Caller>> callers;
     for (int i = 0; i < 3; ++i) {
-        futures.push_back(service.submit(Request{sig, 7}));
+        callers.push_back(
+            std::make_unique<Caller>(service, Request{sig, 7}));
     }
+    const ResumeOnExit resume_on_exit(service);
+    // One request registered its run and parked; two joined it.
+    ASSERT_TRUE(eventually([&] { return service.counters().batched == 2; }));
     const Service::Counters c = service.counters();
     EXPECT_EQ(c.submitted, 3u);
     EXPECT_EQ(c.executed, 0u);
     EXPECT_GE(obs::registry().snapshot().gauge("svc.queue_depth"), 3);
     service.resume();
-    for (std::future<Response>& f : futures) {
-        EXPECT_EQ(f.get().status, Status::ok);
+    for (auto& caller : callers) {
+        EXPECT_EQ(caller->get().status, Status::ok);
     }
-    EXPECT_EQ(service.counters().executed, 1u); // head + 2 riders batched
+    EXPECT_EQ(service.counters().executed, 1u); // one run + 2 riders
     EXPECT_EQ(service.counters().batched, 2u);
 }
 
@@ -139,15 +144,16 @@ TEST(ObsSvc, AdmissionRejectCounts) {
     service.pause();
     const Signature sig =
         sig_of(Op::broadcast, Family::sbt, 3, 0, 2, 32);
-    std::vector<std::future<Response>> futures;
-    for (int i = 0; i < 4; ++i) {
-        futures.push_back(service.submit(Request{sig, 9}));
+    Caller admitted(service, Request{sig, 9}); // holds the only slot
+    const ResumeOnExit resume_on_exit(service);
+    ASSERT_TRUE(eventually([&] { return service.counters().submitted == 1; }));
+    std::uint32_t rejected = 0;
+    for (int i = 0; i < 3; ++i) {
+        rejected +=
+            service.run(Request{sig, 9}).status == Status::rejected ? 1u : 0u;
     }
     service.resume();
-    std::uint32_t rejected = 0;
-    for (std::future<Response>& f : futures) {
-        rejected += f.get().status == Status::rejected ? 1u : 0u;
-    }
+    EXPECT_EQ(admitted.get().status, Status::ok);
     EXPECT_EQ(rejected, 3u);
     EXPECT_EQ(service.counters().rejected, 3u);
     const obs::RegistrySnapshot now = obs::registry().snapshot();

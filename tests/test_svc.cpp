@@ -1,8 +1,10 @@
 // Tests of the concurrent collective service (hcube::svc): the shared LRU
 // cache, signature lowering, cost-model selection, the persistent Session
 // (plan cache + expected-state verification), and the Service front door
-// (admission backpressure, FIFO dispatch, batching) — including 16 client
-// threads submitting mixed requests concurrently, every one byte-verified.
+// (admission backpressure, join-in-flight batching, caller-thread hits and
+// the builder thread) — including 16 client threads running mixed requests
+// concurrently, and hits racing membership churn and evictions, every
+// response byte-verified.
 #include "svc/service.hpp"
 
 #include "common/check.hpp"
@@ -11,6 +13,7 @@
 #include "svc/selector.hpp"
 #include "svc/session.hpp"
 #include "svc/signature.hpp"
+#include "svc_caller.hpp"
 
 #include <gtest/gtest.h>
 
@@ -18,8 +21,8 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -663,19 +666,18 @@ TEST(SvcService, RejectPolicyBouncesWhenQueueFull) {
     params.queue_depth = 2;
     params.admission = Admission::reject;
     Service service(3, params);
-    service.pause(); // queue fills deterministically
+    service.pause(); // admitted requests park: both slots stay held
     const Signature sig = sig_of(Op::broadcast, Family::sbt, 3, 0, 2, 16);
-    std::vector<std::future<Response>> admitted;
-    admitted.push_back(service.submit(sig));
-    admitted.push_back(service.submit(sig));
-    std::future<Response> bounced = service.submit(sig);
-    ASSERT_EQ(bounced.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    EXPECT_EQ(bounced.get().status, Status::rejected);
+    Caller first(service, sig);
+    Caller second(service, sig);
+    const ResumeOnExit resume_on_exit(service);
+    ASSERT_TRUE(eventually([&] { return service.counters().submitted == 2; }));
+    const Response bounced = service.run(sig); // answered at once
+    EXPECT_EQ(bounced.status, Status::rejected);
     EXPECT_EQ(service.counters().rejected, 1u);
     service.resume();
-    for (auto& f : admitted) {
-        const Response r = f.get();
+    for (Caller* caller : {&first, &second}) {
+        const Response r = caller->get();
         EXPECT_EQ(r.status, Status::ok);
         EXPECT_TRUE(r.stats.verified);
     }
@@ -689,18 +691,17 @@ TEST(SvcService, BlockPolicyWaitsForASlot) {
     service.pause();
     const Signature a = sig_of(Op::broadcast, Family::sbt, 3, 0, 2, 16);
     const Signature b = sig_of(Op::broadcast, Family::sbt, 3, 1, 2, 16);
-    std::future<Response> first = service.submit(a); // fills the queue
-    std::atomic<bool> admitted{false};
-    std::thread blocked([&] {
-        std::future<Response> second = service.submit(b); // blocks
-        admitted.store(true);
-        EXPECT_EQ(second.get().status, Status::ok);
-    });
+    Caller first(service, a); // holds the only slot, parked
+    const ResumeOnExit resume_first(service);
+    ASSERT_TRUE(eventually([&] { return service.counters().submitted == 1; }));
+    Caller second(service, b); // blocks in admission
+    const ResumeOnExit resume_second(service);
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_FALSE(admitted.load()); // still backpressured
-    service.resume();              // dispatcher drains; the slot frees
-    blocked.join();
-    EXPECT_TRUE(admitted.load());
+    EXPECT_EQ(service.counters().submitted, 1u); // still backpressured
+    EXPECT_FALSE(second.done());
+    service.resume(); // the first request runs; its slot admits the second
+    EXPECT_EQ(second.get().status, Status::ok);
+    EXPECT_EQ(service.counters().submitted, 2u);
     EXPECT_EQ(first.get().status, Status::ok);
 }
 
@@ -711,22 +712,29 @@ TEST(SvcService, BatchingCoalescesEqualSignatures) {
     service.pause();
     const Signature hot = sig_of(Op::broadcast, Family::sbt, 3, 0, 2, 16);
     const Signature cold = sig_of(Op::scatter, Family::bst, 3, 0, 2, 16);
-    std::vector<std::future<Response>> hot_futures;
+    std::vector<std::unique_ptr<Caller>> hot_callers;
     for (int i = 0; i < 4; ++i) {
-        hot_futures.push_back(service.submit(hot));
+        hot_callers.push_back(std::make_unique<Caller>(service, hot));
     }
-    std::future<Response> cold_future = service.submit(cold);
+    Caller cold_caller(service, cold);
+    const ResumeOnExit resume_on_exit(service);
+    // The first hot request registered its run and parked; the other three
+    // joined it.
+    ASSERT_TRUE(eventually([&] {
+        const Service::Counters c = service.counters();
+        return c.submitted == 5 && c.batched == 3;
+    }));
     service.resume();
     service.drain();
     int riders = 0;
-    for (auto& f : hot_futures) {
-        const Response r = f.get();
+    for (auto& caller : hot_callers) {
+        const Response r = caller->get();
         EXPECT_EQ(r.status, Status::ok);
         EXPECT_TRUE(r.stats.verified);
         riders += r.batched ? 1 : 0;
     }
-    EXPECT_EQ(riders, 3); // head executed, three rode along
-    EXPECT_EQ(cold_future.get().status, Status::ok);
+    EXPECT_EQ(riders, 3); // one executed, three rode along
+    EXPECT_EQ(cold_caller.get().status, Status::ok);
     const Service::Counters counters = service.counters();
     EXPECT_EQ(counters.submitted, 5u);
     EXPECT_EQ(counters.batched, 3u);
@@ -734,17 +742,127 @@ TEST(SvcService, BatchingCoalescesEqualSignatures) {
 }
 
 TEST(SvcService, DrainOutlivesQueuedWork) {
+    const auto answered = [](const obs::RegistrySnapshot& snap) {
+        const obs::MetricSnapshot* m = snap.find("svc.tenant.0.op_ns");
+        return m != nullptr ? m->hist.count : 0;
+    };
+    const obs::RegistrySnapshot base = obs::registry().snapshot();
     Service service(3, fast_service());
+    service.pause();
     const Signature sig = sig_of(Op::broadcast, Family::sbt, 3, 0, 2, 16);
-    std::vector<std::future<Response>> futures;
+    std::vector<std::unique_ptr<Caller>> callers;
     for (int i = 0; i < 8; ++i) {
-        futures.push_back(service.submit(sig));
+        callers.push_back(std::make_unique<Caller>(service, sig));
     }
+    const ResumeOnExit resume_on_exit(service);
+    ASSERT_TRUE(eventually([&] { return service.counters().submitted == 8; }));
+    service.resume();
     service.drain();
-    for (auto& f : futures) {
-        ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
-                  std::future_status::ready);
-        EXPECT_EQ(f.get().status, Status::ok);
+    // drain() returned only once every admitted request was answered: a
+    // request records its tenant latency after its answer and before it
+    // frees its slot.
+    const obs::RegistrySnapshot now = obs::registry().snapshot();
+    EXPECT_EQ(answered(now) - answered(base), 8u);
+    EXPECT_EQ(now.gauge("svc.queue_depth"), base.gauge("svc.queue_depth"));
+    const Service::Counters counters = service.counters();
+    EXPECT_EQ(counters.executed + counters.batched, 8u);
+    for (auto& caller : callers) {
+        EXPECT_EQ(caller->get().status, Status::ok);
+    }
+}
+
+TEST(SvcService, RiderReceivesTheRunItJoined) {
+    Service service(3, fast_service());
+    service.pause();
+    const Signature sig = sig_of(Op::gather, Family::sbt, 3, 5, 2, 16);
+    Caller executor(service, sig); // registers its run, then parks
+    const ResumeOnExit resume_executor(service);
+    ASSERT_TRUE(eventually([&] { return service.counters().submitted == 1; }));
+    Caller rider(service, sig); // arrives while that run is in flight
+    const ResumeOnExit resume_rider(service);
+    ASSERT_TRUE(eventually([&] { return service.counters().batched == 1; }));
+    service.resume();
+    const Response ran = executor.get();
+    const Response rode = rider.get();
+    EXPECT_EQ(ran.status, Status::ok);
+    EXPECT_TRUE(ran.stats.verified);
+    EXPECT_FALSE(ran.batched);
+    EXPECT_FALSE(ran.stats.cache_hit);
+    EXPECT_EQ(rode.status, Status::ok);
+    EXPECT_TRUE(rode.stats.verified);
+    EXPECT_TRUE(rode.batched);
+    // The rider got the executed run's report: the entry's first, fully
+    // checked run, which the rider did not play itself.
+    EXPECT_TRUE(ran.stats.full_check);
+    EXPECT_TRUE(rode.stats.full_check);
+    EXPECT_EQ(rode.stats.rt_cycles, ran.stats.rt_cycles);
+    EXPECT_EQ(rode.stats.blocks_delivered, ran.stats.blocks_delivered);
+    EXPECT_EQ(service.counters().executed, 1u);
+    EXPECT_EQ(service.session().cache_stats().misses, 1u);
+    EXPECT_EQ(service.session().cache_stats().hits, 0u);
+}
+
+TEST(SvcService, EachExecutionCountsOneCacheLookup) {
+    // Hits run on the caller, misses on the builder thread, riders run
+    // nothing: the plan cache sees exactly one lookup per execution.
+    const obs::RegistrySnapshot base = obs::registry().snapshot();
+    Service service(4, fast_service());
+    const std::vector<Signature> sigs = {
+        sig_of(Op::broadcast, Family::sbt, 4, 3, 2, 16),
+        sig_of(Op::scatter, Family::bst, 4, 0, 1, 16),
+        sig_of(Op::reduce, Family::sbt, 3, 1, 1, 16),
+    };
+    for (int pass = 0; pass < 2; ++pass) {
+        for (const Signature& sig : sigs) {
+            const Response r = service.run(sig);
+            EXPECT_EQ(r.status, Status::ok);
+            EXPECT_TRUE(r.stats.verified);
+            EXPECT_EQ(r.stats.cache_hit, pass == 1);
+        }
+    }
+    service.pause();
+    Caller executor(service, sigs[0]);
+    const ResumeOnExit resume_executor(service);
+    ASSERT_TRUE(eventually([&] { return service.counters().submitted == 7; }));
+    Caller rider(service, sigs[0]);
+    const ResumeOnExit resume_rider(service);
+    ASSERT_TRUE(eventually([&] { return service.counters().batched == 1; }));
+    service.resume();
+    EXPECT_TRUE(executor.get().stats.verified);
+    EXPECT_TRUE(rider.get().batched);
+
+    const Service::Counters c = service.counters();
+    const hcube::CacheStats cs = service.session().cache_stats();
+    EXPECT_EQ(c.executed, 7u);
+    EXPECT_EQ(cs.hits + cs.misses, c.executed);
+    EXPECT_EQ(cs.misses, sigs.size());
+    EXPECT_EQ(c.submitted, c.executed + c.batched);
+    // Only the three misses crossed to the builder thread.
+    EXPECT_EQ(obs::registry().snapshot().counter("svc.builder_runs") -
+                  base.counter("svc.builder_runs"),
+              sigs.size());
+}
+
+TEST(SvcService, DestructionAnswersParkedCallers) {
+    // Declared first, the callers outlive the service: on every path out
+    // of the test its destructor must answer them before they join.
+    std::optional<Caller> first;
+    std::optional<Caller> second;
+    std::optional<Caller> third;
+    auto service = std::make_unique<Service>(3, fast_service());
+    service->pause();
+    const Signature a = sig_of(Op::broadcast, Family::sbt, 3, 0, 2, 16);
+    const Signature b = sig_of(Op::scatter, Family::sbt, 3, 2, 1, 16);
+    first.emplace(*service, a);
+    second.emplace(*service, b);
+    third.emplace(*service, a);
+    ASSERT_TRUE(
+        eventually([&] { return service->counters().submitted == 3; }));
+    service.reset(); // releases the parked callers and answers them
+    for (std::optional<Caller>* caller : {&first, &second, &third}) {
+        const Response r = (*caller)->get();
+        EXPECT_EQ(r.status, Status::ok);
+        EXPECT_TRUE(r.stats.verified);
     }
 }
 
@@ -787,6 +905,86 @@ TEST(SvcConcurrent, SixteenClientsMixedOpsAllVerified) {
     EXPECT_EQ(service.session().cached_plans(), mix.size());
     const hcube::CacheStats stats = service.session().cache_stats();
     EXPECT_EQ(stats.misses, mix.size());
+}
+
+TEST(SvcConcurrent, HitsRaceChurnAndEvictions) {
+    // Four callers replay three hot signatures and now and then one of two
+    // cold ones, while a fifth thread leaves and rejoins address 13 (every
+    // n = 4 plan goes stale) and a budget of the hot entries plus one cold
+    // one keeps evicting: caller-thread hits, builder-thread misses,
+    // riders, epoch evictions and LRU evictions all interleave.
+    const std::vector<Signature> hot = {
+        sig_of(Op::broadcast, Family::sbt, 3, 1, 1, 16),
+        sig_of(Op::gather, Family::sbt, 3, 5, 1, 16),
+        sig_of(Op::broadcast, Family::sbt, 4, 3, 2, 16),
+    };
+    const std::vector<Signature> cold = {
+        sig_of(Op::scatter, Family::sbt, 4, 0, 1, 16),
+        sig_of(Op::reduce, Family::sbt, 4, 6, 1, 16),
+    };
+    std::uint64_t budget = 0;
+    {
+        Session probe(4, fast_session());
+        for (const Signature& sig : hot) {
+            budget += probe.execute(sig).plan_resident_bytes;
+        }
+        budget += std::max(probe.execute(cold[0]).plan_resident_bytes,
+                           probe.execute(cold[1]).plan_resident_bytes);
+    }
+    ServiceParams params = fast_service(4);
+    params.session.plan_cache_bytes = budget;
+    Service service(4, params);
+    constexpr int kCallers = 4;
+    constexpr int kPerCaller = 40;
+    constexpr int kTransitions = 40;
+    constexpr node_t kMover = 13;
+    std::atomic<int> transitions{0};
+    std::thread churn([&] {
+        Session& session = service.session();
+        for (int t = 0; t < kTransitions; t += 2) {
+            (void)session.leave(kMover);
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+            (void)session.join(kMover);
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+            transitions.fetch_add(2);
+        }
+    });
+    // Every caller keeps replaying until the churn is over, so hits and
+    // transitions overlap however the threads are scheduled.
+    std::atomic<int> sent{0};
+    std::atomic<int> verified{0};
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&, c] {
+            for (int i = 0;
+                 i < kPerCaller || transitions.load() < kTransitions; ++i) {
+                const auto k = static_cast<std::size_t>(c + i);
+                const Signature& sig =
+                    i % 4 == 3 ? cold[k / 4 % cold.size()] : hot[k % hot.size()];
+                const Response r =
+                    service.run(Request{sig, static_cast<std::uint32_t>(c)});
+                sent.fetch_add(1);
+                if (r.status == Status::ok && r.stats.verified) {
+                    verified.fetch_add(1);
+                }
+            }
+        });
+    }
+    for (auto& t : callers) {
+        t.join();
+    }
+    churn.join();
+    service.drain();
+
+    EXPECT_EQ(verified.load(), sent.load());
+    const Service::Counters c = service.counters();
+    EXPECT_EQ(c.submitted, static_cast<std::uint64_t>(sent.load()));
+    EXPECT_EQ(c.submitted, c.executed + c.batched);
+    EXPECT_EQ(c.failed, 0u);
+    const hcube::CacheStats cs = service.session().cache_stats();
+    EXPECT_EQ(cs.hits + cs.misses, c.executed);
+    EXPECT_GT(cs.hits, 0u);
+    EXPECT_GT(cs.evictions, 0u);
 }
 
 TEST(SvcConcurrent, ParallelSessionsShareNothing) {
