@@ -151,8 +151,8 @@ void AsyncPlayer::run_worker(std::uint32_t worker, Worker* workers) {
                          copy_through_};
     std::uint32_t misses = 0;
     // On abort every worker simply exits its loop: unfinished actions stay
-    // unfinished (their dep counters never reach zero), and play() rewinds
-    // channels and counters before the next run.
+    // unfinished (their dep counters never reach zero), and the next run
+    // that walks the rings rewinds them and the counters first.
     while (completed_.load(std::memory_order_acquire) < total &&
            !arbiter_.aborted()) {
         std::uint32_t action = kNoAction;
@@ -214,7 +214,7 @@ void AsyncPlayer::run_serial(PlayStats& stats) {
     // of comparing the descriptor's digest word (published from the same
     // table it is checked against), the forwarded view must be the
     // packet's canonical arena block, pointer-identical.
-    if (!copy_through_ && trace_ == nullptr && !ctx.detecting) {
+    if (ring_free()) {
         for (std::uint32_t cycle = 0; cycle < plan_.cycles; ++cycle) {
             const std::uint32_t lo = plan_.flat_cycle_begin[cycle];
             const std::uint32_t hi = plan_.flat_cycle_begin[cycle + 1];
@@ -302,7 +302,11 @@ void AsyncPlayer::run_stealing(WorkerPool* pool, PlayStats& stats) {
 
 PlayStats AsyncPlayer::play(WorkerPool* pool) {
     prepare_views();
-    channels_.reset();
+    // A ring walk rewinds the bank so its sequence stamps restart at 0;
+    // the ring-free walk never reads the bank and skips the rewind.
+    if (!ring_free()) {
+        channels_.reset();
+    }
     arbiter_.reset();
     if (trace_ != nullptr) {
         HCUBE_ENSURE_MSG(trace_->workers() >= plan_.workers,

@@ -80,10 +80,11 @@ public:
     /// Seeds initial blocks, runs the dependency graph to completion on
     /// plan.workers threads, and returns the aggregated stats (cycles is
     /// the logical schedule depth; no barrier ever synchronizes on it).
-    /// Reusable: every call starts from freshly seeded memory and
-    /// rewound channels. With a non-null `pool` (of at least plan.workers
-    /// threads) the run is dispatched onto the resident pool threads
-    /// instead of creating and joining a thread per worker.
+    /// Reusable: every call starts from freshly seeded memory, and every
+    /// call that walks the rings from rewound channels. With a non-null
+    /// `pool` (of at least plan.workers threads) the run is dispatched
+    /// onto the resident pool threads instead of creating and joining a
+    /// thread per worker.
     [[nodiscard]] PlayStats play() { return play(nullptr); }
     [[nodiscard]] PlayStats play(WorkerPool* pool);
 
@@ -120,6 +121,11 @@ private:
     struct Worker;
 
     void prepare_views();
+    /// This run takes the serial walk that touches no ring: zero-copy,
+    /// untraced and undetected (decided after prepare_views()).
+    [[nodiscard]] bool ring_free() const noexcept {
+        return !copy_through_ && trace_ == nullptr && !detect_.enabled();
+    }
     /// The single-thread walk; accumulates into `stats`.
     void run_serial(PlayStats& stats);
     /// The work-stealing run on plan.workers threads (the pool's, or

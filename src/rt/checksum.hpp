@@ -7,6 +7,16 @@
 // representable in a double, which lets the combining (reduce) path be
 // checked for bit-exact equality rather than within a tolerance.
 //
+// A block is keyed by its packet (canonical) or by its node and packet
+// (a reduction's contribution), and one splitmix64 output supplies eight
+// consecutive elements: element `e` is byte `e mod 8`, least significant
+// first, of mix64(key ^ (e / 8)). canonical_element and
+// contribution_element state that definition one element at a time (the
+// tests compare against them); the fills produce whole rows through the
+// out-of-line kernel simd::fill_bytes, which generates a block in about
+// half the time the digest below takes to hash it (docs/PERFORMANCE.md
+// § The runtime's per-block hot path).
+//
 // The digest itself is the lane-parallel scalar xxHash64 in rt/simd.hpp,
 // hashing the doubles' bit patterns. All payloads the runtime
 // generates are small non-negative integers, so every value has exactly one
@@ -30,15 +40,31 @@ namespace detail {
     return x ^ (x >> 31);
 }
 
+/// Element `elem` of the block keyed `key`: byte `elem mod 8` of
+/// mix64(key ^ (elem / 8)), as a double.
+[[nodiscard]] constexpr double payload_element(std::uint64_t key,
+                                               std::size_t elem) noexcept {
+    const std::uint64_t h = mix64(key ^ (elem / 8));
+    return static_cast<double>((h >> (8 * (elem % 8))) & 0xffu);
+}
+
+[[nodiscard]] constexpr std::uint64_t
+canonical_key(std::uint32_t packet) noexcept {
+    return std::uint64_t{packet} << 32;
+}
+
+[[nodiscard]] constexpr std::uint64_t
+contribution_key(std::uint32_t node, std::uint32_t packet) noexcept {
+    return (std::uint64_t{node} << 40) ^ (std::uint64_t{packet} << 20);
+}
+
 } // namespace detail
 
 /// Element `elem` of the canonical block for packet `packet`: an integer in
 /// [0, 256).
 [[nodiscard]] constexpr double canonical_element(std::uint32_t packet,
                                                  std::size_t elem) noexcept {
-    const std::uint64_t h =
-        detail::mix64((std::uint64_t{packet} << 32) ^ elem);
-    return static_cast<double>(h & 0xffu);
+    return detail::payload_element(detail::canonical_key(packet), elem);
 }
 
 /// Element `elem` of node `node`'s *contribution* to packet `packet` in a
@@ -46,23 +72,20 @@ namespace detail {
 [[nodiscard]] constexpr double
 contribution_element(std::uint32_t node, std::uint32_t packet,
                      std::size_t elem) noexcept {
-    const std::uint64_t h = detail::mix64(
-        (std::uint64_t{node} << 40) ^ (std::uint64_t{packet} << 20) ^ elem);
-    return static_cast<double>(h & 0xffu);
+    return detail::payload_element(detail::contribution_key(node, packet),
+                                   elem);
 }
 
 inline void fill_canonical(std::span<double> block,
                            std::uint32_t packet) noexcept {
-    for (std::size_t i = 0; i < block.size(); ++i) {
-        block[i] = canonical_element(packet, i);
-    }
+    simd::fill_bytes(block.data(), block.size(),
+                     detail::canonical_key(packet));
 }
 
 inline void fill_contribution(std::span<double> block, std::uint32_t node,
                               std::uint32_t packet) noexcept {
-    for (std::size_t i = 0; i < block.size(); ++i) {
-        block[i] = contribution_element(node, packet, i);
-    }
+    simd::fill_bytes(block.data(), block.size(),
+                     detail::contribution_key(node, packet));
 }
 
 /// 64-bit digest of a block's contents (simd::checksum).

@@ -92,11 +92,8 @@ combine_image(const Plan& plan, const sim::Schedule& schedule) {
             targets[k - begin] = to;
         }
         for (std::size_t k = 0; k < end - begin; ++k) {
-            double* acc = image.data() + targets[k] * blk;
-            const double* add = staged.data() + k * blk;
-            for (std::size_t e = 0; e < blk; ++e) {
-                acc[e] += add[e];
-            }
+            simd::accumulate(image.data() + targets[k] * blk,
+                             staged.data() + k * blk, blk);
         }
         begin = end;
     }

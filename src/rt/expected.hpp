@@ -15,12 +15,14 @@
 //             block is its packet's arena block — the same pointer on the
 //             zero-copy path, equal bytes under copy-through.
 //   combine — the root holds the exact elementwise sums of the live
-//             members' contributions, and every slot equals, byte for
-//             byte, the image of evaluating the schedule (not the lowered
-//             plan) cycle by cycle in exact arithmetic from contribution-
-//             seeded slots, a cycle's sends reading before its receives
-//             accumulate. That image is what a cached plan's later runs
-//             are compared against.
+//             members' contributions (built a row at a time: each
+//             member's whole contribution block is generated and added),
+//             and every slot equals, byte for byte, the image of
+//             evaluating the schedule (not the lowered plan) cycle by
+//             cycle in exact arithmetic from contribution-seeded slots, a
+//             cycle's sends reading before its receives accumulate. That
+//             image is what a cached plan's later runs are compared
+//             against.
 //
 // Both engines answer to the same rule; the barrier engine additionally
 // owes cycles == makespan, which callers read off its PlayStats
@@ -34,6 +36,7 @@
 #include "rt/plan.hpp"
 #include "sim/cycle.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -108,32 +111,36 @@ template <class P>
 
 /// The root's block for every packet of `schedule` equals the exact
 /// elementwise integer sum of every member's contribution (`members`
-/// empty = all 2^n nodes of the schedule's cube).
+/// empty = all 2^n nodes of the schedule's cube), built a row at a time.
 template <class P>
 [[nodiscard]] bool root_sums_match(const P& player,
                                    const sim::Schedule& schedule,
                                    node_t root, std::size_t block_elems,
                                    std::span<const node_t> members) {
     const node_t count = node_t{1} << schedule.n;
+    std::vector<double> expected(block_elems);
+    std::vector<double> row(block_elems);
+    const auto add = [&](node_t node, packet_t packet) {
+        fill_contribution(row, node, packet);
+        simd::accumulate(expected.data(), row.data(), block_elems);
+    };
     for (packet_t p = 0; p < schedule.packet_count; ++p) {
         const std::span<const double> block = player.block(root, p);
         if (block.size() != block_elems) {
             return false;
         }
-        for (std::size_t e = 0; e < block_elems; ++e) {
-            double expected = 0.0;
-            if (members.empty()) {
-                for (node_t i = 0; i < count; ++i) {
-                    expected += contribution_element(i, p, e);
-                }
-            } else {
-                for (const node_t i : members) {
-                    expected += contribution_element(i, p, e);
-                }
+        std::ranges::fill(expected, 0.0);
+        if (members.empty()) {
+            for (node_t i = 0; i < count; ++i) {
+                add(i, p);
             }
-            if (block[e] != expected) {
-                return false;
+        } else {
+            for (const node_t i : members) {
+                add(i, p);
             }
+        }
+        if (!std::ranges::equal(block, expected)) {
+            return false;
         }
     }
     return true;

@@ -1,5 +1,7 @@
 #include "rt/simd.hpp"
 
+#include "rt/checksum.hpp"
+
 #include <cstring>
 
 #if defined(__x86_64__)
@@ -59,8 +61,32 @@ std::uint64_t merge_accumulators(const std::uint64_t acc[4]) noexcept {
     return h;
 }
 
+/// Writes the low `count` bytes of `h`, least significant first, as
+/// doubles.
+void widen_bytes_portable(double* dst, std::uint64_t h,
+                          std::size_t count) noexcept {
+    for (std::size_t j = 0; j < count; ++j, h >>= 8) {
+        dst[j] = static_cast<double>(h & 0xffu);
+    }
+}
+
 #if defined(__x86_64__) && !defined(HCUBE_FORCE_SCALAR_CHECKSUM)
-#define HCUBE_HAVE_AVX2_KERNELS 1
+#define HCUBE_HAVE_X86_KERNELS 1
+
+/// widen_bytes_portable for all eight bytes: zero-extend them to 32-bit
+/// lanes with two unpacks, then convert two lanes per store. SSE2 only,
+/// which every x86-64 CPU has.
+void widen_bytes_sse2(double* dst, std::uint64_t h) noexcept {
+    const __m128i zero = _mm_setzero_si128();
+    const __m128i words = _mm_unpacklo_epi8(
+        _mm_cvtsi64_si128(static_cast<long long>(h)), zero);
+    const __m128i lo = _mm_unpacklo_epi16(words, zero);
+    const __m128i hi = _mm_unpackhi_epi16(words, zero);
+    _mm_storeu_pd(dst, _mm_cvtepi32_pd(lo));
+    _mm_storeu_pd(dst + 2, _mm_cvtepi32_pd(_mm_unpackhi_epi64(lo, lo)));
+    _mm_storeu_pd(dst + 4, _mm_cvtepi32_pd(hi));
+    _mm_storeu_pd(dst + 6, _mm_cvtepi32_pd(_mm_unpackhi_epi64(hi, hi)));
+}
 
 __attribute__((target("avx2"))) void
 accumulate_avx2(double* dst, const double* src, std::size_t n) noexcept {
@@ -86,7 +112,7 @@ struct Dispatch {
 
 const Dispatch& dispatch() noexcept {
     static const Dispatch d = [] {
-#if defined(HCUBE_HAVE_AVX2_KERNELS)
+#if defined(HCUBE_HAVE_X86_KERNELS)
         if (__builtin_cpu_supports("avx2")) {
             return Dispatch{&accumulate_avx2, "avx2"};
         }
@@ -114,6 +140,22 @@ std::uint64_t checksum(const double* data, std::size_t n) noexcept {
         h = kP5;
     }
     return finish(h, data, i, n);
+}
+
+void fill_bytes(double* dst, std::size_t n, std::uint64_t key) noexcept {
+    const std::size_t rows = n / 8;
+    for (std::size_t g = 0; g < rows; ++g) {
+        const std::uint64_t h = rt::detail::mix64(key ^ g);
+#if defined(HCUBE_HAVE_X86_KERNELS)
+        widen_bytes_sse2(dst + 8 * g, h);
+#else
+        widen_bytes_portable(dst + 8 * g, h, 8);
+#endif
+    }
+    if (n % 8 != 0) {
+        widen_bytes_portable(dst + 8 * rows, rt::detail::mix64(key ^ rows),
+                             n % 8);
+    }
 }
 
 void accumulate_scalar(double* dst, const double* src,

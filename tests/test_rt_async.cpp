@@ -15,6 +15,7 @@
 #include "rt/async_player.hpp"
 
 #include "ft/injector.hpp"
+#include "rt/expected.hpp"
 #include "rt/plan.hpp"
 #include "rt/player.hpp"
 #include "rt/threads.hpp"
@@ -26,7 +27,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <string>
+#include <vector>
 
 namespace hcube::rt {
 namespace {
@@ -390,6 +393,76 @@ TEST(RtAsyncVsBarrier, AsyncPlayerIsReusableAcrossRuns) {
     EXPECT_TRUE(second.clean());
     EXPECT_EQ(first.blocks_delivered, second.blocks_delivered);
     EXPECT_EQ(second.blocks_delivered, schedule.sends.size());
+}
+
+/// A pass-through fault hook that records every push's sequence stamp,
+/// per channel.
+class StampRecorder final : public ft::ChannelFaultHook {
+public:
+    explicit StampRecorder(std::uint32_t channels) : stamps(channels) {}
+    ft::PushVerdict on_push(std::uint32_t channel, std::uint32_t seq,
+                            std::span<double>) noexcept override {
+        stamps[channel].push_back(seq);
+        return ft::PushVerdict::deliver;
+    }
+    std::vector<std::vector<std::uint32_t>> stamps;
+};
+
+TEST(RtAsyncVsBarrier, OnlyRingWalksRewindTheRings) {
+    // The ring-free walk skips the rewind; every ring walk (traced,
+    // hooked or detecting) still restarts each channel's sequence stamps
+    // at 0. Every ring walk's receives check each stamp against the
+    // plan's (a stale stamp counts a channel fault), and a hooked walk's
+    // pushes are recorded too.
+    const Schedule schedule = routing::make_msbt_broadcast(
+        4, 0, 8, PortModel::one_port_full_duplex);
+    const sim::CycleStats sim =
+        sim::execute_schedule(schedule, PortModel::one_port_full_duplex);
+    const Plan plan = compile_plan(schedule, DataMode::move, kBlock, 2);
+    AsyncPlayer player(plan);
+    TraceRecorder trace(plan.workers);
+    const auto expect_verified = [&](const char* run) {
+        SCOPED_TRACE(run);
+        const PlayStats stats = player.play();
+        EXPECT_TRUE(stats.clean());
+        EXPECT_EQ(stats.mode, ExecMode::serial);
+        EXPECT_EQ(stats.blocks_delivered, schedule.sends.size());
+        EXPECT_TRUE(check_move_run(plan, sim, player));
+    };
+    const auto expect_hooked_stamps_from_zero = [&](const char* run) {
+        StampRecorder hook(plan.channel_count);
+        player.set_fault_hook(&hook);
+        expect_verified(run);
+        player.set_fault_hook(nullptr);
+        std::uint64_t pushes = 0;
+        for (const std::vector<std::uint32_t>& stamps : hook.stamps) {
+            for (std::uint32_t k = 0; k < stamps.size(); ++k) {
+                EXPECT_EQ(stamps[k], k) << run;
+            }
+            pushes += stamps.size();
+        }
+        EXPECT_EQ(pushes, schedule.sends.size()) << run;
+    };
+
+    const auto expect_traced = [&](const char* run) {
+        trace.reset();
+        player.set_trace(&trace);
+        expect_verified(run);
+        player.set_trace(nullptr);
+        EXPECT_EQ(trace.event_count(), 2 * schedule.sends.size()) << run;
+    };
+
+    expect_verified("ring-free");
+    expect_traced("traced");
+    expect_hooked_stamps_from_zero("hooked after traced");
+    expect_verified("ring-free again");
+    // Every kind of ring walk follows another ring walk once.
+    player.set_detection(
+        {.arrival_timeout_us = 500000, .abort_on_fault = true});
+    expect_verified("detecting after ring-free");
+    player.set_detection({});
+    expect_traced("traced after detecting");
+    expect_hooked_stamps_from_zero("hooked after traced again");
 }
 
 TEST(RtAsyncVsBarrier, RingsTakeThePlanDepth) {

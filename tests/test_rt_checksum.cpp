@@ -1,7 +1,9 @@
 // Pins the runtime's block checksum to an independent xxHash64 reference
 // implementation, bit for bit — over randomized sizes including the
-// sub-stripe (< 4 words) and non-lane-multiple tails — and the dispatched
-// reduce (AVX2 where present) to the portable scalar reduce.
+// sub-stripe (< 4 words) and non-lane-multiple tails — the payload
+// generator's row fills to its per-element definition and to an
+// independent splitmix64 reference, and the dispatched reduce (AVX2 where
+// present) to the portable scalar reduce.
 //
 // The reference below is a straight transliteration of the xxHash64
 // specification (seed 0) over raw bytes, written independently from
@@ -185,6 +187,107 @@ TEST(RtChecksum, BlockAndCanonicalChecksumsUseTheSameAlgorithm) {
             << "elems=" << elems;
         EXPECT_EQ(block_checksum(block),
                   simd::checksum(block.data(), elems));
+    }
+}
+
+/// Sizes that cover every row phase: 0..67 (empty, sub-row, whole rows,
+/// every ragged tail), then multi-row blocks around 256 and two larger
+/// ones.
+std::vector<std::size_t> fill_sizes() {
+    std::vector<std::size_t> sizes;
+    for (std::size_t n = 0; n <= 67; ++n) {
+        sizes.push_back(n);
+    }
+    for (const std::size_t n : {255u, 256u, 257u, 1021u, 4096u}) {
+        sizes.push_back(n);
+    }
+    return sizes;
+}
+
+TEST(RtChecksum, FillMatchesElementDefinition) {
+    // Both row fills (the unpack body and the ragged tail alike) equal the
+    // per-element definition at every index, write nothing past the
+    // block, and produce integers in [0, 256).
+    constexpr double kGuard = -1.0;
+    for (const std::size_t n : fill_sizes()) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        std::vector<double> canon(n + 1, kGuard);
+        std::vector<double> contrib(n + 1, kGuard);
+        fill_canonical({canon.data(), n}, 9);
+        fill_contribution({contrib.data(), n}, 5, 3);
+        EXPECT_EQ(canon[n], kGuard);
+        EXPECT_EQ(contrib[n], kGuard);
+        for (std::size_t e = 0; e < n; ++e) {
+            ASSERT_EQ(canon[e], canonical_element(9, e)) << "e=" << e;
+            ASSERT_EQ(contrib[e], contribution_element(5, 3, e))
+                << "e=" << e;
+            for (const double v : {canon[e], contrib[e]}) {
+                ASSERT_GE(v, 0.0);
+                ASSERT_LT(v, 256.0);
+                ASSERT_EQ(v, static_cast<double>(static_cast<int>(v)));
+            }
+        }
+    }
+}
+
+/// splitmix64 as its reference states it: a generator whose state
+/// advances by the golden gamma before each output is mixed. Element `e`
+/// of the block keyed `key` is byte `e mod 8` of the first output of the
+/// generator seeded with `key ^ (e / 8)`.
+class SplitMix64Reference {
+public:
+    explicit SplitMix64Reference(std::uint64_t seed) : state_(seed) {}
+    std::uint64_t next() {
+        std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+        return z ^ (z >> 31);
+    }
+
+private:
+    std::uint64_t state_;
+};
+
+double reference_element(std::uint64_t key, std::size_t e) {
+    std::uint64_t word = SplitMix64Reference(key ^ (e / 8)).next();
+    unsigned char bytes[8];
+    // Least significant byte first.
+    for (unsigned char& b : bytes) {
+        b = static_cast<unsigned char>(word % 256);
+        word /= 256;
+    }
+    return bytes[e % 8];
+}
+
+TEST(RtChecksum, PayloadGeneratorIsPinned) {
+    // The published first output of splitmix64 seeded with 0 is
+    // 0xE220A8397B1DCDAF: packet 0's canonical row 0 is its bytes.
+    const double row0[8] = {0xAF, 0xCD, 0x1D, 0x7B, 0x39, 0xA8, 0x20, 0xE2};
+    for (std::size_t e = 0; e < 8; ++e) {
+        EXPECT_EQ(canonical_element(0, e), row0[e]) << "e=" << e;
+    }
+    // Golden elements pin the key layouts (packet << 32 for a canonical
+    // block, node << 40 ^ packet << 20 for a contribution).
+    EXPECT_EQ(canonical_element(0, 8), 0xC1);
+    EXPECT_EQ(canonical_element(7, 1021), 19.0);
+    EXPECT_EQ(contribution_element(3, 5, 13), 202.0);
+    EXPECT_EQ(contribution_element(255, 1023, 4095), 187.0);
+    // And every element of a few blocks matches the reference generator.
+    for (const std::size_t n : {1u, 13u, 64u, 1021u}) {
+        std::vector<double> canon(n);
+        std::vector<double> contrib(n);
+        fill_canonical(canon, 77);
+        fill_contribution(contrib, 42, 6);
+        for (std::size_t e = 0; e < n; ++e) {
+            ASSERT_EQ(canon[e],
+                      reference_element(std::uint64_t{77} << 32, e))
+                << "n=" << n << " e=" << e;
+            ASSERT_EQ(contrib[e],
+                      reference_element((std::uint64_t{42} << 40) ^
+                                            (std::uint64_t{6} << 20),
+                                        e))
+                << "n=" << n << " e=" << e;
+        }
     }
 }
 

@@ -3,7 +3,9 @@
 //
 // Acceptance: every schedule_export family at n = 3..8, plus the
 // recursive-doubling allreduce, on both engines — and the combine
-// evaluator's image is byte-identical to the barrier engine's memory.
+// evaluator's image is byte-identical to the barrier engine's memory. The
+// reduce and the allreduce also run at 1- and 13-double blocks, the
+// payload generator's single-element and ragged-tail rows.
 // Rejection: the cases where the rule is the only defence — a corrupted
 // reduce whose run still reports clean stats (combine descriptors carry no
 // digest), a corrupted copy-through move judged from its final memory
@@ -66,15 +68,17 @@ void expect_move_accepted(const Schedule& schedule, PortModel model,
 }
 
 /// Plays a combine schedule reducing into `root` over `members` (empty =
-/// the full cube) on both engines and asserts the rule accepts each run,
-/// with the evaluator's image equal to the barrier engine's final memory
-/// byte for byte, and that the barrier engine's cycle count equals the
-/// schedule's depth (1 + its last send's cycle).
+/// the full cube) with `block`-double blocks on both engines and asserts
+/// the rule accepts each run, with the evaluator's image equal to the
+/// barrier engine's final memory byte for byte, and that the barrier
+/// engine's cycle count equals the schedule's depth (1 + its last send's
+/// cycle).
 void expect_combine_accepted(const Schedule& schedule, node_t root,
                              const std::string& label,
-                             std::span<const node_t> members = {}) {
-    SCOPED_TRACE(label);
-    const Plan plan = compile_plan(schedule, DataMode::combine, kBlock, 2,
+                             std::span<const node_t> members = {},
+                             std::size_t block = kBlock) {
+    SCOPED_TRACE(label + " block=" + std::to_string(block));
+    const Plan plan = compile_plan(schedule, DataMode::combine, block, 2,
                                    8, PlanLayout::automatic, members);
     const std::optional<std::vector<double>> image =
         combine_image(plan, schedule);
@@ -149,15 +153,20 @@ TEST(RtExpected, AcceptsEveryScheduleFamilyOnBothEngines) {
                              "allgather" + at);
         expect_move_accepted(routing::make_alltoall_schedule(n, 1), full,
                              "alltoall" + at);
-        expect_combine_accepted(
-            routing::reverse_broadcast_for_reduce(
-                routing::make_tree_broadcast(
-                    trees::build_sbt(n, 5), BroadcastDiscipline::port_oriented,
-                    3, full),
-                5),
-            5, "reduce" + at);
-        expect_combine_accepted(recursive_doubling_allreduce(n), 0,
-                                "allreduce" + at);
+        // A whole row of the payload generator, a single element and a
+        // row plus a ragged tail.
+        for (const std::size_t block :
+             {kBlock, std::size_t{1}, std::size_t{13}}) {
+            expect_combine_accepted(
+                routing::reverse_broadcast_for_reduce(
+                    routing::make_tree_broadcast(
+                        trees::build_sbt(n, 5),
+                        BroadcastDiscipline::port_oriented, 3, full),
+                    5),
+                5, "reduce" + at, {}, block);
+            expect_combine_accepted(recursive_doubling_allreduce(n), 0,
+                                    "allreduce" + at, {}, block);
+        }
 
         // The member hooks over a view with two holes; the reduction's
         // exact sums run over the live members only.
@@ -224,14 +233,15 @@ TEST(RtExpected, RejectsCorruptedReduceThatPlaysClean) {
                                      BroadcastDiscipline::port_oriented, 3,
                                      PortModel::one_port_full_duplex),
         0);
-    const Plan plan = compile_plan(reduce, DataMode::combine, kBlock, 2);
     std::uint32_t pushes = 0;
     const ft::DirectedLink link = first_link(reduce, pushes);
     ft::FaultPlan faults;
     faults.corrupt(link.from, link.to, 0);
 
-    const auto expect_rejected = [&](auto& player, const char* engine) {
-        SCOPED_TRACE(engine);
+    const auto expect_rejected = [&](const Plan& plan, auto& player,
+                                     const char* engine) {
+        SCOPED_TRACE(std::string(engine) +
+                     " block=" + std::to_string(plan.block_elems));
         ft::FaultInjector injector(faults);
         injector.arm(plan);
         player.set_fault_hook(&injector);
@@ -242,10 +252,14 @@ TEST(RtExpected, RejectsCorruptedReduceThatPlaysClean) {
         EXPECT_EQ(injector.corrupted(), 1u);
         EXPECT_FALSE(check_combine_run(plan, reduce, 0, {}, player));
     };
-    Player barrier(plan);
-    expect_rejected(barrier, "barrier");
-    AsyncPlayer async(plan);
-    expect_rejected(async, "async");
+    for (const std::size_t block :
+         {kBlock, std::size_t{1}, std::size_t{13}}) {
+        const Plan plan = compile_plan(reduce, DataMode::combine, block, 2);
+        Player barrier(plan);
+        expect_rejected(plan, barrier, "barrier");
+        AsyncPlayer async(plan);
+        expect_rejected(plan, async, "async");
+    }
 }
 
 TEST(RtExpected, RejectsCorruptedCopyThroughMoveFromFinalMemory) {
