@@ -1,14 +1,15 @@
 // Recovery-latency and degraded-throughput benchmark of the self-healing
 // collectives (hcube::ft): for each op, deterministic link kills are
 // injected mid-stream and the full inject → detect → recover
-// loop runs to byte-verified completion against the op's expected state:
-// its contract, checked once against the cycle executor's holdings of the
-// fault-free schedule, with every pair holding its canonical block. Per
-// row:
-//   * oracle ms    — time the row's call spent building that expected
-//                    state (the cycle executor plus the contract check);
-//                    paid by the fault-0 row, 0 on the rows that reuse it,
-//   * recovery ms  — failed attempts + replanning, the price of healing,
+// loop runs to byte-verified completion: every attempt is an
+// rt::CheckedPlan whose schedule the cycle executor proves and whose run
+// the runtime's rule judges, with the op's contract among its plan's
+// slots, so every contract pair holds its canonical block. Per row:
+//   * oracle ms    — time the row's call spent building the op's resident
+//                    fault-free attempt (schedule, executor proof,
+//                    compile and contract check); paid by the fault-0
+//                    row, 0 on the rows that reuse it,
+//   * recovery ms  — failed plays + replanning, the price of healing,
 //   * final ms     — the clean run on the replanned schedule,
 //   * GB/s         — delivered throughput of that final run: with faults
 //                    this is the *degraded* figure (the MSBT loses one
@@ -19,8 +20,8 @@
 //                    installed, so it plays the zero-copy protocol). The
 //                    fault-0 rows must read 0 — a count, exact on any
 //                    machine, that CI gates on.
-// `verified` is the recovered run's contract memory byte-identical to the
-// canonical blocks — and the binary exits non-zero if
+// `verified` is the final run accepted by its CheckedPlan, so every
+// contract pair holds its canonical block — and the binary exits non-zero if
 // any row fails it (CI greps the JSON for `"verified": false` as well).
 //
 // Faults are chosen deterministically: the k kills land on evenly spaced
@@ -204,8 +205,9 @@ int main(int argc, char** argv) {
             }
 
             // Fault count 0 measures the healthy baseline (and the
-            // expected-state build); each further count reuses the cached
-            // contract, so the sweep isolates the cost of healing.
+            // resident attempt's build); each further count replays that
+            // resident attempt first, so the sweep isolates the cost of
+            // healing.
             for (std::uint32_t faults = 0; faults <= faults_max; ++faults) {
                 if (recorder != nullptr) {
                     recorder->reset();

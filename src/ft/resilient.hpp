@@ -1,47 +1,55 @@
 // ft::ResilientComm — self-healing collectives over the threaded runtime:
 // the closed inject → detect → recover loop.
 //
-// Every operation follows one protocol:
+// Every attempt of an operation is an rt::CheckedPlan (rt/expected.hpp),
+// the one verified run every front door plays, and every operation follows
+// one protocol:
 //
-//   1. Expected state: the op's contract — the (node, packet) pairs it
-//      semantically delivers — is checked once against the cycle
-//      executor's holdings of the fault-free schedule, which also proves
-//      that schedule feasible. Every contract pair must end up holding its
-//      packet's canonical block, so no reference run is needed.
+//   1. Expected state: the attempt's CheckedPlan. Building it proves the
+//      attempt's schedule with the cycle executor, and the op's contract —
+//      the (node, packet) pairs it semantically delivers — is checked once
+//      to lie among the plan's slots. The plan's first clean run is judged
+//      by the runtime's rule (the slots are exactly the executor's
+//      holdings, every arena block and digest is canonical, and every
+//      slot's final block is its packet's arena block), so every contract
+//      pair must end up holding its packet's canonical block and no
+//      reference run is needed.
 //   2. Attempt: the fault scenario is armed on the attempt plan's
-//      channels, and the AsyncPlayer executes it with detection on.
-//      The first attempt replays the op's resident fault-free attempt —
-//      schedule, checked contract, compiled plan and player, kept per
-//      operation signature (LRU, a constant capacity) — so a repeated
-//      call generates, checks and compiles nothing. A healing attempt
-//      compiles its replanned schedule. The fault hook is installed only
-//      when a fault lands on one of the plan's channels; every other
+//      channels, and the attempt plays with detection on. The first
+//      attempt replays the op's resident fault-free attempt, kept per
+//      operation signature (LRU, a constant capacity), so a repeated call
+//      generates, proves and compiles nothing. A healing attempt builds a
+//      CheckedPlan of its replanned schedule. The fault hook is installed
+//      only when a fault lands on one of the plan's channels; every other
 //      attempt plays the zero-copy protocol. A clean run that delivers
 //      every scheduled block proceeds to verification; a faulted run
 //      yields a structured FaultReport naming the directed link that
 //      failed.
-//   3. Heal: the reported link is added to the dead set and the operation
-//      is replanned around every dead link — SBT-family collectives pick a
-//      permuted SBT (or BFS fallback) avoiding the links; the MSBT drops
-//      the ERSBTs crossing them and reassigns their packet streams to the
-//      surviving trees. Re-execution is idempotent: each attempt starts
-//      from freshly seeded memory and rewound channels, and injected
-//      transient faults re-fire on retry — any link that faults twice is
-//      simply declared dead like a persistent failure.
-//   4. Verify: the survivor run's block for every contract (node, packet)
-//      pair is compared byte for byte with the packet's canonical block
-//      (the plan's arena). The arena and the plan's digest table are
-//      checked against independently derived canonical digests on an
-//      attempt's first clean play; a resident attempt's later plays skip
-//      that proof (the arena is immutable), and a healing attempt, being
-//      freshly compiled, always takes it.
+//   3. Heal: the reported link is added to the dead set. A link op
+//      replans around every dead link and keeps its contract: SBT-family
+//      collectives pick a permuted SBT (or BFS fallback) avoiding the
+//      links; the MSBT drops the ERSBTs crossing them and reassigns their
+//      packet streams to the surviving trees. A member op declares the
+//      link's non-root endpoint dead and rebuilds tree and contract over
+//      the survivors. Re-execution is idempotent: each attempt starts from
+//      freshly seeded memory and rewound channels, and injected transient
+//      faults re-fire on retry — any link that faults twice is simply
+//      declared dead like a persistent failure.
+//   4. Verify: the clean run is judged by its CheckedPlan. A resident
+//      attempt's first clean run takes the full check and its later runs
+//      compare every slot with its packet's immutable arena block; a
+//      healing attempt is freshly built, so its run always takes the full
+//      check.
 //
-// The loop terminates: every failed attempt permanently grows the dead-link
-// set, and max_attempts bounds the total work even under adversarial fault
-// plans (an unrecoverable topology — e.g. all n links of a node dead —
-// surfaces as trees::build_broadcast_tree_avoiding's check_error).
+// The loop terminates: every failed attempt permanently grows the dead
+// set, and kMaxAttempts bounds the total work even under adversarial fault
+// plans. A call that spends the whole budget returns delivered == false
+// with the schedule its last attempt ran; nothing is rebuilt after the
+// last attempt. With budget left, an unrecoverable topology — e.g. all n
+// links of a node dead — surfaces as the replanner's check_error.
 #pragma once
 
+#include "common/lru_cache.hpp"
 #include "ft/fault_model.hpp"
 #include "ft/injector.hpp"
 #include "ft/recovery.hpp"
@@ -53,25 +61,21 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace hcube::ft {
+
+/// Attempt budget of every operation: 1 initial execution + up to
+/// kMaxAttempts - 1 healing attempts.
+inline constexpr std::uint32_t kMaxAttempts = 4;
 
 struct ResilientParams {
     /// Worker threads; 0 picks min(2^n, max(2, hardware_concurrency)).
     std::uint32_t threads = 0;
     /// Elements (doubles) per packet block.
     std::size_t block_elems = 64;
-    /// Detection policy for the attempts; the timeout must be nonzero. The
-    /// attempts run on the in-process ring bank, where a receive never
-    /// waits (rt/detect.hpp): the timeout only switches detection on.
-    DetectConfig detect = DetectConfig::for_transport(TransportClass::ring);
-    /// Attempt budget: 1 initial execution + (max_attempts - 1) replans.
-    std::uint32_t max_attempts = 4;
-    /// Seed for the permuted-SBT search when replanning tree collectives.
-    std::uint64_t replan_seed = 42;
 };
 
 /// Everything a caller (or bench harness) wants to know about one
@@ -99,10 +103,12 @@ struct RecoveryResult {
     /// no replan happened) — lets callers assert dead links are avoided.
     sim::Schedule final_schedule;
     rt::PlayStats stats;          ///< stats of the final (clean) run
-    /// Time this call spent building the expected state (cycle executor
-    /// plus contract check); 0 when every attempt found it cached.
+    /// Time this call spent building its resident fault-free attempt (its
+    /// schedule, CheckedPlan and contract check); 0 when it was resident.
+    /// A healing attempt's build counts neither here nor in
+    /// recovery_seconds.
     double oracle_seconds = 0;
-    double recovery_seconds = 0;  ///< failed attempts + replanning
+    double recovery_seconds = 0;  ///< failed plays + replanning
     double final_seconds = 0;     ///< wall clock of the final clean run
 };
 
@@ -143,12 +149,11 @@ public:
     //
     // Where the link-healing ops above route *around* a dead wire on the
     // same full node set, the member ops treat a fault as a node death:
-    // the non-root endpoint of the failed link leaves the view, the tree
-    // is rebuilt over the survivors, and a *fresh* contract is checked for
-    // the shrunk member set (keyed by the view fingerprint) — the contract
-    // itself contracts to the survivors. A call's first attempt is the
-    // resident one of its (op, view fingerprint); the survivor views of
-    // healing attempts compile per attempt and cache only their contract.
+    // the non-root endpoint of the failed link leaves the view, and the
+    // tree and a *fresh* contract are rebuilt over the survivors — the
+    // contract itself contracts to the survivors. A call's first attempt
+    // is the resident one of its (op, view fingerprint); a healing
+    // attempt builds its survivor view's CheckedPlan and keeps nothing.
     // The root's death is unrecoverable and surfaces as check_error.
 
     /// The comm's membership view (full cube until the first death or
@@ -178,80 +183,64 @@ public:
                                                  const FaultPlan& faults);
 
 private:
-    using Replanner =
+    /// The (node, packet) pairs an op semantically delivers, as sorted
+    /// rt::Plan::slot_key words — the pairs checked against each attempt's
+    /// plan slots. Deliberately *not* the fault-free schedule's full
+    /// holdings: a replacement tree routes through different relays, and
+    /// relay copies are an artifact of the route, not part of the
+    /// collective's contract.
+    using Contract = std::vector<std::uint64_t>;
+    /// What the attempt loop needs of an operation.
+    struct Op {
+        /// Names the op's resident attempt; member ops add the view.
+        std::string key;
+        node_t root = 0;
+        /// The fault-free schedule (member ops: over the current view).
+        std::function<sim::Schedule()> make;
+        /// The op's contract, derived from its fault-free schedule (member
+        /// ops: the current view's).
+        std::function<Contract(const sim::Schedule&)> contract_of;
+        /// Link ops: the schedule avoiding every dead link, held to the
+        /// op's contract. Empty for member ops, which heal by node death:
+        /// make and contract_of rebuild both over the survivors.
         std::function<sim::Schedule(std::span<const DirectedLink> dead,
-                                    RecoveryResult& out)>;
-    /// The (node, packet) pairs the op semantically delivers — the pairs
-    /// the byte-for-byte canonical-block comparison runs over.
-    /// Deliberately *not* the fault-free schedule's full holdings: a
-    /// replacement tree routes through different relays, and relay copies
-    /// are an artifact of the route, not part of the collective's contract.
-    using Contract = std::vector<std::pair<node_t, sim::packet_t>>;
-    /// Derives an op's semantic contract from the schedule it runs.
-    using ContractOf = std::function<Contract(const sim::Schedule&)>;
-    /// A compiled plan plus its AsyncPlayer, and whether the plan's arena
-    /// was already proven canonical (a resident attempt proves it once).
+                                    RecoveryResult& out)>
+            replan;
+
+        [[nodiscard]] bool on_members() const noexcept { return !replan; }
+    };
+    /// One attempt: its schedule and rt::CheckedPlan.
     struct Attempt;
-    /// An op's fault-free attempt, resident between calls: its schedule,
-    /// checked contract, and compiled Attempt.
-    struct Resident;
-    /// The resident fault-free attempts (LRU-bounded) and the checked
-    /// contracts of healing attempts' survivor views.
-    struct Cache;
     using clock = std::chrono::steady_clock;
 
-    /// The resident fault-free attempt cached under `key`, or — on a miss
-    /// — `make()` compiled over `view`'s members (nullptr: the full cube),
-    /// with `contract_of` its schedule checked against the cycle
-    /// executor's holdings (the check's time added to out.oracle_seconds),
-    /// cached.
-    [[nodiscard]] std::shared_ptr<Resident>
-    resident(const std::string& key,
-             const std::function<sim::Schedule()>& make,
-             const ContractOf& contract_of, const mbr::View* view,
-             RecoveryResult& out);
+    /// `schedule` built into an Attempt over the full cube, or (member
+    /// ops) over view_'s members; throws check_error when a contract pair
+    /// is not among its plan's slots.
+    [[nodiscard]] std::shared_ptr<Attempt>
+    build(sim::Schedule schedule, const Contract& contract,
+          bool on_members) const;
 
-    /// The healing-attempt contract cached under `key`, or — on a miss —
-    /// `contract_of(schedule)` checked as above, cached, and its build time
-    /// added to out.oracle_seconds.
-    [[nodiscard]] const Contract&
-    expected_state(const std::string& key, const sim::Schedule& schedule,
-                   const ContractOf& contract_of, RecoveryResult& out);
-
-    /// Plays one attempt of `schedule`, compiled in `attempt`: arms the
-    /// fault plan on its channels, installs the injector only if a spec
-    /// landed there (the hook is set or cleared on every attempt, so a
-    /// resident player never plays with an earlier call's injector), and
-    /// runs with detection on. Returns true when the run was clean, with
-    /// out.delivered set by the contract check; a faulted run appends its
-    /// FaultReport and records the detection latency since `start`.
+    /// Plays one attempt: arms the fault plan on its channels, installs
+    /// the injector only if a spec landed there (the hook is set or
+    /// cleared on every attempt, so a resident attempt never plays with an
+    /// earlier call's injector), and runs with detection on. Returns true
+    /// when the run was clean, with out.delivered set by the CheckedPlan's
+    /// verdict; a faulted run appends its FaultReport and records the
+    /// detection latency since `start`.
     [[nodiscard]] bool play_attempt(Attempt& attempt,
-                                    const sim::Schedule& schedule,
-                                    const Contract& expected,
                                     FaultInjector& injector,
                                     clock::time_point start,
                                     RecoveryResult& out);
 
-    [[nodiscard]] RecoveryResult
-    run_resilient(const std::string& key,
-                  const std::function<sim::Schedule()>& make_initial,
-                  const ContractOf& contract_of, const FaultPlan& faults,
-                  const Replanner& replan);
-
-    /// `make` builds the op's schedule over the current view_ and
-    /// `contract_of` its contract — both functions of the member set,
-    /// which shrinks between attempts.
-    [[nodiscard]] RecoveryResult
-    run_member_resilient(const std::string& op_key, node_t root,
-                         const FaultPlan& faults,
-                         const std::function<sim::Schedule()>& make,
-                         const ContractOf& contract_of);
+    /// The attempt loop every operation runs.
+    [[nodiscard]] RecoveryResult run(const Op& op, const FaultPlan& faults);
 
     dim_t n_;
     ResilientParams params_;
     std::uint32_t threads_;
     rt::TraceRecorder* trace_ = nullptr;
-    std::unique_ptr<Cache> cache_;
+    /// The resident fault-free attempts, LRU-bounded.
+    LruCache<std::string, std::shared_ptr<Attempt>> residents_;
     mbr::View view_;
 };
 

@@ -27,8 +27,11 @@
 // Both engines answer to the same rule; the barrier engine additionally
 // owes cycles == makespan, which callers read off its PlayStats
 // (docs/RUNTIME.md § Verification). rt::CheckedPlan, at the end of this
-// file, is the one resident run that applies the rule: the Communicator
-// builds one per call and the svc::Session caches one per signature.
+// file, is the one resident run that applies the rule, and every front
+// door plays through it: the Communicator builds one per call, the
+// svc::Session caches one per signature, and ft::ResilientComm keeps one
+// per op signature for its fault-free attempts and builds one per healing
+// attempt.
 #pragma once
 
 #include "rt/async_player.hpp"
@@ -215,6 +218,14 @@ public:
 
     /// Plays the plan (on `pool`, as AsyncPlayer::play) and judges the run.
     [[nodiscard]] CheckedRun play(WorkerPool* pool = nullptr);
+
+    /// The compiled plan (FaultInjector::arm resolves its faults against
+    /// the plan's channels).
+    [[nodiscard]] const Plan& plan() const noexcept { return plan_; }
+    /// The player, for its between-run settings (set_detection,
+    /// set_fault_hook, set_trace) and fault_report() only: every run goes
+    /// through play() above, so the rule judges every run.
+    [[nodiscard]] AsyncPlayer& player() noexcept { return player_; }
 
     /// The cycle executor's makespan of the proven schedule.
     [[nodiscard]] std::uint32_t makespan() const noexcept {

@@ -130,14 +130,13 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
     /// slot_keys / slot_vals tables once the slot set is final.
     std::unordered_map<std::uint64_t, std::uint64_t> slot_index;
     const auto find_slot = [&](node_t node, packet_t packet) {
-        const auto it =
-            slot_index.find((std::uint64_t{packet} << 32) | node);
+        const auto it = slot_index.find(Plan::slot_key(node, packet));
         return it == slot_index.end() ? Plan::kNoSlot : it->second;
     };
     const auto create_slot = [&](node_t node, packet_t packet,
                                  std::uint32_t acquire) {
         const std::uint64_t id = plan.total_slots++;
-        slot_index.emplace((std::uint64_t{packet} << 32) | node, id);
+        slot_index.emplace(Plan::slot_key(node, packet), id);
         plan.slot_packet.push_back(packet);
         plan.slot_node.push_back(node);
         slot_acquire.push_back(acquire);

@@ -285,12 +285,19 @@ struct Plan {
         return static_cast<std::uint32_t>(it - flat_cycle_begin.begin() - 1);
     }
 
+    /// The slot_keys word of (node, packet): packet-major, so the sorted
+    /// keys order the slots by packet, then node.
+    [[nodiscard]] static constexpr std::uint64_t
+    slot_key(node_t node, packet_t packet) noexcept {
+        return (std::uint64_t{packet} << 32) | node;
+    }
+
     /// Slot of (node, packet), or kNoSlot if the node never holds it.
     /// Binary search over a sorted key array with a parallel u32 slot
     /// array — compact, cache friendly, read-only after compilation.
     static constexpr std::uint64_t kNoSlot = ~std::uint64_t{0};
     [[nodiscard]] std::uint64_t slot_of(node_t node, packet_t packet) const {
-        const std::uint64_t key = (std::uint64_t{packet} << 32) | node;
+        const std::uint64_t key = slot_key(node, packet);
         const auto it = std::ranges::lower_bound(slot_keys, key);
         return it == slot_keys.end() || *it != key
                    ? kNoSlot

@@ -55,9 +55,6 @@ ResilientParams test_params() {
     ResilientParams p;
     p.threads = 2;
     p.block_elems = 16;
-    // Tight by design: a published block is always visible by pop time, so
-    // the bound only ever expires on genuinely missing blocks.
-    p.detect.arrival_timeout_us = 500;
     return p;
 }
 
@@ -373,6 +370,36 @@ TEST(FtRecovery, TwoDeadLinksHealOverThreeAttempts) {
     EXPECT_FALSE(schedule_uses_link(r.final_schedule, dead1));
 }
 
+TEST(FtRecovery, ExhaustedBudgetReportsTheScheduleItLastRan) {
+    // Every link out of the root dies at its first push, so each attempt
+    // loses one more of them and the budget runs out with one root link
+    // still alive. The call returns undelivered with the schedule its last
+    // attempt ran (which crossed the link that attempt lost) and builds
+    // nothing after it, not even a replan that would have succeeded.
+    constexpr dim_t n = 5;
+    constexpr node_t root = 6;
+    constexpr packet_t packets = 4;
+    FaultPlan faults;
+    for (dim_t d = 0; d < n; ++d) {
+        faults.kill_link(root, hc::flip_bit(root, d), 0);
+    }
+    for (const bool members : {false, true}) {
+        const std::string where =
+            members ? " op=broadcast_members" : " op=broadcast_sbt";
+        ResilientComm comm(n, test_params());
+        const RecoveryResult r =
+            members ? comm.broadcast_members(root, packets, faults)
+                    : comm.broadcast_sbt(root, packets, faults);
+        EXPECT_FALSE(r.delivered) << where;
+        EXPECT_EQ(r.attempts, kMaxAttempts) << where;
+        EXPECT_EQ(r.reports.size(), kMaxAttempts) << where;
+        ASSERT_EQ(r.dead_links.size(), kMaxAttempts) << where;
+        EXPECT_EQ(r.dead_nodes.size(), members ? kMaxAttempts : 0u) << where;
+        EXPECT_TRUE(schedule_uses_link(r.final_schedule, r.dead_links.back()))
+            << where;
+    }
+}
+
 TEST(FtRecovery, InertFaultPlanFinishesFirstAttempt) {
     ResilientComm comm(3, test_params());
     // A fault on a link no broadcast from node 0 ever uses.
@@ -465,8 +492,9 @@ TEST(FtRecovery, ResidentAttemptsCarryNoStateBetweenCalls) {
 TEST(FtRecovery, ResidentAttemptProvesItsArenaOnce) {
     // The resident attempt's first clean play proves its arena and digest
     // table (one canonical derivation per packet); its later clean plays
-    // check only the contract pairs. A healing attempt is compiled fresh,
-    // so its check derives every packet's digest again.
+    // compare every slot with its arena block and derive nothing. A
+    // healing attempt is built fresh, so its check derives every packet's
+    // digest again.
     constexpr dim_t n = 4;
     constexpr node_t root = 5;
     constexpr packet_t per_dest = 2;
@@ -507,7 +535,7 @@ TEST(FtRecovery, OracleIsCachedAcrossASweep) {
     const RecoveryResult second = comm.broadcast_sbt(0, 4, none);
     EXPECT_TRUE(first.delivered);
     EXPECT_TRUE(second.delivered);
-    // Same op signature → the checked contract is reused: only the call
+    // Same op signature → the resident attempt is reused: only the call
     // that built it reports build time.
     EXPECT_GT(first.oracle_seconds, 0.0);
     EXPECT_EQ(second.oracle_seconds, 0.0);

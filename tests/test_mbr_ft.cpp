@@ -24,7 +24,6 @@ ResilientParams test_params() {
     ResilientParams p;
     p.threads = 2;
     p.block_elems = 16;
-    p.detect.arrival_timeout_us = 500;
     return p;
 }
 

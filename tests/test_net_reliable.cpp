@@ -6,7 +6,7 @@
 // in-process value).
 #include "net/reliable.hpp"
 
-#include "ft/resilient.hpp"
+#include "ft/fault_model.hpp"
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "rt/plan.hpp"
@@ -329,12 +329,6 @@ TEST(NetReliable, DetectTimeoutScalesWithTransportClass) {
         ft::DetectConfig::for_transport(ft::TransportClass::uds);
     EXPECT_EQ(uds.arrival_timeout_us, 500'000u);
     EXPECT_TRUE(uds.abort_on_fault);
-
-    // The resilient communicator keeps the ring-class default.
-    const ft::ResilientParams params;
-    EXPECT_EQ(params.detect.arrival_timeout_us,
-              ft::DetectConfig::default_arrival_timeout_us(
-                  ft::TransportClass::ring));
 }
 
 } // namespace
