@@ -1,8 +1,8 @@
 // Wall-clock benchmark of the collective service (hcube::svc): steady-state
 // request throughput of a persistent Service — plan cache, hits played on
-// the caller's thread, join-in-flight batching — against the one-shot
-// rt::Communicator baseline that re-validates, recompiles, and fully
-// checks every operation.
+// the caller's thread, join-in-flight batching — against a one-shot
+// baseline that builds one rt::CheckedPlan per request: it re-validates,
+// recompiles, and fully checks every operation.
 //
 // The workload cycles a small set of repeated signatures (the steady state
 // a long-running service actually sees): after one warm-up pass per
@@ -35,11 +35,10 @@
 
 #include "common/json.hpp"
 #include "obs/metrics.hpp"
-#include "routing/schedule_export.hpp"
-#include "rt/communicator.hpp"
+#include "rt/expected.hpp"
+#include "rt/pool.hpp"
+#include "rt/threads.hpp"
 #include "svc/service.hpp"
-#include "trees/bst.hpp"
-#include "trees/sbt.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -106,34 +105,23 @@ struct Measured {
     std::string transport = "ring"; ///< medium the measured runs used
 };
 
-/// One-shot baseline: the Communicator re-validates the schedule through
-/// the cycle executor, recompiles the plan, plays it, and checks the final
-/// memory against the schedule's expected state on every single request.
+/// One-shot baseline: every request builds one rt::CheckedPlan of the
+/// Service's own schedule for its signature (svc::make_schedule) — proving
+/// it through the cycle executor and compiling the plan — plays it on one
+/// resident pool, and checks the final memory against the schedule's
+/// expected state.
 Measured run_baseline(dim_t n, const std::vector<Signature>& mix,
-                      std::uint32_t block, int requests) {
-    hcube::rt::Params params;
-    params.block_elems = block;
-    hcube::rt::Communicator comm(n, params);
-    const auto sbt = hcube::trees::build_sbt(n, 0);
-    const auto bst = hcube::trees::build_bst(n, 0);
+                      int requests) {
+    const std::uint32_t threads = hcube::rt::pick_worker_threads(n, 0);
+    const std::unique_ptr<hcube::rt::WorkerPool> pool =
+        threads > 1 ? std::make_unique<hcube::rt::WorkerPool>(threads)
+                    : nullptr;
     const auto run_one = [&](const Signature& sig) {
-        switch (sig.op) {
-        case Op::broadcast:
-            return sig.family == Family::msbt
-                       ? comm.broadcast_msbt(sig.root, sig.packets)
-                       : comm.broadcast(
-                             sbt,
-                             hcube::routing::BroadcastDiscipline::
-                                 port_oriented,
-                             sig.packets);
-        case Op::scatter:
-            return comm.scatter(bst,
-                                hcube::routing::ScatterPolicy::cyclic,
-                                sig.packets);
-        case Op::reduce:
-            return comm.reduce(sbt, sig.packets);
-        default: return comm.allgather();
-        }
+        GeneratedSchedule gen = make_schedule(sig);
+        hcube::rt::CheckedPlan checked(std::move(gen.exec), gen.feasibility,
+                                       gen.mode, sig.model, sig.block_elems,
+                                       threads);
+        return checked.play(pool.get());
     };
     (void)run_one(mix[0]); // warm the pool and the page cache
 
@@ -143,11 +131,11 @@ Measured run_baseline(dim_t n, const std::vector<Signature>& mix,
     const double begin = now_seconds();
     for (int i = 0; i < requests; ++i) {
         const double t0 = now_seconds();
-        const hcube::rt::Result r =
+        const hcube::rt::CheckedRun r =
             run_one(mix[static_cast<std::size_t>(i) % mix.size()]);
         latencies_ms.push_back((now_seconds() - t0) * 1e3);
         m.verified = m.verified && r.verified;
-        m.transport = hcube::ft::to_string(r.transport);
+        m.transport = hcube::ft::to_string(r.stats.transport);
     }
     const double elapsed = now_seconds() - begin;
     m.ops_per_sec = elapsed > 0 ? requests / elapsed : 0;
@@ -470,7 +458,7 @@ int main(int argc, char** argv) {
     hcube::bench::banner(
         "hcube::svc service throughput",
         "persistent service (plan cache + caller-thread hits + batching) "
-        "vs one-shot rt::Communicator");
+        "vs one-shot rt::CheckedPlan");
 
     const std::vector<Signature> mix = workload(n, block);
     std::printf("n=%d  requests=%d  block=%u doubles  mix=%zu signatures\n\n",
@@ -486,17 +474,17 @@ int main(int argc, char** argv) {
     std::uint64_t steady_digests = 0; ///< summed over the Service rows
     std::uint64_t builder_runs = 0;   ///< summed over the Service rows
 
-    const Measured baseline = run_baseline(n, mix, block, requests);
+    const Measured baseline = run_baseline(n, mix, requests);
     verified = verified && baseline.verified;
     std::printf("%-22s %11s %9s %9s %9s %8s %9s\n", "mode", "ops/s",
                 "p50 ms", "p99 ms", "speedup", "hit%", "verified");
     std::printf("%-22s %11.1f %9.3f %9.3f %9s %8s %9s\n",
-                "communicator(1-shot)", baseline.ops_per_sec,
+                "one-shot", baseline.ops_per_sec,
                 baseline.p50_ms, baseline.p99_ms, "1.00", "-",
                 baseline.verified ? "yes" : "NO");
     if (json) {
         json->begin_row();
-        json->field("mode", "communicator_one_shot");
+        json->field("mode", "one_shot");
         json->field("n", n);
         json->field("concurrency", 1);
         json->field("requests", requests);

@@ -13,14 +13,17 @@
 //   --trace print a per-link Gantt chart and utilization statistics
 //   --dump-schedule <path>  write the cycle schedule as CSV
 //   --rt [--threads T]  additionally execute the schedule on real worker
-//         threads (hcube::rt) and print measured wall clock and GB/s
+//         threads (hcube::rt) and print measured wall clock and GB/s; the
+//         explorer exits 1 if that run fails verification or its cycle
+//         count differs from the makespan
 #include "common/check.hpp"
 #include "common/cli.hpp"
 #include "routing/broadcast.hpp"
 #include "routing/protocols.hpp"
 #include "routing/scatter.hpp"
-#include "routing/schedule_export.hpp"
-#include "rt/communicator.hpp"
+#include "rt/expected.hpp"
+#include "rt/pool.hpp"
+#include "rt/threads.hpp"
 #include "sim/trace.hpp"
 #include "trees/bst.hpp"
 #include "trees/hp.hpp"
@@ -29,6 +32,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <string>
 
 namespace {
@@ -66,14 +70,30 @@ trees::SpanningTree build(const std::string& algo, hc::dim_t n,
     throw check_error("unknown --algo");
 }
 
-/// Runs one collective through the threaded runtime and prints measured
-/// wall clock, delivered GB/s, and whether every block checksum-verified.
-void print_rt_result(const hcube::rt::Result& result) {
+/// Runs `schedule` once on real worker threads (hcube::rt) as one
+/// rt::CheckedPlan of 256-double blocks and prints measured wall clock,
+/// delivered GB/s, and whether the run verified. True when it verified and
+/// its cycle count equals the cycle simulator's makespan.
+bool run_on_threads(const sim::Schedule& schedule, sim::PortModel port,
+                    std::uint32_t requested_threads) {
+    const std::uint32_t threads =
+        rt::pick_worker_threads(schedule.n, requested_threads);
+    rt::CheckedPlan checked(schedule, schedule, rt::DataMode::move, port,
+                            256, threads);
+    // One worker plays serially and needs no pool.
+    const std::unique_ptr<rt::WorkerPool> pool =
+        threads > 1 ? std::make_unique<rt::WorkerPool>(threads) : nullptr;
+    const rt::CheckedRun run = checked.play(pool.get());
+    const rt::PlayStats& stats = run.stats;
     std::printf("  rt (threads=%u): %u cycles (sim makespan %u), "
                 "%.3f ms, %.3f GB/s, %s\n",
-                result.threads, result.rt_cycles, result.sim_makespan,
-                result.seconds * 1e3, result.gbytes_per_sec(),
-                result.verified ? "verified" : "VERIFICATION FAILED");
+                threads, stats.cycles, checked.makespan(),
+                stats.seconds * 1e3,
+                stats.seconds > 0 ? static_cast<double>(stats.payload_bytes) /
+                                        stats.seconds * 1e-9
+                                  : 0.0,
+                run.verified ? "verified" : "VERIFICATION FAILED");
+    return run.verified && stats.cycles == checked.makespan();
 }
 
 } // namespace
@@ -87,6 +107,8 @@ int main(int argc, char** argv) {
     const auto s = static_cast<hc::node_t>(options.get_int("source", 0));
     const double M = options.get_double("msg", 61440);
     const double B = options.get_double("packet", 1024);
+    const auto threads =
+        static_cast<std::uint32_t>(options.get_int("threads", 0));
 
     sim::EventParams params;
     params.tau = options.get_double("tau", params.tau);
@@ -159,25 +181,8 @@ int main(int argc, char** argv) {
 
         // Real data movement on worker threads, cross-checked against the
         // cycle simulator.
-        if (options.has("rt")) {
-            rt::Params rt_params;
-            rt_params.threads = static_cast<std::uint32_t>(
-                options.get_int("threads", 0));
-            rt_params.model = port;
-            rt::Communicator comm(n, rt_params);
-            if (algo == "msbt") {
-                const auto pps = static_cast<sim::packet_t>(
-                    std::ceil(M / (B * n)));
-                print_rt_result(comm.broadcast_msbt(
-                    s, pps * static_cast<sim::packet_t>(n)));
-            } else {
-                const auto discipline =
-                    (algo == "sbt" && port != sim::PortModel::all_port)
-                        ? routing::BroadcastDiscipline::port_oriented
-                        : routing::BroadcastDiscipline::paced;
-                print_rt_result(
-                    comm.broadcast(build(algo, n, s), discipline, packets));
-            }
+        if (options.has("rt") && !run_on_threads(schedule, port, threads)) {
+            return 1;
         }
         return 0;
     }
@@ -189,8 +194,9 @@ int main(int argc, char** argv) {
                 ? routing::cyclic_dest_order(
                       tree, routing::SubtreeOrder::reverse_breadth_first)
                 : routing::descending_dest_order(tree);
+        routing::Schedule schedule;
         if (port != sim::PortModel::one_port_half_duplex) {
-            const auto schedule =
+            schedule =
                 (port == sim::PortModel::all_port)
                     ? routing::scatter_all_port(
                           tree,
@@ -213,18 +219,8 @@ int main(int argc, char** argv) {
             if (port == sim::PortModel::one_port_half_duplex) {
                 std::printf("  rt: half-duplex scatter has no cycle "
                             "schedule; skipped\n");
-            } else {
-                rt::Params rt_params;
-                rt_params.threads = static_cast<std::uint32_t>(
-                    options.get_int("threads", 0));
-                rt_params.model = port;
-                rt::Communicator comm(n, rt_params);
-                const auto policy =
-                    (port == sim::PortModel::all_port)
-                        ? routing::ScatterPolicy::per_port
-                        : (algo == "bst" ? routing::ScatterPolicy::cyclic
-                                         : routing::ScatterPolicy::descending);
-                print_rt_result(comm.scatter(tree, policy, 1));
+            } else if (!run_on_threads(schedule, port, threads)) {
+                return 1;
             }
         }
         return 0;

@@ -48,7 +48,7 @@
 
 #include "rt/channel.hpp"
 #include "rt/checksum.hpp"
-#include "rt/communicator.hpp"
+#include "rt/expected.hpp"
 #include "rt/plan.hpp"
 #include "rt/player.hpp"
 

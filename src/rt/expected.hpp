@@ -27,8 +27,8 @@
 // Both engines answer to the same rule; the barrier engine additionally
 // owes cycles == makespan, which callers read off its PlayStats
 // (docs/RUNTIME.md § Verification). rt::CheckedPlan, at the end of this
-// file, is the one resident run that applies the rule, and every front
-// door plays through it: the Communicator builds one per call, the
+// file, is the one resident run that applies the rule, and every run
+// plays through it: a one-shot run builds one and plays it once, the
 // svc::Session caches one per signature, and ft::ResilientComm keeps one
 // per op signature for its fault-free attempts and builds one per healing
 // attempt.

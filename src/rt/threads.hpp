@@ -1,7 +1,7 @@
 // Shared worker-count policy for the threaded runtime.
 //
-// One documented clamp, used by rt::Communicator and bench_rt (which used
-// to duplicate it inline): a request of 0 means auto, and auto resolves to
+// One documented clamp, used by svc::Session, ft::ResilientComm and the
+// benchmarks and examples: a request of 0 means auto, and auto resolves to
 // max(2, hardware_concurrency()) — `hardware_concurrency()` is allowed to
 // return 0 when the host cannot be probed, and a silent single-threaded
 // default would hide every cross-thread bug the runtime exists to catch —

@@ -36,7 +36,7 @@ namespace hcube::rt {
 
 /// The transport medium enum lives in ft (fault_model.hpp) so detection
 /// policy can scale with it without ft depending on rt; alias it into rt,
-/// where the runtime-facing surface (PlayStats, Result, bench JSON) uses it.
+/// where the runtime-facing surface (PlayStats, ExecStats, bench JSON) uses it.
 using ft::TransportClass;
 
 /// What an execution engine requires of a channel backend. `Desc` is the

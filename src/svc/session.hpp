@@ -3,9 +3,9 @@
 // machine constants for the selector, shared across every operation
 // submitted for the session's lifetime.
 //
-// Where rt::Communicator builds one rt::CheckedPlan per call (proving,
-// compiling and allocating player memory each time; its pool already
-// persists), the Session caches one per signature: a cache hit replays
+// Where a one-shot run builds one rt::CheckedPlan (proving, compiling and
+// allocating player memory) and plays it once, the Session caches one
+// per signature and keeps one worker pool resident: a cache hit replays
 // the resident AsyncPlayer on the resident pool, touching no allocator
 // and no schedule generator. An entry's first execution checks the run's
 // final memory against the state the schedule alone implies
@@ -54,7 +54,7 @@ struct SessionParams {
     std::optional<model::CommParams> comm;
 };
 
-/// Per-execution report (the service's analogue of rt::Result).
+/// Per-execution report (rt::CheckedRun plus the cache's view of the run).
 struct ExecStats {
     bool verified = false;      ///< all checks for this run passed
     /// This run was checked against the schedule's expected final state

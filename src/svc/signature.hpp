@@ -26,7 +26,7 @@ using hc::dim_t;
 using hc::node_t;
 using sim::packet_t;
 
-/// Collective operations the service executes (the rt::Communicator set).
+/// Collective operations the service executes (routing/schedule_export.hpp).
 enum class Op : std::uint8_t {
     broadcast,
     scatter,
