@@ -4,79 +4,64 @@
 //
 // Every node owns a slice of two long vectors x and y; the global dot
 // product needs a sum-reduction of the local partial products, and an
-// iterative solver needs the result back at every node (all-reduce). We run
-// the data-carrying collectives and verify the numerics, comparing the
-// all-reduce against the gather-then-broadcast alternative the paper's
-// primitives suggest.
+// iterative solver needs the result back at every node. We play §1's
+// composition — a combining reduction up the SBT, then an SBT broadcast of
+// the sum — and its all-to-all variant, the allgather that leaves every
+// partial at every node to sum locally, on real worker threads through one
+// svc::Session. Each node's partial product is one double: the runtime's
+// generated contribution for that node, so the runtime's rule
+// (rt/expected.hpp) knows the exact sum and judges every run. Exits 1
+// unless every run verifies with cycles equal to the makespan.
 //
-// Usage: inner_product [--dim n] [--elements-per-node m]
+// Usage: inner_product [--dim n]
 #include "common/cli.hpp"
-#include "routing/collectives.hpp"
-#include "routing/protocols.hpp"
-#include "trees/sbt.hpp"
+#include "model/broadcast_model.hpp"
+#include "svc/session.hpp"
 
-#include <cmath>
 #include <cstdio>
-#include <numeric>
 
 int main(int argc, char** argv) {
     using namespace hcube;
+    using svc::Op;
+
     const CliOptions options(argc, argv);
     const auto n = static_cast<hc::dim_t>(options.get_int("dim", 7));
-    const auto m =
-        static_cast<std::size_t>(options.get_int("elements-per-node", 4096));
     const hc::node_t N = hc::node_t{1} << n;
 
-    std::printf("dot product of two %llu-element vectors on a %d-cube "
-                "(%zu elements/node)\n\n",
-                static_cast<unsigned long long>(N) * m, n, m);
+    svc::Session session(n);
+    std::printf("dot product on a %d-cube: every node's partial product "
+                "is one double (%u threads)\n\n",
+                n, session.threads());
 
-    // Local slices: x_i = 1/(i+1), y_i = (i+1), so x·y = total length.
-    std::vector<routing::Buffer> partials(N);
-    double expected = 0;
-    for (hc::node_t node = 0; node < N; ++node) {
-        double local = 0;
-        for (std::size_t e = 0; e < m; ++e) {
-            const double idx = static_cast<double>(node) *
-                                   static_cast<double>(m) +
-                               static_cast<double>(e) + 1.0;
-            local += (1.0 / idx) * idx;
-        }
-        partials[node] = {local};
-        expected += local;
-    }
+    bool all_ok = true;
+    const auto run = [&](const char* name, Op op) {
+        svc::Signature sig;
+        sig.op = op;
+        sig.n = n;
+        sig.block_elems = 1;
+        const svc::ExecStats r = session.execute(sig);
+        const bool ok = r.verified && r.rt_cycles == r.sim_makespan;
+        all_ok = all_ok && ok;
+        std::printf("%-10s %3u cycles (makespan %3u), %.3f ms, %s\n", name,
+                    r.rt_cycles, r.sim_makespan, r.seconds * 1e3,
+                    r.verified ? "verified" : "NOT VERIFIED");
+        return r.sim_makespan;
+    };
+    const std::uint32_t reduce = run("reduce", Op::reduce);
+    const std::uint32_t broadcast = run("broadcast", Op::broadcast);
+    const std::uint32_t allgather = run("allgather", Op::allgather);
 
-    // Variant 1: all-reduce (recursive doubling, log N exchanges of one
-    // scalar).
-    sim::EventParams params; // iPSC constants, full duplex
-    params.model = sim::PortModel::one_port_full_duplex;
-    routing::CollectiveComm comm(n, params);
-    auto reduced = partials;
-    const auto ar = comm.allreduce_sum(reduced);
-    std::printf("all-reduce:         %.6f s, every node holds %.1f "
-                "(expected %.1f)\n",
-                ar.time, reduced[0][0], expected);
-
-    // Variant 2: combining reduction up the SBT, then SBT broadcast of the
-    // scalar — the paper's reduction + broadcast composition.
-    const trees::SpanningTree tree = trees::build_sbt(n, 0);
-    sim::EventEngine reduce_engine(n, params);
-    routing::GatherProtocol reduce(tree, 1.0, /*combining=*/true);
-    const double reduce_time =
-        reduce_engine.run(reduce).completion_time;
-    routing::CollectiveComm comm2(n, params);
-    std::vector<routing::Buffer> bcast(N);
-    bcast[0] = {expected};
-    const auto bc = comm2.broadcast(
-        bcast, 0, routing::BroadcastAlgo::sbt_port_oriented, 1024);
-    std::printf("reduce + broadcast: %.6f s (reduce %.6f + broadcast %.6f)\n",
-                reduce_time + bc.time, reduce_time, bc.time);
-
-    const bool correct =
-        std::abs(reduced[0][0] - expected) < 1e-6 * expected;
-    std::printf("\nnumerics %s; for scalar payloads both variants cost "
-                "~2 log N start-ups — the\nstart-up term the paper's "
-                "optimal-packet-size analysis is built around.\n",
-                correct ? "check out" : "ARE WRONG");
-    return correct ? 0 : 1;
+    // Every cycle moves one one-double packet: one start-up each.
+    const model::CommParams ipsc = model::ipsc_params();
+    const double per_cycle = ipsc.tau + ipsc.tc;
+    std::printf("\nreduce + broadcast: %u cycles, %.4f s on the iPSC "
+                "(2 log N start-ups)\n",
+                reduce + broadcast, (reduce + broadcast) * per_cycle);
+    std::printf("allgather:          %u cycles, %.4f s on the iPSC "
+                "(N - 1 = %u start-ups)\n",
+                allgather, allgather * per_cycle, N - 1);
+    std::printf("\nfor scalar payloads the start-up term dominates — the "
+                "term the paper's\noptimal-packet-size analysis is built "
+                "around.\n");
+    return all_ok ? 0 : 1;
 }

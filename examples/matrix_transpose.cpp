@@ -4,17 +4,26 @@
 //
 // An N·b x N·b matrix is distributed by block rows (node i owns block row
 // i, itself split into N b x b blocks). Transposing the distribution means
-// node i must send block (i, j) to node j — a complete exchange. We run the
-// dimension-order recursive exchange through the data-carrying collectives,
-// verify A^T element by element, and compare the measured time against the
-// paper-style cost decomposition.
+// node i must send block (i, j) to node j — a complete exchange. We play
+// the dimension-order recursive exchange on real worker threads as one
+// rt::CheckedPlan, block (i, j) being packet routing::alltoall_packet_id(i,
+// j) of b·b doubles, so the runtime's rule (rt/expected.hpp) judges the
+// run. We then check that node j holds block (i, j) for every i, and print
+// the cycle count beside the makespan n·N/2 and the paper-style cost on
+// the iPSC constants. Exits 1 unless the run verifies, its cycles equal
+// the makespan and no block is misplaced.
 //
 // Usage: matrix_transpose [--dim n] [--block b]
 #include "common/cli.hpp"
-#include "routing/collectives.hpp"
+#include "model/broadcast_model.hpp"
+#include "routing/alltoall.hpp"
+#include "routing/schedule_export.hpp"
+#include "rt/expected.hpp"
+#include "rt/pool.hpp"
+#include "rt/threads.hpp"
 
-#include <cmath>
 #include <cstdio>
+#include <memory>
 
 int main(int argc, char** argv) {
     using namespace hcube;
@@ -28,59 +37,49 @@ int main(int argc, char** argv) {
                 "(%u x %u grid of %zu x %zu blocks)\n\n",
                 dim, dim, n, N, N, b, b);
 
-    // Node i owns block row i: data[i] holds N blocks of b*b values in
-    // row-major order; A(r, c) = r * dim + c.
-    const auto value = [&](std::size_t r, std::size_t c) {
-        return static_cast<double>(r) * static_cast<double>(dim) +
-               static_cast<double>(c);
-    };
-    std::vector<routing::Buffer> rows(N);
-    for (hc::node_t i = 0; i < N; ++i) {
-        rows[i].resize(N * b * b);
-        for (hc::node_t j = 0; j < N; ++j) {
-            for (std::size_t rr = 0; rr < b; ++rr) {
-                for (std::size_t cc = 0; cc < b; ++cc) {
-                    rows[i][(j * b + rr) * b + cc] =
-                        value(i * b + rr, j * b + cc);
-                }
-            }
-        }
-    }
-
-    sim::EventParams params; // iPSC constants
-    params.model = sim::PortModel::one_port_full_duplex;
-    routing::CollectiveComm comm(n, params);
-    std::vector<routing::Buffer> cols;
-    const auto result = comm.alltoall(rows, cols);
+    const sim::Schedule schedule = routing::make_alltoall_schedule(n, 1);
+    const std::uint32_t threads = rt::pick_worker_threads(n, 0);
+    rt::CheckedPlan checked(schedule, schedule, rt::DataMode::move,
+                            sim::PortModel::one_port_full_duplex, b * b,
+                            threads);
+    // One worker plays serially and needs no pool.
+    const std::unique_ptr<rt::WorkerPool> pool =
+        threads > 1 ? std::make_unique<rt::WorkerPool>(threads) : nullptr;
+    const rt::CheckedRun run = checked.play(pool.get());
 
     // After the exchange node j holds block (i, j) for every i: the local
-    // b x b blocks still need their internal transpose; verify A^T.
-    std::size_t errors = 0;
+    // b x b blocks still need their internal transpose.
+    const rt::Plan& plan = checked.plan();
+    std::size_t misplaced = 0;
     for (hc::node_t j = 0; j < N; ++j) {
         for (hc::node_t i = 0; i < N; ++i) {
-            for (std::size_t rr = 0; rr < b && errors == 0; ++rr) {
-                for (std::size_t cc = 0; cc < b; ++cc) {
-                    const double got = cols[j][(i * b + rr) * b + cc];
-                    // A^T(j*b+cc, i*b+rr) = A(i*b+rr, j*b+cc).
-                    if (got != value(i * b + rr, j * b + cc)) {
-                        ++errors;
-                        break;
-                    }
-                }
+            const sim::packet_t packet =
+                routing::alltoall_packet_id(i, j, n, 1, 0);
+            if (!rt::is_arena_block(plan, checked.player().block(j, packet),
+                                    packet)) {
+                ++misplaced;
             }
         }
     }
 
-    const double bytes_moved =
+    std::printf("complete exchange on %u threads: %u cycles (makespan %u "
+                "= n N/2), %.3f ms, %s\n",
+                threads, run.stats.cycles, checked.makespan(),
+                run.stats.seconds * 1e3,
+                run.verified ? "verified" : "NOT VERIFIED");
+    std::printf("blocks: %llu checked, %zu misplaced\n",
+                static_cast<unsigned long long>(N) * N, misplaced);
+
+    const model::CommParams ipsc = model::ipsc_params();
+    const double elements_moved =
         static_cast<double>(N) * (N - 1) * static_cast<double>(b * b);
-    std::printf("complete exchange: %.4f s, %zu block-placement errors\n",
-                result.time, errors);
     std::printf("data crossing the network: %.0f elements; per-node "
                 "per-round load N/2 blocks x log N rounds\n",
-                bytes_moved);
-    std::printf("model: log N (tau + N/2 b^2 t_c) = %.4f s\n",
-                n * (params.tau + (static_cast<double>(N) / 2) *
-                                      static_cast<double>(b * b) *
-                                      params.tc));
-    return errors == 0 ? 0 : 1;
+                elements_moved);
+    std::printf("iPSC model: log N (tau + N/2 b^2 t_c) = %.4f s\n",
+                n * (ipsc.tau + (static_cast<double>(N) / 2) *
+                                    static_cast<double>(b * b) * ipsc.tc));
+    const bool ok = run.verified &&
+                    run.stats.cycles == checked.makespan() && misplaced == 0;
+    return ok ? 0 : 1;
 }

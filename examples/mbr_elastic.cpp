@@ -8,7 +8,8 @@
 //     many;
 //   * a broadcast at a dead root is refused with a structured rejection
 //     naming the nearest live member to retarget to;
-//   * every run, full or incomplete, stays byte-verified.
+//   * every run, full or incomplete, stays byte-verified; the example
+//     exits 1 when any run is not.
 //
 //   mbr_elastic [--n 4] [--packets 4] [--block 64]
 #include "common/cli.hpp"
@@ -34,7 +35,8 @@ Signature broadcast_sig(dim_t n, node_t root, hcube::sim::packet_t packets,
     return sig;
 }
 
-void run_and_report(Session& session, const Signature& sig,
+/// Executes `sig`, prints the run and returns whether it verified.
+bool run_and_report(Session& session, const Signature& sig,
                     const char* what) {
     const ExecStats stats = session.execute(sig);
     std::printf("  %-28s epoch=%llu members=%u %s %s (%.3f ms)\n", what,
@@ -43,6 +45,7 @@ void run_and_report(Session& session, const Signature& sig,
                 stats.cache_hit ? "cache-hit" : "compiled",
                 stats.verified ? "verified" : "NOT VERIFIED",
                 stats.seconds * 1e3);
+    return stats.verified;
 }
 
 } // namespace
@@ -65,17 +68,18 @@ int main(int argc, char** argv) {
     std::printf("elastic membership on the %d-cube (%u addresses)\n\n", n,
                 node_t{1} << n);
 
+    bool all_ok = true;
     std::printf("full group:\n");
-    run_and_report(session, sig, "broadcast (cold)");
-    run_and_report(session, sig, "broadcast (steady)");
+    all_ok &= run_and_report(session, sig, "broadcast (cold)");
+    all_ok &= run_and_report(session, sig, "broadcast (steady)");
 
     std::printf("\nnode %u leaves:\n", leaver);
     const std::size_t evicted_on_leave = session.leave(leaver);
     std::printf("  view epoch -> %llu, plans invalidated: %zu\n",
                 static_cast<unsigned long long>(session.view_epoch()),
                 evicted_on_leave);
-    run_and_report(session, sig, "broadcast (replanned)");
-    run_and_report(session, sig, "broadcast (steady)");
+    all_ok &= run_and_report(session, sig, "broadcast (replanned)");
+    all_ok &= run_and_report(session, sig, "broadcast (steady)");
 
     std::printf("\nbroadcast rooted at the dead node is refused:\n");
     const auto rejection =
@@ -96,10 +100,10 @@ int main(int argc, char** argv) {
     std::printf("  view epoch -> %llu, plans invalidated: %zu\n",
                 static_cast<unsigned long long>(session.view_epoch()),
                 evicted_on_join);
-    run_and_report(session, sig, "broadcast (replanned)");
-    run_and_report(session, sig, "broadcast (steady)");
+    all_ok &= run_and_report(session, sig, "broadcast (replanned)");
+    all_ok &= run_and_report(session, sig, "broadcast (steady)");
 
     std::printf("\ntotal epoch-driven evictions: %llu\n",
                 static_cast<unsigned long long>(session.epoch_evictions()));
-    return 0;
+    return all_ok ? 0 : 1;
 }

@@ -3,10 +3,10 @@
 //   #include "hypercoll.hpp"
 //
 // pulls in the cube arithmetic (hcube::hc), the spanning structures
-// (hcube::trees), both simulators (hcube::sim), the routing algorithms and
-// data-carrying collectives (hcube::routing), the threaded collective
-// runtime (hcube::rt), and the analytic models (hcube::model). Individual
-// headers remain includable on their own.
+// (hcube::trees), both simulators (hcube::sim), the routing algorithms
+// (hcube::routing), the threaded collective runtime (hcube::rt), which
+// moves real bytes through verified schedule runs, and the analytic models
+// (hcube::model). Individual headers remain includable on their own.
 #pragma once
 
 #include "common/check.hpp"
@@ -40,7 +40,6 @@
 
 #include "routing/alltoall.hpp"
 #include "routing/broadcast.hpp"
-#include "routing/collectives.hpp"
 #include "routing/multipath.hpp"
 #include "routing/protocols.hpp"
 #include "routing/scatter.hpp"

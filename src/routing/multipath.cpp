@@ -47,7 +47,7 @@ void MultipathTransfer::on_start(sim::NodeContext& ctx) {
             const double piece = std::min(remaining, chunk_);
             ctx.send(paths_[p][1],
                      sim::Message{dst_, piece,
-                                  static_cast<std::uint64_t>(p), nullptr});
+                                  static_cast<std::uint64_t>(p)});
             remaining -= piece;
         }
     }

@@ -46,13 +46,12 @@ struct EventParams {
 /// A message as seen by protocols. `size` is in elements; `dest` is the
 /// final destination (== receiving node for broadcast data); `tag`
 /// distinguishes streams (e.g. MSBT subtree index or scatter packet index).
-/// `payload` optionally carries actual data for the data-moving collectives
-/// (routing/collectives.hpp); the engine itself never looks inside it.
+/// A message carries a size, never data: real bytes move only through the
+/// threaded runtime, which plays the cycle schedules (rt/expected.hpp).
 struct Message {
     node_t dest = 0;
     double size = 0;
     std::uint64_t tag = 0;
-    std::shared_ptr<const std::vector<double>> payload{};
 };
 
 class EventEngine;

@@ -309,8 +309,4 @@ std::uint64_t Session::cache_resident_bytes() const {
     return cache_.total_cost();
 }
 
-std::uint64_t Session::pool_jobs() const {
-    return pool_ ? pool_->jobs_run() : 0;
-}
-
 } // namespace hcube::svc

@@ -163,8 +163,6 @@ class Session {
     [[nodiscard]] std::size_t cached_plans() const;
     /// Exact resident bytes currently charged to the plan cache.
     [[nodiscard]] std::uint64_t cache_resident_bytes() const;
-    /// Jobs dispatched onto the resident pool (0 when single-threaded).
-    [[nodiscard]] std::uint64_t pool_jobs() const;
 
   private:
     struct PlanEntry;

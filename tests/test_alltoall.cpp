@@ -43,9 +43,9 @@ TEST_P(ExchangeSweep, RecursiveExchangeUsesNTimesHalfNCycles) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, ExchangeSweep,
-                         ::testing::Values(Case{2, 1}, Case{3, 1}, Case{3, 2},
-                                           Case{4, 1}, Case{5, 1},
-                                           Case{6, 1}),
+                         ::testing::Values(Case{1, 1}, Case{2, 1}, Case{3, 1},
+                                           Case{3, 2}, Case{4, 1},
+                                           Case{5, 1}, Case{6, 1}),
                          [](const auto& param_info) {
                              return "n" + std::to_string(param_info.param.n) +
                                     "_p" +

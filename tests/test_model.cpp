@@ -18,7 +18,7 @@ using sim::PortModel;
 constexpr PortModel kModels[] = {PortModel::one_port_half_duplex,
                                  PortModel::one_port_full_duplex,
                                  PortModel::all_port};
-constexpr Algorithm kBroadcastAlgos[] = {Algorithm::hp, Algorithm::sbt,
+constexpr Algorithm kBroadcastTrees[] = {Algorithm::hp, Algorithm::sbt,
                                          Algorithm::tcbt, Algorithm::msbt};
 
 TEST(BroadcastModel, Table1Entries) {
@@ -66,7 +66,7 @@ TEST(BroadcastModel, StepsReduceToDelaysAtOnePacket) {
     // the propagation delay. For HP/SBT/TCBT that message is one packet;
     // Table 1's MSBT delays are for broadcasting log N packets (one per
     // subtree), so the MSBT uses M = n·B.
-    for (const auto algo : kBroadcastAlgos) {
+    for (const auto algo : kBroadcastTrees) {
         for (const auto m : kModels) {
             for (dim_t n = 4; n <= 10; ++n) {
                 const double M = (algo == Algorithm::msbt) ? n : 1;
@@ -83,7 +83,7 @@ TEST(BroadcastModel, StepsReduceToDelaysAtOnePacket) {
 TEST(BroadcastModel, BoptMinimizesTime) {
     const CommParams params = ipsc_params();
     const double M = 61440;
-    for (const auto algo : kBroadcastAlgos) {
+    for (const auto algo : kBroadcastTrees) {
         for (const auto m : kModels) {
             for (dim_t n = 4; n <= 8; ++n) {
                 const double bopt = broadcast_bopt(algo, m, M, n, params);
@@ -107,7 +107,7 @@ TEST(BroadcastModel, BoptMinimizesTime) {
 TEST(BroadcastModel, TminIsTimeAtBoptUpToCeiling) {
     const CommParams params = ipsc_params();
     const double M = 61440;
-    for (const auto algo : kBroadcastAlgos) {
+    for (const auto algo : kBroadcastTrees) {
         for (const auto m : kModels) {
             const dim_t n = 7;
             const double tmin = broadcast_tmin(algo, m, M, n, params);
