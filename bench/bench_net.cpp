@@ -1,24 +1,24 @@
 // bench_net — ring vs socket transport comparison for the collective
-// runtime: each workload runs once on the in-process barrier engine (the
-// ring transport) and once as a multi-process net::run_job over
-// Unix-domain sockets (plus one TCP loopback row). Every row's final
-// memory is judged by the runtime's verification rule (rt/expected.hpp,
-// through net::follows_rule): the state the schedule alone implies.
+// runtime: each workload runs once in process as an rt::CheckedPlan (the
+// ring transport, one worker per rank) and once as a multi-process
+// net::run_job over Unix-domain sockets (plus one TCP loopback row). Every
+// row's final memory is judged by the runtime's verification rule
+// (rt/expected.hpp): the state the schedule alone implies.
 //
 //   bench_net [--nmin 3] [--nmax 5] [--block 256] [--procs 4]
 //             [--tcp 1] [--json <path>] [--csv <path>]
 //
-// Every row carries "verified": the ring row is verified when its run is
-// clean, delivers every scheduled block and passes the rule; a socket row
-// when the job reported clean on every rank and its assembled image
-// passes the rule. The process exits nonzero if any row fails — CI greps
-// the JSON for `"verified": false` on top of that.
+// Every row carries "verified": the ring row is verified when its
+// CheckedPlan run is (clean, every scheduled block delivered, the rule
+// passed); a socket row when the job reported clean on every rank and its
+// assembled image passes the rule (net::image_follows_rule). The process
+// exits nonzero if any row fails — CI greps the JSON for
+// `"verified": false` on top of that.
 #include "bench_util.hpp"
 
 #include "common/json.hpp"
 #include "net/job.hpp"
-#include "rt/plan.hpp"
-#include "rt/player.hpp"
+#include "rt/expected.hpp"
 #include "svc/signature.hpp"
 
 #include <cstdio>
@@ -106,10 +106,11 @@ int main(int argc, char** argv) {
             const std::uint32_t job_procs =
                 std::min<std::uint32_t>(procs, 1u << n);
             const svc::GeneratedSchedule gen = svc::make_schedule(sig);
-            const rt::Plan plan = rt::compile_plan(
-                gen.exec, gen.mode, sig.block_elems, job_procs);
-            rt::Player ring_player(plan);
-            const rt::PlayStats ring_stats = ring_player.play();
+            rt::CheckedPlan ring_plan(gen.exec, gen.feasibility, gen.mode,
+                                      sig.model, sig.block_elems,
+                                      job_procs);
+            const rt::CheckedRun ring_run = ring_plan.play();
+            const rt::PlayStats& ring_stats = ring_run.stats;
 
             Row ring;
             ring.op = svc::to_string(sig.op);
@@ -126,10 +127,7 @@ int main(int argc, char** argv) {
                             ? static_cast<double>(ring_stats.payload_bytes) /
                                   ring_stats.seconds * 1e-9
                             : 0;
-            ring.verified =
-                ring_stats.clean() &&
-                ring_stats.blocks_delivered == gen.exec.sends.size() &&
-                net::follows_rule(gen, sig.model, plan, ring_player);
+            ring.verified = ring_run.verified;
             rows.push_back(ring);
 
             std::vector<ft::TransportClass> wires = {ft::TransportClass::uds};
@@ -151,7 +149,7 @@ int main(int argc, char** argv) {
                     r.blocks_delivered += rank.play.blocks_delivered;
                 }
                 r.payload_bytes =
-                    r.blocks_delivered * plan.block_elems * sizeof(double);
+                    r.blocks_delivered * sig.block_elems * sizeof(double);
                 r.gbps = job.seconds > 0
                              ? static_cast<double>(r.payload_bytes) /
                                    job.seconds * 1e-9

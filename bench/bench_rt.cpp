@@ -1,31 +1,24 @@
 // Wall-clock benchmark of the threaded collective runtime (hcube::rt):
-// delivered GB/s of the barrier and async engines across a worker-thread
-// sweep, with four cross-checks per configuration —
-//   * the barrier engine's cycle count must equal the CycleExecutor
-//     makespan of the same schedule exactly,
-//   * the makespan is printed next to the model:: closed-form step count
-//     (Table 3) where one exists,
-//   * every delivered block is checksum-verified,
-//   * the async engine's final memory must be byte-identical to the
-//     barrier engine's (the dataflow engine's oracle check).
-//
-// Every (workload, n, threads) runs under both engines; the async row's
-// `speedup` column is barrier-seconds / async-seconds at identical payload
-// and thread count — the measured cost of two global barriers per routing
-// cycle versus dependency-only synchronization.
+// delivered GB/s of the AsyncPlayer across a worker-thread sweep, with
+// three checks per configuration —
+//   * the engine's cycle count must equal the CycleExecutor makespan of
+//     the same schedule exactly (for the reduce: of the broadcast it
+//     reverses); the makespan is printed next to the model:: closed-form
+//     step count (Table 3) where one exists,
+//   * every run is clean: every delivered block is checksum-verified,
+//   * the last timed rep's final memory passes the runtime's verification
+//     rule (rt/expected.hpp): check_move_run, or check_combine_run into
+//     the root.
 //
 // The timed region is play() only: schedule generation, plan compilation
-// and allocation are excluded, mirroring bench_executor.
+// and allocation are excluded, mirroring bench_executor. In process there
+// is no per-cycle startup term to measure: the paper's τ + B·t_c effect
+// is measured where τ is real, on the event engine (bench_fig7_speedup)
+// and over sockets (bench_net).
 //
-// The default block size (32 doubles) sits in the latency-bound regime
-// where per-cycle synchronization dominates; large blocks (--block 1024+)
-// move both engines into the bandwidth-bound regime where equal bytes mean
-// near-equal time — the live form of the paper's B_opt trade-off
-// (docs/RUNTIME.md).
-//
-// The four move workloads deliver zero-copy, so the async engine always
-// runs them serial; the combine-mode `reduce` copies and accumulates every
-// block, which is where the async engine steals (8 KiB blocks and up, see
+// The four move workloads deliver zero-copy, so the engine always runs
+// them serial; the combine-mode `reduce` copies and accumulates every
+// block, which is where it steals (8 KiB blocks and up, see
 // rt/async_player.hpp).
 //
 //   bench_rt --nmin 4 --nmax 8 [--pps 4] [--ppd 2] [--block 32,1024]
@@ -33,19 +26,19 @@
 //            [--min-time 0.1] [--json <path>] [--trace-out <path>]
 //
 // --block and --threads take comma-separated lists; the default blocks
-// "32,1024" cover both regimes in one run. Each JSON row also reports
-// bytes_copied (payload memcpys the engine performed — 0 on the zero-copy
-// delivery path), checksum_gbs (the standalone digest throughput of the
-// scalar checksum kernel at that block size), generate_gbs (the standalone
-// throughput of fill_contribution, the payload generator, at that block
-// size: it should outrun the digest of the same bytes), and mode (how the
-// engine actually executed: barrier, serial, or stealing). Async rows at
-// more than one thread add speedup_vs_serial: the 1-thread async row's
-// seconds (always the serial walk) over this row's, at the same workload,
-// n and block.
+// "32,1024" cover the latency- and bandwidth-bound regimes in one run.
+// Each JSON row also reports bytes_copied (payload memcpys the engine
+// performed — 0 on the zero-copy delivery path), checksum_gbs (the
+// standalone digest throughput of the scalar checksum kernel at that block
+// size), generate_gbs (the standalone throughput of fill_contribution, the
+// payload generator, at that block size: it should outrun the digest of
+// the same bytes), mode (how the engine actually executed: serial or
+// stealing) and steals. Rows at more than one thread add
+// speedup_vs_serial: the 1-thread row's seconds (always the serial walk)
+// over this row's, at the same workload, n and block.
 //
 // --trace-out writes a chrome://tracing (Perfetto-compatible) JSON file:
-// one extra instrumented run per (workload, n, threads, engine)
+// one extra instrumented run per (workload, n, block, threads)
 // configuration, per-worker begin/end of every send/recv action, one
 // process (pid) per configuration. Keep the sweep narrow when tracing.
 #include "bench_util.hpp"
@@ -55,8 +48,8 @@
 #include "routing/schedule_export.hpp"
 #include "rt/async_player.hpp"
 #include "rt/checksum.hpp"
+#include "rt/expected.hpp"
 #include "rt/plan.hpp"
-#include "rt/player.hpp"
 #include "rt/pool.hpp"
 #include "rt/simd.hpp"
 #include "rt/threads.hpp"
@@ -100,7 +93,6 @@ struct Row {
     std::string workload;
     std::string op;
     std::string algo;
-    std::string engine; ///< barrier | async
     dim_t n = 0;
     std::uint32_t threads = 0;
     std::uint64_t block_elems = 0;
@@ -119,9 +111,8 @@ struct Row {
     double gbps = 0;
     double checksum_gbs = 0; ///< standalone digest kernel throughput
     double generate_gbs = 0; ///< standalone payload generator throughput
-    double speedup = 0; ///< async rows: barrier seconds / async seconds
-    double vs_serial = 0; ///< async rows: 1-thread async seconds / seconds
-    std::string mode; ///< barrier | serial | stealing (last rep's choice)
+    double vs_serial = 0; ///< 1-thread seconds / seconds
+    std::string mode; ///< serial | stealing (last rep's choice)
     std::string transport = "ring"; ///< medium the blocks moved over
     bool verified = false;
 };
@@ -239,22 +230,6 @@ thread_counts(dim_t n, const std::vector<std::size_t>& requested) {
     return out;
 }
 
-/// Byte-identical final-state comparison, slot by slot.
-bool identical_memory(const hcube::rt::Plan& plan,
-                      const hcube::rt::Player& ref,
-                      const hcube::rt::AsyncPlayer& dut) {
-    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const auto a = ref.block(plan.slot_node[s], plan.slot_packet[s]);
-        const auto b = dut.block(plan.slot_node[s], plan.slot_packet[s]);
-        if (a.size() != b.size() ||
-            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) !=
-                0) {
-            return false;
-        }
-    }
-    return true;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -290,7 +265,7 @@ int main(int argc, char** argv) {
 
     hcube::bench::banner(
         "Runtime throughput",
-        "barrier vs dataflow engines: GB/s and wall-clock speedups");
+        "AsyncPlayer GB/s, verified by the runtime's rule");
     const auto join = [](const std::vector<std::size_t>& list) {
         std::string out;
         for (const std::size_t v : list) {
@@ -375,11 +350,9 @@ int main(int argc, char** argv) {
          }},
     };
 
-    std::printf("%-12s %3s %5s %4s %-8s %8s %7s %10s %9s %9s %-8s %8s "
-                "%8s %5s\n",
-                "workload", "n", "blk", "thr", "engine", "packets",
-                "cycles", "blocks", "ms", "GB/s", "mode", "speedup",
-                "vs-1thr", "ok");
+    std::printf("%-12s %3s %5s %4s %8s %7s %10s %9s %9s %-8s %8s %5s\n",
+                "workload", "n", "blk", "thr", "packets", "cycles",
+                "blocks", "ms", "GB/s", "mode", "vs-1thr", "ok");
 
     std::vector<Row> rows;
     for (const Workload& w : workloads) {
@@ -399,179 +372,111 @@ int main(int argc, char** argv) {
                  thread_counts(n, threads)) {
                 const hcube::rt::Plan plan = hcube::rt::compile_plan(
                     schedule, w.mode, block, use_threads);
-                hcube::rt::Player barrier_player(plan);
-                hcube::rt::AsyncPlayer async_player(plan);
-                // Both engines replay on one persistent pool, so the rows
+                hcube::rt::AsyncPlayer player(plan);
+                // Every rep replays on one persistent pool, so the rows
                 // measure steady-state execution with zero thread churn.
                 const auto pool =
                     use_threads > 1
                         ? std::make_unique<hcube::rt::WorkerPool>(use_threads)
                         : nullptr;
 
-                Row base;
-                base.workload = w.name;
-                base.op = w.op;
-                base.algo = w.algo;
-                base.n = n;
-                base.threads = use_threads;
-                base.block_elems = block;
-                base.packets = schedule.packet_count;
-                base.sim_makespan = sim_stats.makespan;
-                base.model_steps = w.model_steps(n, schedule.packet_count);
-                base.checksum_gbs = checksum_gbs[bi];
-                base.generate_gbs = generate_gbs[bi];
+                Row row;
+                row.workload = w.name;
+                row.op = w.op;
+                row.algo = w.algo;
+                row.n = n;
+                row.threads = use_threads;
+                row.block_elems = block;
+                row.packets = schedule.packet_count;
+                row.sim_makespan = sim_stats.makespan;
+                row.model_steps = w.model_steps(n, schedule.packet_count);
+                row.checksum_gbs = checksum_gbs[bi];
+                row.generate_gbs = generate_gbs[bi];
 
-                // One rep loop per engine, identical policy: best-of wall
-                // clock over >= reps runs or min_time, whichever is later.
-                const auto measure = [&](auto& player, Row& row,
-                                         bool check_makespan) {
-                    row.seconds = 1e300;
-                    row.verified = true;
-                    double elapsed = 0.0;
-                    int runs = 0;
-                    while (runs < reps || elapsed < min_time) {
-                        const auto stats = player.play(pool.get());
-                        row.rt_cycles = stats.cycles;
-                        row.blocks_delivered = stats.blocks_delivered;
-                        row.payload_bytes = stats.payload_bytes;
-                        row.bytes_copied = stats.bytes_copied;
-                        row.mode = hcube::rt::to_string(stats.mode);
-                        row.transport = hcube::ft::to_string(stats.transport);
-                        row.steals = stats.steals;
-                        row.checksum_failures += stats.checksum_failures;
-                        row.channel_faults += stats.channel_faults;
-                        row.timeouts += stats.timeouts;
-                        row.seconds = std::min(row.seconds, stats.seconds);
-                        row.verified =
-                            row.verified && stats.clean() &&
-                            (!check_makespan ||
-                             stats.cycles == sim_stats.makespan) &&
-                            stats.blocks_delivered ==
-                                schedule.sends.size();
-                        elapsed += stats.seconds;
-                        ++runs;
-                        if (runs >= 1000) {
-                            break;
-                        }
+                // Best-of wall clock over >= reps runs or min_time,
+                // whichever is later.
+                row.seconds = 1e300;
+                row.verified = true;
+                double elapsed = 0.0;
+                int runs = 0;
+                while (runs < reps || elapsed < min_time) {
+                    const hcube::rt::PlayStats stats =
+                        player.play(pool.get());
+                    row.rt_cycles = stats.cycles;
+                    row.blocks_delivered = stats.blocks_delivered;
+                    row.payload_bytes = stats.payload_bytes;
+                    row.bytes_copied = stats.bytes_copied;
+                    row.mode = hcube::rt::to_string(stats.mode);
+                    row.transport = hcube::ft::to_string(stats.transport);
+                    row.steals = stats.steals;
+                    row.checksum_failures += stats.checksum_failures;
+                    row.channel_faults += stats.channel_faults;
+                    row.timeouts += stats.timeouts;
+                    row.seconds = std::min(row.seconds, stats.seconds);
+                    row.verified =
+                        row.verified && stats.clean() &&
+                        stats.cycles == sim_stats.makespan &&
+                        stats.blocks_delivered == schedule.sends.size();
+                    elapsed += stats.seconds;
+                    ++runs;
+                    if (runs >= 1000) {
+                        break;
                     }
-                    row.gbps = static_cast<double>(row.payload_bytes) /
-                               row.seconds * 1e-9;
-                };
-
-                Row barrier_row = base;
-                barrier_row.engine = "barrier";
-                measure(barrier_player, barrier_row, true);
-
-                Row async_row = base;
-                async_row.engine = "async";
-                measure(async_player, async_row, true);
-                // The oracle check: after both engines' final reps the
-                // memory images must agree byte for byte.
-                async_row.verified =
-                    async_row.verified && barrier_row.verified &&
-                    identical_memory(plan, barrier_player, async_player);
-                async_row.speedup =
-                    barrier_row.seconds / async_row.seconds;
-                // Thread counts run ascending, so the 1-thread async row
-                // of this (workload, n, block), if requested, is in.
+                }
+                row.gbps = static_cast<double>(row.payload_bytes) /
+                           row.seconds * 1e-9;
+                // The last rep's final memory must be the state the
+                // schedule implies.
+                row.verified =
+                    row.verified &&
+                    (w.mode == DataMode::combine
+                         ? hcube::rt::check_combine_run(plan, schedule, 0,
+                                                        {}, player)
+                               .has_value()
+                         : hcube::rt::check_move_run(plan, sim_stats,
+                                                     player));
+                // Thread counts run ascending, so the 1-thread row of
+                // this (workload, n, block), if requested, is in.
                 const auto serial_row =
                     std::ranges::find_if(rows, [&](const Row& r) {
-                        return r.engine == "async" && r.threads == 1 &&
-                               r.workload == w.name && r.n == n &&
-                               r.block_elems == block;
+                        return r.threads == 1 && r.workload == w.name &&
+                               r.n == n && r.block_elems == block;
                     });
                 if (use_threads > 1 && serial_row != rows.end()) {
-                    async_row.vs_serial =
-                        serial_row->seconds / async_row.seconds;
+                    row.vs_serial = serial_row->seconds / row.seconds;
                 }
 
-                for (const Row* row : {&barrier_row, &async_row}) {
-                    std::printf("%-12s %3d %5zu %4u %-8s %8u %7u %10llu "
-                                "%9.3f %9.3f %-8s ",
-                                row->workload.c_str(), n, block,
-                                row->threads, row->engine.c_str(),
-                                row->packets, row->rt_cycles,
-                                static_cast<unsigned long long>(
-                                    row->blocks_delivered),
-                                row->seconds * 1e3, row->gbps,
-                                row->mode.c_str());
-                    for (const double ratio : {row->speedup, row->vs_serial}) {
-                        if (ratio > 0) {
-                            std::printf("%7.2fx ", ratio);
-                        } else {
-                            std::printf("%8s ", "-");
-                        }
-                    }
-                    std::printf("%5s\n", row->verified ? "yes" : "NO");
+                std::printf("%-12s %3d %5zu %4u %8u %7u %10llu %9.3f "
+                            "%9.3f %-8s ",
+                            row.workload.c_str(), n, block, row.threads,
+                            row.packets, row.rt_cycles,
+                            static_cast<unsigned long long>(
+                                row.blocks_delivered),
+                            row.seconds * 1e3, row.gbps, row.mode.c_str());
+                if (row.vs_serial > 0) {
+                    std::printf("%7.2fx ", row.vs_serial);
+                } else {
+                    std::printf("%8s ", "-");
                 }
+                std::printf("%5s\n", row.verified ? "yes" : "NO");
                 std::fflush(stdout);
-                rows.push_back(barrier_row);
-                rows.push_back(async_row);
+                rows.push_back(row);
 
                 if (trace_json != nullptr) {
-                    // One instrumented (untimed) run per engine; every
-                    // configuration becomes its own chrome-trace process.
-                    const std::string label =
-                        w.name + " n=" + std::to_string(n) +
-                        " t=" + std::to_string(use_threads);
+                    // One instrumented (untimed) run; every configuration
+                    // becomes its own chrome-trace process.
                     hcube::rt::TraceRecorder recorder(use_threads);
-                    barrier_player.set_trace(&recorder);
-                    (void)barrier_player.play();
-                    barrier_player.set_trace(nullptr);
-                    recorder.append_chrome_events(*trace_json, trace_pid++,
-                                                  label + " barrier");
-                    recorder.reset();
-                    async_player.set_trace(&recorder);
-                    (void)async_player.play();
-                    async_player.set_trace(nullptr);
-                    recorder.append_chrome_events(*trace_json, trace_pid++,
-                                                  label + " async");
+                    player.set_trace(&recorder);
+                    (void)player.play();
+                    player.set_trace(nullptr);
+                    recorder.append_chrome_events(
+                        *trace_json, trace_pid++,
+                        w.name + " n=" + std::to_string(n) +
+                            " b=" + std::to_string(block) +
+                            " t=" + std::to_string(use_threads));
                 }
             }
             }
-        }
-    }
-
-    // Headline algorithm-vs-algorithm speedups, measured on the barrier
-    // engine at the widest swept thread count: the paper's latency
-    // argument (fewer routing cycles at equal bytes) is a statement about
-    // the per-cycle synchronization cost, which is exactly what the
-    // barrier engine pays and the async engine retires. The async rows'
-    // own speedup column quantifies that retirement per workload.
-    const std::size_t headline_block = blocks.front();
-    const auto find = [&rows, headline_block](const std::string& name,
-                                              dim_t n) -> const Row* {
-        const Row* best = nullptr;
-        for (const Row& r : rows) {
-            if (r.workload == name && r.n == n && r.engine == "barrier" &&
-                r.block_elems == headline_block &&
-                (best == nullptr || r.threads > best->threads)) {
-                best = &r;
-            }
-        }
-        return best;
-    };
-    std::printf("\n%-28s %3s %10s %10s %8s\n",
-                "speedup (barrier engine)", "n", "base ms", "fast ms",
-                "ratio");
-    for (dim_t n = nmin; n <= nmax; ++n) {
-        const struct {
-            const char* label;
-            const char* base;
-            const char* fast;
-        } pairs[] = {
-            {"msbt vs sbt broadcast", "sbt_bcast", "msbt_bcast"},
-            {"bst vs sbt scatter", "sbt_scatter", "bst_scatter"},
-        };
-        for (const auto& pair : pairs) {
-            const Row* b = find(pair.base, n);
-            const Row* f = find(pair.fast, n);
-            if (b == nullptr || f == nullptr) {
-                continue;
-            }
-            std::printf("%-28s %3d %10.3f %10.3f %7.2fx\n", pair.label, n,
-                        b->seconds * 1e3, f->seconds * 1e3,
-                        b->seconds / f->seconds);
         }
     }
 
@@ -587,7 +492,6 @@ int main(int argc, char** argv) {
             json.field("workload", r.workload);
             json.field("op", r.op);
             json.field("algo", r.algo);
-            json.field("engine", r.engine);
             json.field("n", r.n);
             json.field("threads", r.threads);
             json.field("block_elems", r.block_elems);
@@ -610,13 +514,10 @@ int main(int argc, char** argv) {
             json.field("seconds", r.seconds);
             json.field("gbytes_per_sec", r.gbps);
             json.field("pool_reused", true);
-            if (r.engine == "async") {
-                json.field("speedup_vs_barrier", r.speedup);
-                if (r.vs_serial > 0) {
-                    json.field("speedup_vs_serial", r.vs_serial);
-                }
-                json.field("steals", r.steals);
+            if (r.vs_serial > 0) {
+                json.field("speedup_vs_serial", r.vs_serial);
             }
+            json.field("steals", r.steals);
             json.field("verified", r.verified);
             json.end_row();
         }

@@ -13,15 +13,12 @@
 // whose signature is already executing rides that run (batching).
 //
 // Every request remains byte-verified — a row with "verified": false fails
-// this binary (exit 1) and the CI grep gate. Each Session row also records
-// `barrier_plays`, the rt.plays_barrier delta over the session's
-// construction and all its requests: nothing a Session does plays the
-// barrier engine, so anything but 0 fails the binary as well — a count,
-// not a speed, so it repeats exactly on any machine. Each Service row
-// also records `steady_digests`, the rt.canonical_digests delta over its
+// this binary (exit 1) and the CI grep gate. Each Service row also
+// records `steady_digests`, the rt.canonical_digests delta over its
 // measured phase (after the warm-up that executes every signature once):
 // a cache hit compares against its plan's arena and derives no canonical
-// digest, so anything but 0 fails the binary too. Each Service row also
+// digest, so anything but 0 fails the binary too — a count, not a speed,
+// so it repeats exactly on any machine. Each Service row also
 // records `builder_runs`, the svc.builder_runs delta over the same phase:
 // a hit plays on the caller's thread and only a miss reaches the builder
 // thread, so anything but 0 fails the binary as well. The selector rows
@@ -144,13 +141,6 @@ Measured run_baseline(dim_t n, const std::vector<Signature>& mix,
     return m;
 }
 
-/// Barrier-engine plays so far in this process. A Session row's
-/// barrier_plays is the delta over the session's construction and every
-/// request of the row.
-std::uint64_t barrier_plays_now() {
-    return hcube::obs::registry().counter("rt.plays_barrier").value();
-}
-
 /// Canonical digests derived so far in this process (one per
 /// rt::canonical_checksum call).
 std::uint64_t digests_now() {
@@ -166,7 +156,6 @@ struct ServiceMeasured : Measured {
     double cache_hit_rate = 0;
     std::uint64_t batched = 0;
     std::uint64_t executed = 0;
-    std::uint64_t barrier_plays = 0; ///< rt.plays_barrier over the row
     std::uint64_t steady_digests = 0; ///< rt.canonical_digests, measured
     std::uint64_t builder_runs = 0;   ///< svc.builder_runs, measured
 };
@@ -174,7 +163,6 @@ struct ServiceMeasured : Measured {
 ServiceMeasured run_service(dim_t n, const std::vector<Signature>& mix,
                             int requests, int concurrency,
                             std::size_t queue_depth) {
-    const std::uint64_t plays_before = barrier_plays_now();
     ServiceParams params;
     params.queue_depth = queue_depth;
     Service service(n, params);
@@ -245,7 +233,6 @@ ServiceMeasured run_service(dim_t n, const std::vector<Signature>& mix,
     const Service::Counters counters = service.counters();
     m.batched = counters.batched;
     m.executed = counters.executed;
-    m.barrier_plays = barrier_plays_now() - plays_before;
     return m;
 }
 
@@ -348,7 +335,6 @@ struct SweepMeasured {
     double compile_ms = 0;
     double hit_rate = 0;
     std::uint64_t evictions = 0;
-    std::uint64_t barrier_plays = 0; ///< rt.plays_barrier over the sweep
     bool verified = true;
 };
 
@@ -361,7 +347,6 @@ SweepMeasured run_footprint_sweep(const std::vector<Signature>& sigs,
     SessionParams params;
     params.threads = 4;
     params.plan_cache_bytes = budget_bytes;
-    const std::uint64_t plays_before = barrier_plays_now();
     Session session(10, params);
     SweepMeasured m;
     m.signatures = sigs.size();
@@ -371,7 +356,6 @@ SweepMeasured run_footprint_sweep(const std::vector<Signature>& sigs,
             m.verified = m.verified && stats.verified;
         }
     }
-    m.barrier_plays = barrier_plays_now() - plays_before;
     const hcube::CacheStats cache = session.cache_stats();
     const double lookups =
         static_cast<double>(cache.hits + cache.misses);
@@ -412,15 +396,17 @@ struct ShrinkMeasured {
 
 /// Entry resident bytes of the cached sbt_broadcast n=8 plan against the
 /// pre-compaction entry, reconstructed analytically: the compact entry,
-/// plus the AoS mirrors the old encoding kept per lowered hop, plus the
-/// full expected image the cache used to snapshot for move-mode plans
+/// plus the AoS mirrors and bucket offsets the old encoding kept, plus
+/// the full expected image the cache used to snapshot for move-mode plans
 /// (total_slots x block doubles; it now compares against the plan's
 /// arena instead).
 ShrinkMeasured measure_sbt8_shrink(std::uint32_t block) {
     // Per lowered hop the old encoding added four 24-byte Action records
-    // (flat and bucketed, send and receive) and a 4-byte cycle stamp, and
-    // lacked the two 4-byte bucket indices that replaced them.
-    constexpr std::uint64_t kMirrorBytesPerHop = 4 * 24 + 4 - 2 * 4;
+    // (flat and bucketed, send and receive) and a 4-byte cycle stamp; per
+    // (cycle, worker) bucket, plus one closing entry, a 4-byte send and a
+    // 4-byte receive offset.
+    constexpr std::uint64_t kMirrorBytesPerHop = 4 * 24 + 4;
+    constexpr std::uint64_t kOffsetBytesPerBucket = 2 * 4;
     const Signature sig =
         make_sig(Op::broadcast, Family::sbt, 8, 0, 4, block);
     SessionParams params;
@@ -432,7 +418,9 @@ ShrinkMeasured measure_sbt8_shrink(std::uint32_t block) {
     // One delivered block per lowered hop; after a broadcast every node
     // holds every packet.
     const std::uint64_t mirror_bytes =
-        stats.blocks_delivered * kMirrorBytesPerHop;
+        stats.blocks_delivered * kMirrorBytesPerHop +
+        (std::uint64_t{stats.rt_cycles} * params.threads + 1) *
+            kOffsetBytesPerBucket;
     const std::uint64_t image_bytes =
         (std::uint64_t{1} << 8) * sig.packets * sig.block_elems * 8;
     m.pre_pr_bytes = m.compact_bytes + mirror_bytes + image_bytes;
@@ -470,7 +458,6 @@ int main(int argc, char** argv) {
     }
 
     bool verified = true;
-    std::uint64_t barrier_plays = 0; ///< summed over every Session row
     std::uint64_t steady_digests = 0; ///< summed over the Service rows
     std::uint64_t builder_runs = 0;   ///< summed over the Service rows
 
@@ -501,7 +488,6 @@ int main(int argc, char** argv) {
         const ServiceMeasured svc =
             run_service(n, mix, requests, concurrency, queue_depth);
         verified = verified && svc.verified;
-        barrier_plays += svc.barrier_plays;
         steady_digests += svc.steady_digests;
         builder_runs += svc.builder_runs;
         const double speedup = baseline.ops_per_sec > 0
@@ -526,7 +512,6 @@ int main(int argc, char** argv) {
             json->field("cache_hit_rate", svc.cache_hit_rate);
             json->field("batched", svc.batched);
             json->field("executed", svc.executed);
-            json->field("barrier_plays", svc.barrier_plays);
             json->field("steady_digests", svc.steady_digests);
             json->field("builder_runs", svc.builder_runs);
             json->field("transport", svc.transport);
@@ -551,7 +536,6 @@ int main(int argc, char** argv) {
         sweep.resident_bytes <= sweep_budget &&
         (population.size() < 1000 || sweep.resident_plans >= 1000);
     verified = verified && sweep_ok;
-    barrier_plays += sweep.barrier_plays;
     std::printf("\nplan footprint sweep: %zu signatures (n=3..10), "
                 "budget %llu MiB, %d passes\n"
                 "  resident %zu plans, %.1f KiB/plan, compile %.3f ms, "
@@ -577,7 +561,6 @@ int main(int argc, char** argv) {
         json->field("cache_hit_rate", sweep.hit_rate);
         json->field("evictions", sweep.evictions);
         json->field("passes", sweep_passes);
-        json->field("barrier_plays", sweep.barrier_plays);
         json->field("verified", sweep_ok);
         json->end_row();
     }
@@ -652,13 +635,6 @@ int main(int argc, char** argv) {
     }
     if (!verified) {
         std::fprintf(stderr, "VERIFICATION FAILED\n");
-        return 1;
-    }
-    if (barrier_plays != 0) {
-        std::fprintf(stderr,
-                     "%llu barrier-engine plays on the Session rows' "
-                     "request paths (expected 0)\n",
-                     static_cast<unsigned long long>(barrier_plays));
         return 1;
     }
     if (steady_digests != 0) {

@@ -9,8 +9,8 @@
 //
 //   inject   FaultPlan + ChannelFaultHook — a deterministic, PRNG-seedable
 //            list of per-directed-link faults applied inside ChannelBank at
-//            the instant a block is pushed, so the barrier Player and the
-//            dataflow AsyncPlayer feel byte-identical failures;
+//            the instant a block is pushed, so the AsyncPlayer's serial
+//            and work-stealing walks feel byte-identical failures;
 //   detect   DetectConfig + FaultReport — an arrival check on pops (a
 //            bounded wait on the socket transports) plus the existing
 //            per-block checksum, promoted from a counter into a structured
@@ -208,9 +208,10 @@ struct DetectConfig {
     /// entirely. On the socket transports it also bounds how long a pop
     /// waits for its block before declaring the link dead: an I/O thread
     /// publishes arrivals asynchronously. On the in-process ring bank
-    /// nothing waits — every push is published before its pop runs (the
-    /// barrier or the dependency edge provides the happens-before), so an
-    /// empty ring at pop time is reported at once (rt/detect.hpp).
+    /// nothing waits — every push is published before its pop runs
+    /// (program order or the dependency edge provides the
+    /// happens-before), so an empty ring at pop time is reported at once
+    /// (rt/detect.hpp).
     std::uint32_t arrival_timeout_us = 0;
     /// Abort and drain the plan on the first detected fault (the recovery
     /// path); false keeps counting faults to the end of the run.

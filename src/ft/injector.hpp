@@ -7,9 +7,9 @@
 // falls behind the logical count as soon as a block is swallowed — which is
 // precisely the desynchronization the detection layer later observes as an
 // arrival timeout or a stream mismatch. The per-channel counters are plain
-// (non-atomic) uint32: pushes on one channel are serialized by node
-// ownership under the barrier Player and by ring-order dependency edges
-// under the AsyncPlayer, and the hook runs on the pushing thread.
+// (non-atomic) uint32: pushes on one channel are serialized by the
+// AsyncPlayer's ring-order dependency edges (or run on its one serial
+// thread), and the hook runs on the pushing thread.
 #pragma once
 
 #include "ft/fault_model.hpp"

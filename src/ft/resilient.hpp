@@ -54,7 +54,7 @@
 #include "ft/injector.hpp"
 #include "ft/recovery.hpp"
 #include "mbr/view.hpp"
-#include "rt/player.hpp" // rt::PlayStats
+#include "rt/async_player.hpp" // rt::PlayStats
 #include "rt/tracing.hpp"
 
 #include <chrono>

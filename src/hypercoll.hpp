@@ -45,11 +45,11 @@
 #include "routing/scatter.hpp"
 #include "routing/schedule_export.hpp"
 
+#include "rt/async_player.hpp"
 #include "rt/channel.hpp"
 #include "rt/checksum.hpp"
 #include "rt/expected.hpp"
 #include "rt/plan.hpp"
-#include "rt/player.hpp"
 
 #include "model/broadcast_model.hpp"
 #include "model/personalized_model.hpp"

@@ -4,6 +4,8 @@
 #include "common/endian.hpp"
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
+#include "rt/expected.hpp"
+#include "sim/cycle.hpp"
 
 #include <algorithm>
 #include <cerrno>
@@ -211,8 +213,16 @@ bool image_follows_rule(const JobSpec& spec, const JobResult& result) {
         result.memory.size() != result.total_slots * result.block_elems) {
         return false;
     }
-    return follows_rule(job.gen, spec.sig.model, job.plan,
-                        JobImage{job.plan, result});
+    const JobImage image{job.plan, result};
+    if (job.gen.mode == rt::DataMode::combine) {
+        return rt::check_combine_run(job.plan, job.gen.exec,
+                                     job.gen.exec.initial_holder[0], {},
+                                     image)
+            .has_value();
+    }
+    return rt::check_move_run(
+        job.plan, sim::execute_schedule(job.gen.feasibility, spec.sig.model),
+        image);
 }
 
 int run_child(const JobSpec& spec, std::uint32_t rank) {

@@ -26,8 +26,6 @@
 #include "net/net_player.hpp"
 #include "net/peer.hpp"
 #include "obs/metrics.hpp"
-#include "rt/expected.hpp"
-#include "sim/cycle.hpp"
 #include "svc/signature.hpp"
 
 #include <cstdint>
@@ -39,8 +37,8 @@ namespace hcube::net {
 
 struct JobSpec {
     svc::Signature sig;
-    /// Rank processes; the plan compiles with workers == procs, so rank r
-    /// owns the barrier Player's worker-r node range. 1 <= procs <= 2^n.
+    /// Rank processes; the plan compiles with workers == procs, and rank r
+    /// owns the nodes with Plan::owner_of(node) == r. 1 <= procs <= 2^n.
     std::uint32_t procs = 2;
     ft::TransportClass transport = ft::TransportClass::uds;
     /// Socket directory (uds data sockets + the control socket live here).
@@ -105,29 +103,13 @@ struct JobResult {
                                                 packet_t packet) const;
 };
 
-/// The runtime's verification rule (rt/expected.hpp) for a run of
-/// `plan`, compiled from `gen`: check_move_run against the cycle
-/// executor's holdings of gen.feasibility under `model`, or
-/// check_combine_run into the schedule's root. `image` is the run's final
-/// memory read like a player: slot_block(slot) and block(node, packet).
-template <class Image>
-[[nodiscard]] bool follows_rule(const svc::GeneratedSchedule& gen,
-                                sim::PortModel model, const rt::Plan& plan,
-                                const Image& image) {
-    if (gen.mode == rt::DataMode::combine) {
-        return rt::check_combine_run(plan, gen.exec,
-                                     gen.exec.initial_holder[0], {}, image)
-            .has_value();
-    }
-    return rt::check_move_run(plan, sim::execute_schedule(gen.feasibility,
-                                                          model),
-                              image);
-}
-
-/// Judges a job's assembled image by follows_rule: `spec`'s schedule is
-/// regenerated and its plan compiled with workers == procs, exactly as
-/// the ranks compile it, and a slot whose dump never arrived reads as an
-/// empty block. False as well when the image's shape is not the plan's.
+/// Judges a job's assembled image by the runtime's verification rule
+/// (rt/expected.hpp): check_move_run against the cycle executor's
+/// holdings, or check_combine_run into the schedule's root. `spec`'s
+/// schedule is regenerated and its plan compiled with workers == procs,
+/// exactly as the ranks compile it, and a slot whose dump never arrived
+/// reads as an empty block. False as well when the image's shape is not
+/// the plan's.
 [[nodiscard]] bool image_follows_rule(const JobSpec& spec,
                                       const JobResult& result);
 

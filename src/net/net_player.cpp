@@ -23,7 +23,7 @@ NetPlayer::NetPlayer(const rt::Plan& plan, std::uint32_t rank,
         detect_ = ft::DetectConfig::for_transport(transport);
     }
     // Copy-through always: seed every slot and point the views at the
-    // local memory image, exactly like the barrier Player's copy-through
+    // local memory image, exactly like the AsyncPlayer's copy-through
     // prepare_views() — the precondition for byte-identical finals.
     seed_plan_memory(plan_, memory_);
     for (std::uint64_t s = 0; s < plan_.total_slots; ++s) {
@@ -42,27 +42,32 @@ NetPlayStats NetPlayer::play() {
         /*copy_through=*/true};
 
     const auto start = std::chrono::steady_clock::now();
-    const std::uint32_t workers = plan_.workers;
     for (std::uint32_t cycle = 0; cycle < plan_.cycles; ++cycle) {
         if (arbiter_.aborted()) {
-            break; // no barriers to keep crossing: just stop
+            break;
         }
-        const std::size_t bucket = std::size_t{cycle} * workers + rank_;
-        for (std::size_t i = plan_.send_begin[bucket];
-             i < plan_.send_begin[bucket + 1]; ++i) {
-            const rt::ActionFields a = plan_.bucket_send(i);
+        // The cycle's hops in lowered order, each half run by the rank
+        // that owns its node: this cycle's sends, then its receives.
+        const std::uint32_t lo = plan_.flat_cycle_begin[cycle];
+        const std::uint32_t hi = plan_.flat_cycle_begin[cycle + 1];
+        for (std::uint32_t i = lo; i < hi; ++i) {
+            const rt::ActionFields a = plan_.lowered_send(i);
+            if (!owns(plan_.slot_node[a.slot])) {
+                continue;
+            }
             rt::send_block(ctx, {a.channel, a.slot, a.packet, a.seq, cycle},
                            rank_, stats);
         }
-        for (std::size_t i = plan_.recv_begin[bucket];
-             i < plan_.recv_begin[bucket + 1]; ++i) {
-            const rt::ActionFields a = plan_.bucket_recv(i);
-            // check_seq: in-order reliable delivery restores the exact
-            // push order, so the ring's sequence stamps must equal the
-            // plan's — a stricter check than the barrier engine needs.
+        for (std::uint32_t i = lo; i < hi; ++i) {
+            const rt::ActionFields a = plan_.lowered_recv(i);
+            if (!owns(plan_.slot_node[a.slot])) {
+                continue;
+            }
+            // In-order reliable delivery restores the exact push order,
+            // so each head carries the plan's sequence stamp.
             const rt::DeliverOutcome out = rt::deliver_block(
-                ctx, {a.channel, a.slot, a.packet, a.seq, cycle},
-                /*check_seq=*/true, rank_, stats);
+                ctx, {a.channel, a.slot, a.packet, a.seq, cycle}, rank_,
+                stats);
             if (out == rt::DeliverOutcome::drained ||
                 (out == rt::DeliverOutcome::skipped &&
                  arbiter_.aborted())) {
@@ -73,7 +78,7 @@ NetPlayStats NetPlayer::play() {
     const auto stop = std::chrono::steady_clock::now();
 
     stats.cycles = plan_.cycles;
-    stats.mode = rt::ExecMode::barrier; // lockstep bucket order, no steals
+    stats.mode = rt::ExecMode::serial; // one walk in hop order, no steals
     stats.transport = transport_;
     stats.seconds = std::chrono::duration<double>(stop - start).count();
     stats.payload_bytes =

@@ -26,7 +26,7 @@
 #include "common/endian.hpp"
 #include "ft/fault_model.hpp"
 #include "obs/metrics.hpp" // RegistrySnapshot
-#include "rt/player.hpp"   // PlayStats
+#include "rt/async_player.hpp" // PlayStats
 #include "svc/signature.hpp"
 
 #include <cstdint>

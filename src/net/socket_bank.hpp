@@ -19,8 +19,8 @@
 //   foreign — neither endpoint here; never pushed or popped by this rank.
 //
 // Every inner ring is kRingDepth slots deep whatever the plan. A local
-// channel holds at most one block (the rank's lockstep walk pops each push
-// in the cycle that made it), and an ingress burst that finds its ring
+// channel holds at most one block (the rank's walk in hop order pops each
+// push in the cycle that made it), and an ingress burst that finds its ring
 // full waits in the PeerBus overflow queue (push_received reports the full
 // ring and the bus retries) — wire pressure is queued, not lost. Inline
 // storage is allocated eagerly (channels x depth x block doubles), so the

@@ -119,7 +119,7 @@ void AsyncPlayer::execute(const RunContext& ctx, std::uint32_t action,
         return;
     }
     (void)deliver_block(ctx, {f.channel, f.slot, f.packet, f.seq, cycle},
-                        /*check_seq=*/true, worker, stats);
+                        worker, stats);
 }
 
 void AsyncPlayer::finish(std::uint32_t action, Worker* workers) {
@@ -199,9 +199,9 @@ void AsyncPlayer::run_worker(std::uint32_t worker, Worker* workers) {
 
 void AsyncPlayer::run_serial(PlayStats& stats) {
     // (cycle, sends-before-recvs, lowered index) is a topological order of
-    // the dependency graph and exactly the barrier engine's execution
-    // order, so this walk is byte-identical to it — including combine-mode
-    // accumulation order — with no queues, no atomics, no barriers.
+    // the dependency graph, so this walk leaves the same bytes as a
+    // stealing run — including combine-mode accumulation order, which the
+    // slot-ordering edges pin — with no queues and no atomics.
     const RunContext ctx{plan_,         channels_,
                          views_.data(), memory_.data(),
                          detect_,       arbiter_,
@@ -249,9 +249,8 @@ void AsyncPlayer::run_serial(PlayStats& stats) {
         }
         for (std::uint32_t i = lo; i < hi; ++i) {
             const ActionFields a = plan_.lowered_recv(i);
-            const DeliverOutcome out =
-                deliver_block(ctx, {a.channel, a.slot, a.packet, a.seq, cycle},
-                              /*check_seq=*/true, 0, stats);
+            const DeliverOutcome out = deliver_block(
+                ctx, {a.channel, a.slot, a.packet, a.seq, cycle}, 0, stats);
             if (out == DeliverOutcome::drained ||
                 (out == DeliverOutcome::skipped && arbiter_.aborted())) {
                 break;
@@ -330,7 +329,7 @@ PlayStats AsyncPlayer::play(WorkerPool* pool) {
         run_stealing(pool, stats);
     }
     const auto stop = std::chrono::steady_clock::now();
-    stats.cycles = plan_.cycles; // logical schedule depth, never barriered
+    stats.cycles = plan_.cycles; // logical schedule depth
     stats.mode = serial ? ExecMode::serial : ExecMode::stealing;
     stats.seconds = std::chrono::duration<double>(stop - start).count();
     stats.payload_bytes =

@@ -1,26 +1,32 @@
-// Dataflow execution engine: runs a compiled Plan's dependency graph with
-// per-worker run queues and work-stealing — no global barriers anywhere on
-// the hot path.
+// The runtime's in-process execution engine: runs a compiled Plan's
+// dependency graph with per-worker run queues and work-stealing — no
+// global barriers anywhere on the hot path.
 //
-// Where the barrier Player advances the whole machine in lockstep (two
-// barrier crossings per routing cycle), the AsyncPlayer synchronizes on the
-// schedule's *data dependencies* only: every action starts with an atomic
-// counter of unmet dependencies (emitted by compile_plan), a completed
-// action decrements its successors' counters, and an action whose counter
-// hits zero is enqueued on the run queue of the worker that owns its node.
-// A worker drains its own queue LIFO (depth-first along the dependency
-// chains it just enabled, which keeps the hot block in cache) and steals
-// FIFO from other workers when empty. Sequence-stamped multi-slot channel
-// rings let a producer run up to Plan::async_depth logical cycles ahead of
-// a slow consumer; capacity edges in the graph make ring overflow
-// impossible rather than merely unlikely.
+// The paper's synchronized routing steps are a property of the schedule,
+// proven once by the cycle executor (sim::execute_schedule); the engine
+// need not re-enact them. It synchronizes on the schedule's *data
+// dependencies* only: every action starts with an atomic counter of unmet
+// dependencies (emitted by compile_plan), a completed action decrements
+// its successors' counters, and an action whose counter hits zero is
+// enqueued on the run queue of the worker that owns its node. A worker
+// drains its own queue LIFO (depth-first along the dependency chains it
+// just enabled, which keeps the hot block in cache) and steals FIFO from
+// other workers when empty. Sequence-stamped multi-slot channel rings let
+// a producer run up to Plan::async_depth logical cycles ahead of a slow
+// consumer; capacity edges in the graph make ring overflow impossible
+// rather than merely unlikely.
 //
 // Progress argument (docs/RUNTIME.md § The dataflow engine): the graph is a
 // DAG (every edge points forward in schedule order), workers only retire
 // once all actions completed, and a counter reaches zero exactly once — so
 // every action is enqueued exactly once and some queue is always non-empty
-// while work remains. Violations on worker threads are counted in the
-// stats, never thrown, mirroring the barrier Player.
+// while work remains. Violations on worker threads (channel under/overflow,
+// packet or sequence mismatch, checksum mismatch) cannot throw across the
+// pool; they are counted in the stats and surfaced by the caller. With
+// detection enabled (ft::DetectConfig, see rt/detect.hpp) the first
+// violation is additionally promoted into a structured ft::FaultReport —
+// which directed link, which logical cycle, which fault class — and the
+// in-flight plan aborts: every worker leaves its loop at once.
 //
 // Not every plan is worth stealing for. (cycle, sends-before-recvs,
 // lowered index) is a topological order of the dependency graph, so a
@@ -42,7 +48,6 @@
 #include "rt/channel.hpp"
 #include "rt/detect.hpp"
 #include "rt/plan.hpp"
-#include "rt/player.hpp" // PlayStats
 #include "rt/tracing.hpp"
 
 #include <atomic>
@@ -55,6 +60,48 @@ namespace hcube::rt {
 class WorkerPool;
 template <class Bank> struct RunContextT; // rt/delivery.hpp
 using RunContext = RunContextT<ChannelBank>;
+
+/// How a play() actually executed: the single-thread serial walk, or the
+/// work-stealing multi-worker mode (the AsyncPlayer picks per run; the
+/// net runtime's rank walk reports serial).
+enum class ExecMode {
+    serial,
+    stealing,
+};
+
+[[nodiscard]] constexpr const char* to_string(ExecMode mode) noexcept {
+    switch (mode) {
+    case ExecMode::serial: return "serial";
+    case ExecMode::stealing: return "stealing";
+    }
+    return "?";
+}
+
+struct PlayStats {
+    std::uint32_t cycles = 0;          ///< logical schedule depth
+    std::uint64_t blocks_sent = 0;     ///< blocks pushed into channels
+    std::uint64_t blocks_delivered = 0;///< blocks drained, verified/combined
+    std::uint64_t payload_bytes = 0;   ///< blocks_delivered x block bytes
+    std::uint64_t bytes_copied = 0;    ///< payload bytes actually memcpy'd
+                                       ///< (0 on the zero-copy path)
+    std::uint64_t checksum_failures = 0;
+    std::uint64_t channel_faults = 0;  ///< full-on-push / empty-on-pop /
+                                       ///< wrong packet or sequence at head
+    std::uint64_t timeouts = 0;        ///< receives whose block never
+                                       ///< arrived (detection enabled only)
+    std::uint64_t steals = 0;          ///< actions run off another worker's
+                                       ///< queue
+    double seconds = 0;                ///< wall clock of the threaded region
+    ExecMode mode = ExecMode::serial;  ///< how this run executed
+    /// Medium the blocks moved over: the in-process ring bank, or the net
+    /// backend's Unix-domain / TCP sockets (set by the net runtime).
+    ft::TransportClass transport = ft::TransportClass::ring;
+
+    [[nodiscard]] bool clean() const noexcept {
+        return checksum_failures == 0 && channel_faults == 0 &&
+               timeouts == 0;
+    }
+};
 
 class AsyncPlayer {
 public:
@@ -79,7 +126,7 @@ public:
 
     /// Seeds initial blocks, runs the dependency graph to completion on
     /// plan.workers threads, and returns the aggregated stats (cycles is
-    /// the logical schedule depth; no barrier ever synchronizes on it).
+    /// the logical schedule depth; nothing synchronizes on it).
     /// Reusable: every call starts from freshly seeded memory, and every
     /// call that walks the rings from rewound channels. With a non-null
     /// `pool` (of at least plan.workers threads) the run is dispatched

@@ -1,13 +1,11 @@
 // Fixed-capacity sequence-stamped descriptor rings, one per directed cube
 // link.
 //
-// Under the barrier Player a channel's producer is the worker thread that
-// owns the sending node and its consumer the worker that owns the receiving
-// node — node ownership is a partition, so single-producer / single-consumer
-// holds by construction. The dataflow AsyncPlayer relaxes who runs an
-// action (work-stealing) but serializes same-channel pushes and pops with
-// dependency edges, so at most one producer and one consumer are active at
-// any instant and the same acquire/release protocol carries over.
+// On the AsyncPlayer's serial walk one thread is both ends of every
+// channel. When it steals, any worker may run an action, but same-channel
+// pushes and pops are serialized by dependency edges, so at most one
+// producer and one consumer are active at any instant and the
+// single-producer / single-consumer acquire/release protocol holds.
 // Indices are monotonically increasing uint32 counters masked into a
 // power-of-two ring (the classic Lamport queue): the producer publishes a
 // slot with a release store of `tail`, the consumer acquires it by loading

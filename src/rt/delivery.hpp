@@ -1,11 +1,8 @@
-// The one arrival/verify/deliver implementation shared by both execution
-// engines.
-//
-// Before this helper existed the barrier Player and the dataflow
-// AsyncPlayer each carried a near-identical copy of the send-side push and
-// the receive-side drain/verify/deliver block; the zero-copy protocol now
-// lives here exactly once and the engines differ only in *when* they call
-// it (barrier phases vs dependency-graph readiness).
+// The one arrival/verify/deliver implementation of the runtime: the
+// AsyncPlayer's serial and work-stealing walks and the net runtime's rank
+// walk all push and drain blocks through these two helpers, so the
+// zero-copy protocol lives here exactly once and the walks differ only in
+// *when* they call it (dependency-graph readiness, or hop order).
 //
 // Delivery protocol (docs/PERFORMANCE.md § The per-block hot path):
 //
@@ -25,10 +22,10 @@
 //     is counted in PlayStats::bytes_copied.
 #pragma once
 
+#include "rt/async_player.hpp" // PlayStats
 #include "rt/channel.hpp"
 #include "rt/detect.hpp"
 #include "rt/plan.hpp"
-#include "rt/player.hpp" // PlayStats
 #include "rt/simd.hpp"
 #include "rt/tracing.hpp"
 #include "rt/transport.hpp"
@@ -40,7 +37,7 @@ namespace hcube::rt {
 /// Everything about the run in flight that both halves of a hop need.
 /// Built once per play(); aggregates only references and raw pointers.
 /// Generic over the channel backend (rt/transport.hpp): the in-process
-/// engines instantiate it with ChannelBank, the net runtime with
+/// engine instantiates it with ChannelBank, the net runtime with
 /// net::SocketChannelBank — same delivery protocol, different wires.
 template <class Bank> // constrained at the use sites (send/deliver below)
 struct RunContextT {
@@ -55,12 +52,11 @@ struct RunContextT {
     bool copy_through;
 };
 
-/// The in-process engines' context (the original, pre-extraction name).
+/// The in-process engine's context.
 using RunContext = RunContextT<ChannelBank>;
 
-/// The hot fields of one lowered action, engine-agnostic: the barrier
-/// Player builds it from its (cycle, worker) buckets, the AsyncPlayer from
-/// the plan's SoA action arrays.
+/// The hot fields of one lowered action plus its cycle, as every walk
+/// builds it from the plan's SoA action arrays.
 struct ActionRef {
     std::uint32_t channel;
     std::uint32_t slot;
@@ -132,14 +128,13 @@ HCUBE_DELIVERY_INLINE void send_block(const RunContextT<Bank>& ctx,
 /// and deliver it (view adoption, or copy/accumulate under copy-through).
 /// On a bank that publishes before the pop runs (publishes_before_pop) an
 /// empty head is final, so it is checked once; on any other bank a
-/// detecting run waits up to the arrival bound (await_front).
-/// `check_seq` is the dataflow engines' stricter assertion that the head
-/// is exactly the k-th push their dependency edge waited for; the barrier
-/// engine passes false (its phases make the weaker packet check exact).
+/// detecting run waits up to the arrival bound (await_front). The head
+/// must be exactly the k-th push of its channel: the packet and the
+/// sequence stamp both match the action's.
 template <Transport Bank>
 HCUBE_DELIVERY_INLINE DeliverOutcome
 deliver_block(const RunContextT<Bank>& ctx, const ActionRef& a,
-              bool check_seq, std::uint32_t worker, PlayStats& stats) {
+              std::uint32_t worker, PlayStats& stats) {
     const std::size_t blk = ctx.plan.block_elems;
     const TraceRecorder::clock::time_point t0 =
         ctx.trace != nullptr ? TraceRecorder::clock::now()
@@ -168,7 +163,7 @@ deliver_block(const RunContextT<Bank>& ctx, const ActionRef& a,
         }
         return DeliverOutcome::skipped;
     }
-    if (d.packet != a.packet || (check_seq && d.seq != a.seq)) [[unlikely]] {
+    if (d.packet != a.packet || d.seq != a.seq) [[unlikely]] {
         ++stats.channel_faults;
         if (ctx.detecting) {
             ctx.arbiter.raise(

@@ -1,4 +1,5 @@
-// Shared fault-detection machinery of the two execution engines.
+// Fault-detection machinery of the runtime's engines (the AsyncPlayer and
+// the net runtime's rank walk).
 //
 // Detection turns the runtime's silent failure counters into the
 // structured abort the recovery layer needs: the first worker to observe a
@@ -9,8 +10,8 @@
 //
 // Arrival detection rests on an engine invariant: by the time a pop runs,
 // any block that *was* published on its channel is already visible (the
-// barrier Player separates phases with a full barrier; the AsyncPlayer
-// orders the pop after the push action through an acq_rel dependency edge).
+// AsyncPlayer orders the pop after the push action: in program order on
+// its serial walk, through an acq_rel dependency edge when it steals).
 // On the in-process ring bank a push publishes on the pushing thread, so
 // this holds for every push, injected delays included (they stall the
 // producer before publication, and so before the pop may run): an empty

@@ -24,9 +24,10 @@
 //             image is what a cached plan's later runs are compared
 //             against.
 //
-// Both engines answer to the same rule; the barrier engine additionally
-// owes cycles == makespan, which callers read off its PlayStats
-// (docs/RUNTIME.md § Verification). rt::CheckedPlan, at the end of this
+// Every run of every engine answers to this rule, and a run's cycle count
+// (its PlayStats::cycles, the plan's logical depth) must equal the
+// executor's makespan, which callers compare (docs/RUNTIME.md
+// § Verification). rt::CheckedPlan, at the end of this
 // file, is the one resident run that applies the rule, and every run
 // plays through it: a one-shot run builds one and plays it once, the
 // svc::Session caches one per signature, and ft::ResilientComm keeps one

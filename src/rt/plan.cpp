@@ -35,9 +35,7 @@ PlanFootprint Plan::footprint() const noexcept {
                 vec_bytes(act_packet) + vec_bytes(act_seq);
     f.dep_graph =
         vec_bytes(dep_count) + vec_bytes(succ_begin) + vec_bytes(succ);
-    f.buckets = vec_bytes(send_begin) + vec_bytes(recv_begin) +
-                vec_bytes(send_order) + vec_bytes(recv_order) +
-                vec_bytes(flat_cycle_begin);
+    f.cycle_csr = vec_bytes(flat_cycle_begin);
     f.slots = vec_bytes(slot_packet) + vec_bytes(slot_node) +
               vec_bytes(seeded_slots) + vec_bytes(slot_keys) +
               vec_bytes(slot_vals);
@@ -188,7 +186,6 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
 
     struct Lowered {
         std::uint32_t cycle;
-        node_t node;
         ActionFields action;
     };
     std::vector<Lowered> low_sends;
@@ -296,8 +293,8 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
             }
         } else {
             // A combining send transmits the partial sum of its own seed
-            // plus every strictly-earlier arrival (the barrier engine's
-            // send-phase-before-receive-phase rule for equal cycles).
+            // plus every strictly-earlier arrival (a cycle's sends read
+            // before its receives accumulate, as the schedule prescribes).
             // Receives into one slot are chained in lowered order (below),
             // so a single edge from the latest strictly-earlier receive
             // orders every older arrival transitively. Same-cycle receives
@@ -341,11 +338,11 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
         }
 
         low_sends.push_back(
-            {send.cycle, send.from,
+            {send.cycle,
              {channel, static_cast<std::uint32_t>(src_slot), send.packet,
               seq}});
         low_recvs.push_back(
-            {send.cycle, send.to,
+            {send.cycle,
              {channel, static_cast<std::uint32_t>(dst_slot), send.packet,
               seq}});
         chan_sends[channel].push_back(l);
@@ -353,10 +350,10 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
     plan.channel_count = static_cast<std::uint32_t>(plan.channel_ep.size());
     HCUBE_ENSURE(plan.total_slots <= ~std::uint32_t{0});
 
-    // Partition cross-check: every channel is a distinct (origin, port)
-    // pair, so the port bitmaps must account for each channel exactly once
-    // at both endpoints — this is what certifies the packed channel_ep
-    // words (and the owner_of bucketing keyed off them) lost nothing.
+    // Port cross-check: every channel is a distinct (origin, port) pair,
+    // so the port bitmaps must account for each channel exactly once at
+    // both endpoints — this is what certifies the packed channel_ep words
+    // lost nothing.
     std::uint64_t out_links = 0;
     std::uint64_t in_links = 0;
     for (node_t v = 0; v < count; ++v) {
@@ -457,30 +454,6 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
     for (const auto& [from, to] : edges) {
         plan.succ[cursor[decode(from)]++] = decode(to);
     }
-
-    // ---- CSR bucketing by (cycle, worker) -----------------------------
-    const std::size_t buckets = std::size_t{plan.cycles} * workers;
-    const auto bucket_of = [&](const Lowered& l) {
-        return std::size_t{l.cycle} * workers + plan.owner_of(l.node);
-    };
-    const auto bucket_fill = [&](const std::vector<Lowered>& lowered,
-                                 std::vector<std::uint32_t>& begin,
-                                 std::vector<std::uint32_t>& order) {
-        begin.assign(buckets + 1, 0);
-        for (const Lowered& l : lowered) {
-            ++begin[bucket_of(l) + 1];
-        }
-        for (std::size_t b = 1; b <= buckets; ++b) {
-            begin[b] += begin[b - 1];
-        }
-        order.resize(S);
-        std::vector<std::uint32_t> cursor2(begin.begin(), begin.end() - 1);
-        for (std::uint32_t idx = 0; idx < S; ++idx) {
-            order[cursor2[bucket_of(lowered[idx])]++] = idx;
-        }
-    };
-    bucket_fill(low_sends, plan.send_begin, plan.send_order);
-    bucket_fill(low_recvs, plan.recv_begin, plan.recv_order);
 
     // Trim push_back growth slack so footprint() reports what the plan
     // actually needs, not what the growth policy left behind.

@@ -5,13 +5,13 @@
 // blocks of `block_elems` doubles. The compiler assigns every (node, packet)
 // the node will ever hold a node-local block slot, numbers every directed
 // link the schedule uses as an SPSC channel, and lowers each scheduled send
-// into two actions — a producer-side push and a consumer-side pop — bucketed
-// CSR-style by (cycle, worker) so each worker thread walks a contiguous
-// range per phase with no allocation or locking on the hot path.
+// into two actions — a producer-side push and a consumer-side pop — in
+// cycle order, indexed by a per-cycle CSR so a walk touches contiguous
+// arrays with no allocation or locking on the hot path.
 //
-// For the dataflow AsyncPlayer the compiler additionally stamps every
-// action with its channel sequence number (the k-th push/pop on a channel)
-// and emits an explicit dependency graph over the 2·S actions of the
+// For the dataflow AsyncPlayer the compiler stamps every action with its
+// channel sequence number (the k-th push/pop on a channel) and emits an
+// explicit dependency graph over the 2·S actions of the
 // lowered schedule: a send waits on the receive that produced its source
 // slot (or nothing, if seeded), on the previous push of its channel (ring
 // order), and on the pop that frees its ring slot (capacity); a receive
@@ -26,8 +26,7 @@
 // Plan encoding: four parallel u32 SoA streams (channel/slot/packet/seq)
 // indexed by action id, with send and receive of hop l interleaved as ids
 // 2l and 2l+1 so the dependency CSR and its counters are laid out in
-// execution order; per-(cycle, worker) buckets store u32 lowered-hop
-// indices into those streams; channel endpoints pack to one u32
+// execution order; channel endpoints pack to one u32
 // (node·2^5 | dimension — the CubeRoute idiom: a directed cube link is its
 // origin plus a port number); per-hop cycle stamps are dropped (the cycle
 // CSR recovers them on the cold diagnostics paths). The packed channel
@@ -93,14 +92,14 @@ struct ActionFields {
 struct PlanFootprint {
     std::uint64_t actions = 0;   ///< SoA streams
     std::uint64_t dep_graph = 0; ///< dep counters + successor CSR
-    std::uint64_t buckets = 0;   ///< bucket orders + cycle CSR
+    std::uint64_t cycle_csr = 0; ///< per-cycle offsets into the hops
     std::uint64_t slots = 0;     ///< slot tables, lookup keys, seed list
     std::uint64_t channels = 0;  ///< packed endpoints + port bitmaps
     std::uint64_t arena = 0;     ///< immutable canonical blocks
     std::uint64_t digests = 0;   ///< one canonical digest per packet
 
     [[nodiscard]] std::uint64_t total() const noexcept {
-        return actions + dep_graph + buckets + slots + channels + arena +
+        return actions + dep_graph + cycle_csr + slots + channels + arena +
                digests;
     }
 };
@@ -189,21 +188,10 @@ struct Plan {
     /// Per node: the cube dimensions it sends across / receives on, one bit
     /// per dimension (n <= 26 fits any node's route set in one word — the
     /// raikv CubeRoute idiom). Built during lowering and used to cross-
-    /// check the (cycle, worker) bucket partition at compile time; the
-    /// footprint and fault reports read them too.
+    /// check the packed channel table at compile time; the footprint and
+    /// fault reports read them too.
     std::vector<std::uint32_t> node_out_ports;
     std::vector<std::uint32_t> node_in_ports;
-
-    // ---- per-(cycle, worker) action buckets ---------------------------
-    /// CSR offsets of size cycles*workers + 1 into the bucketed orders;
-    /// bucket index = cycle * workers + worker. Offsets fit u32: S < 2^31
-    /// by construction.
-    std::vector<std::uint32_t> send_begin;
-    std::vector<std::uint32_t> recv_begin;
-    /// Lowered hop indices bucketed by (cycle, owner of the sending /
-    /// receiving node) — the engines chase them into the SoA streams.
-    std::vector<std::uint32_t> send_order;
-    std::vector<std::uint32_t> recv_order;
 
     // ---- lowered actions + dataflow dependency graph ------------------
     /// Action ids interleave the two halves of each lowered hop in
@@ -218,8 +206,9 @@ struct Plan {
     std::vector<std::uint32_t> act_seq;
     /// CSR offsets of size cycles + 1 over the lowered hop indices: hops of
     /// cycle c are [flat_cycle_begin[c], flat_cycle_begin[c+1]). This is
-    /// the serial fast path's entire schedule walk — no buckets, no
-    /// barriers — and the cycle recovery for diagnostics.
+    /// the serial fast path's and the net rank walk's entire schedule
+    /// walk, and the cycle recovery for diagnostics. Offsets fit u32:
+    /// S < 2^31 by construction.
     std::vector<std::uint32_t> flat_cycle_begin;
     /// Ring slots per channel the capacity edges were emitted for; an
     /// asynchronous engine must run with at least this many (a producer may
@@ -257,17 +246,7 @@ struct Plan {
         return slot_node[act_slot[id]];
     }
 
-    /// Bucketed accessors the (cycle, worker) engines walk: position `pos`
-    /// is an offset from send_begin / recv_begin, chased through the
-    /// bucketed hop index into the SoA streams.
-    [[nodiscard]] ActionFields bucket_send(std::size_t pos) const noexcept {
-        return fields(send_order[pos] << 1);
-    }
-    [[nodiscard]] ActionFields bucket_recv(std::size_t pos) const noexcept {
-        return fields((recv_order[pos] << 1) | 1u);
-    }
-
-    /// Hop-ordered accessors for the serial fast path: hop l's send and
+    /// Hop-ordered accessors for the cycle-CSR walks: hop l's send and
     /// receive halves are the adjacent SoA entries 2l and 2l+1.
     [[nodiscard]] ActionFields lowered_send(std::uint32_t l) const noexcept {
         return fields(l << 1);
@@ -343,8 +322,8 @@ static_assert(hc::kMaxDimension + Plan::kChannelDimBits <= 32,
 
 /// Seeds `memory` (total_slots x block_elems doubles) with the plan's
 /// initial holdings: canonical packet blocks in move mode, every node's own
-/// contribution in combine mode. Shared by both execution engines so their
-/// initial states are bit-identical.
+/// contribution in combine mode. Shared by the in-process engine and the
+/// net rank walk so their initial states are bit-identical.
 void seed_plan_memory(const Plan& plan, std::span<double> memory);
 
 /// FNV-1a fingerprint over a schedule's full content (dimension, packet

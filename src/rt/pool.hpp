@@ -1,7 +1,7 @@
-// A persistent worker pool the execution engines can replay plans on.
+// A persistent worker pool the execution engine can replay plans on.
 //
-// Player and AsyncPlayer historically created and joined plan.workers
-// std::threads inside every play() call — measurable at tens of
+// The AsyncPlayer would otherwise create and join plan.workers
+// std::threads inside every stealing play() call — measurable at tens of
 // microseconds per operation, which dominates small collectives and is pure
 // waste for a service executing thousands of cached plans. A WorkerPool
 // keeps the threads alive across operations: play(pool) dispatches the

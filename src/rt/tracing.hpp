@@ -12,9 +12,9 @@
 // ("ph":"X") event object with ts/dur in microseconds, tid = worker and a
 // caller-chosen pid, which is exactly the subset of the Trace Event Format
 // that chrome://tracing and Perfetto render as a per-worker timeline.
-// Multiple runs (e.g. the barrier and async engines back to back, or the
-// attempts of a fault-recovery sequence) can share one recorder epoch and
-// land in one timeline.
+// Multiple runs (e.g. two players back to back, or the attempts of a
+// fault-recovery sequence) can share one recorder epoch and land in one
+// timeline.
 #pragma once
 
 #include "common/json.hpp"

@@ -67,8 +67,8 @@ static_assert(Transport<ChannelBank>,
               "the in-process ring bank must satisfy the transport concept");
 
 /// True when a push on backend `B` is published on the pushing thread, so
-/// the engines' ordering (the barrier Player's phase barrier, the
-/// AsyncPlayer's push → pop dependency edge) makes it visible before the
+/// the AsyncPlayer's ordering (program order on its serial walk, the
+/// push → pop dependency edge when it steals) makes it visible before the
 /// matching pop runs. An empty channel at pop time then means the block
 /// is never coming, and the receive side checks the head once instead of
 /// waiting (rt/delivery.hpp). The default is false: a backend whose

@@ -19,7 +19,7 @@
 #include "common/lru_cache.hpp"
 #include "mbr/view.hpp"
 #include "model/broadcast_model.hpp"
-#include "rt/player.hpp" // ExecMode
+#include "rt/async_player.hpp" // ExecMode
 #include "svc/rejection.hpp"
 #include "svc/selector.hpp"
 #include "svc/signature.hpp"

@@ -96,8 +96,8 @@ struct GeneratedSchedule {
     /// combining schedule, which the cycle executor cannot validate).
     sim::Schedule exec;
     /// The schedule the cycle executor proves feasible and whose makespan
-    /// the barrier engine's cycle count must match (== exec except for
-    /// reduce, where it is the forward broadcast).
+    /// a run's cycle count must match (== exec except for reduce, where
+    /// it is the forward broadcast).
     sim::Schedule feasibility;
     rt::DataMode mode = rt::DataMode::move;
 };

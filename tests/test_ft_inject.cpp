@@ -1,18 +1,18 @@
 // The inject → detect legs of hcube::ft: a FaultPlan armed on a compiled
-// plan's channels must surface through each engine exactly as designed —
-// kills and drops as arrival timeouts (or stream mismatches on the async
-// engine, where the ring head may already show a later block), corruption
-// as a checksum mismatch, delays absorbed silently — and the first
-// detected fault must name the injected directed link in its structured
-// FaultReport. On the in-process ring bank no receive ever waits for the
-// arrival bound: a missing block is reported as soon as its pop runs.
+// plan's channels must surface through the AsyncPlayer's serial and
+// work-stealing walks exactly as designed — kills and drops as arrival
+// timeouts (or stream mismatches, where the ring head may already show a
+// later block), corruption as a checksum mismatch, delays absorbed
+// silently — and the first detected fault must name the injected directed
+// link in its structured FaultReport. On the in-process ring bank no
+// receive ever waits for the arrival bound: a missing block is reported as
+// soon as its pop runs.
 #include "ft/fault_model.hpp"
 #include "ft/injector.hpp"
 
 #include "routing/schedule_export.hpp"
 #include "rt/async_player.hpp"
 #include "rt/plan.hpp"
-#include "rt/player.hpp"
 #include "trees/sbt.hpp"
 
 #include <gtest/gtest.h>
@@ -116,37 +116,6 @@ TEST(FtFaultPlan, RandomIsDeterministicOnDistinctCubeLinks) {
     EXPECT_EQ(classes.size(), 4u);
 }
 
-TEST(FtInject, KillLinkTimesOutOnBarrierEngine) {
-    const Schedule schedule = sbt_broadcast(4, 0, 6);
-    const rt::Plan plan =
-        rt::compile_plan(schedule, rt::DataMode::move, 16, 2);
-
-    std::uint32_t count = 0;
-    const DirectedLink dead = busy_link(schedule, count);
-    FaultPlan faults;
-    faults.kill_link(dead.from, dead.to, count / 2);
-    FaultInjector injector(faults);
-    injector.arm(plan);
-    EXPECT_EQ(injector.unmatched(), 0u);
-
-    rt::Player player(plan);
-    player.set_detection(
-        {.arrival_timeout_us = 1000, .abort_on_fault = true});
-    player.set_fault_hook(&injector);
-    const rt::PlayStats stats = player.play();
-
-    EXPECT_FALSE(stats.clean());
-    EXPECT_GE(stats.timeouts, 1u);
-    EXPECT_GE(injector.dropped(), 1u);
-    const FaultReport& report = player.fault_report();
-    // The barrier engine runs in lockstep, so the kill can only manifest
-    // as the receiver finding its ring empty — on the killed link.
-    EXPECT_EQ(report.cls, DetectClass::arrival_timeout);
-    EXPECT_EQ(report.from, dead.from);
-    EXPECT_EQ(report.to, dead.to);
-    EXPECT_LT(report.cycle, plan.cycles);
-}
-
 TEST(FtInject, CorruptionReportsChecksumMismatchWithLinkIdentity) {
     const Schedule schedule = sbt_broadcast(3, 0, 4);
     const rt::Plan plan =
@@ -159,7 +128,7 @@ TEST(FtInject, CorruptionReportsChecksumMismatchWithLinkIdentity) {
     FaultInjector injector(faults);
     injector.arm(plan);
 
-    rt::Player player(plan);
+    rt::AsyncPlayer player(plan);
     player.set_detection(
         {.arrival_timeout_us = 1000, .abort_on_fault = true});
     player.set_fault_hook(&injector);
@@ -174,30 +143,29 @@ TEST(FtInject, CorruptionReportsChecksumMismatchWithLinkIdentity) {
     EXPECT_EQ(report.to, target.to);
 }
 
-TEST(FtInject, DelayWithinTimeoutIsAbsorbedByBothEngines) {
-    const Schedule schedule = sbt_broadcast(3, 0, 4);
-    const rt::Plan plan =
-        rt::compile_plan(schedule, rt::DataMode::move, 16, 2);
+/// The AsyncPlayer's two walks, each a plan of the same schedule on two
+/// workers: 16-double blocks take the serial walk, and 8 KiB blocks
+/// delivered copy-through (a hook is installed) the work-stealing walk.
+struct Walk {
+    std::size_t block_elems;
+    rt::ExecMode mode;
+};
+constexpr Walk kWalks[] = {{16, rt::ExecMode::serial},
+                           {1024, rt::ExecMode::stealing}};
 
+TEST(FtInject, DelayWithinTimeoutIsAbsorbedByBothEngines) {
+    // Both walks of the one engine (kWalks); 60 sends give the stealing
+    // walk its 32 actions per worker.
+    const Schedule schedule = sbt_broadcast(4, 0, 4);
     std::uint32_t count = 0;
     const DirectedLink slow = busy_link(schedule, count);
     FaultPlan faults;
     faults.delay(slow.from, slow.to, 0, 200, 2);
 
-    {
-        FaultInjector injector(faults);
-        injector.arm(plan);
-        rt::Player player(plan);
-        player.set_detection(
-            {.arrival_timeout_us = 50000, .abort_on_fault = true});
-        player.set_fault_hook(&injector);
-        const rt::PlayStats stats = player.play();
-        EXPECT_TRUE(stats.clean());
-        EXPECT_EQ(stats.blocks_delivered, schedule.sends.size());
-        EXPECT_EQ(injector.delayed(), 2u);
-        EXPECT_FALSE(player.fault_report().faulted());
-    }
-    {
+    for (const Walk& walk : kWalks) {
+        SCOPED_TRACE(rt::to_string(walk.mode));
+        const rt::Plan plan = rt::compile_plan(
+            schedule, rt::DataMode::move, walk.block_elems, 2);
         FaultInjector injector(faults);
         injector.arm(plan);
         rt::AsyncPlayer player(plan);
@@ -205,6 +173,7 @@ TEST(FtInject, DelayWithinTimeoutIsAbsorbedByBothEngines) {
             {.arrival_timeout_us = 50000, .abort_on_fault = true});
         player.set_fault_hook(&injector);
         const rt::PlayStats stats = player.play();
+        EXPECT_EQ(stats.mode, walk.mode);
         EXPECT_TRUE(stats.clean());
         EXPECT_EQ(stats.blocks_delivered, schedule.sends.size());
         EXPECT_EQ(injector.delayed(), 2u);
@@ -258,12 +227,6 @@ struct KillCase {
     FaultInjector injector;
 };
 
-TEST(FtInject, KillIsReportedWithoutWaitingOnBarrierEngine) {
-    KillCase c(4, 6, 16, 2);
-    rt::Player player(c.plan);
-    (void)play_kill_under_long_bound(player, c.injector, c.dead);
-}
-
 TEST(FtInject, KillIsReportedWithoutWaitingOnSerialAsyncEngine) {
     KillCase c(4, 6, 16, 2);
     rt::AsyncPlayer player(c.plan);
@@ -285,32 +248,31 @@ TEST(FtInject, KillIsReportedWithoutWaitingOnStealingAsyncEngine) {
 TEST(FtInject, DelayLongerThanTheBoundIsAbsorbedByBothEngines) {
     // A delay stalls the producer before publication, and the pop runs
     // only after the push returns — so even a 3 ms delay under a 1 ms
-    // bound is absorbed, never reported as a missing block.
-    const Schedule schedule = sbt_broadcast(3, 0, 4);
-    const rt::Plan plan =
-        rt::compile_plan(schedule, rt::DataMode::move, 16, 2);
-
+    // bound is absorbed by both walks (kWalks), never reported as a
+    // missing block.
+    const Schedule schedule = sbt_broadcast(4, 0, 4);
     std::uint32_t count = 0;
     const DirectedLink slow = busy_link(schedule, count);
     FaultPlan faults;
     faults.delay(slow.from, slow.to, 0, 3'000, 2);
-    const auto absorbs = [&](auto& player) {
+    for (const Walk& walk : kWalks) {
+        SCOPED_TRACE(rt::to_string(walk.mode));
+        const rt::Plan plan = rt::compile_plan(
+            schedule, rt::DataMode::move, walk.block_elems, 2);
         FaultInjector injector(faults);
         injector.arm(plan);
+        rt::AsyncPlayer player(plan);
         player.set_detection(
             {.arrival_timeout_us = 1'000, .abort_on_fault = true});
         player.set_fault_hook(&injector);
         const rt::PlayStats stats = player.play();
+        EXPECT_EQ(stats.mode, walk.mode);
         EXPECT_TRUE(stats.clean());
         EXPECT_EQ(stats.timeouts, 0u);
         EXPECT_EQ(stats.blocks_delivered, schedule.sends.size());
         EXPECT_EQ(injector.delayed(), 2u);
         EXPECT_FALSE(player.fault_report().faulted());
-    };
-    rt::Player barrier(plan);
-    absorbs(barrier);
-    rt::AsyncPlayer async(plan);
-    absorbs(async);
+    }
 }
 
 TEST(FtInject, FaultOnUnusedLinkStaysInert) {
@@ -326,7 +288,7 @@ TEST(FtInject, FaultOnUnusedLinkStaysInert) {
     injector.arm(plan);
     EXPECT_EQ(injector.unmatched(), 1u);
 
-    rt::Player player(plan);
+    rt::AsyncPlayer player(plan);
     player.set_detection(
         {.arrival_timeout_us = 1000, .abort_on_fault = true});
     player.set_fault_hook(&injector);
@@ -351,7 +313,7 @@ TEST(FtInject, DisabledDetectionKeepsLegacyCountersOnly) {
 
     // No set_detection: the run must not block on a bounded wait and must
     // keep the pre-ft contract — count the faults, never abort, no report.
-    rt::Player player(plan);
+    rt::AsyncPlayer player(plan);
     player.set_fault_hook(&injector);
     const rt::PlayStats stats = player.play();
     EXPECT_FALSE(stats.clean());
@@ -403,7 +365,7 @@ TEST(FtInject, RewindRearmsTheSameTransientFault) {
     FaultInjector injector(faults);
     injector.arm(plan);
 
-    rt::Player player(plan);
+    rt::AsyncPlayer player(plan);
     player.set_detection(
         {.arrival_timeout_us = 1000, .abort_on_fault = true});
     player.set_fault_hook(&injector);

@@ -257,7 +257,7 @@ TEST(NetProtocol, ReportRoundTrip) {
     msg.play.channel_faults = 2;
     msg.play.timeouts = 3;
     msg.play.seconds = 0.125;
-    msg.play.mode = rt::ExecMode::barrier;
+    msg.play.mode = rt::ExecMode::stealing;
     msg.play.transport = ft::TransportClass::uds;
     msg.wire.data_sent = 10;
     msg.wire.retransmits = 4;
@@ -278,7 +278,7 @@ TEST(NetProtocol, ReportRoundTrip) {
     EXPECT_EQ(got.play.cycles, 9u);
     EXPECT_EQ(got.play.blocks_delivered, 31u);
     EXPECT_EQ(got.play.seconds, 0.125);
-    EXPECT_EQ(got.play.mode, rt::ExecMode::barrier);
+    EXPECT_EQ(got.play.mode, rt::ExecMode::stealing);
     EXPECT_EQ(got.play.transport, ft::TransportClass::uds);
     EXPECT_EQ(got.wire.data_sent, 10u);
     EXPECT_EQ(got.wire.retransmits, 4u);

@@ -143,7 +143,7 @@ TEST(ObsScrape, NetdScrapeMatchesInProcessRegistry) {
     for (const char* name :
          {"svc.submitted", "svc.executed", "svc.failed",
           "svc.plan_cache.hits", "svc.plan_cache.misses", "rt.cycles",
-          "rt.checksum_bytes", "rt.plays_barrier"}) {
+          "rt.checksum_bytes"}) {
         EXPECT_EQ(scraped.counter(name), local.counter(name)) << name;
     }
     EXPECT_GE(scraped.counter("svc.executed"), 3u);

@@ -12,7 +12,6 @@
 #include "ft/fault_model.hpp"
 #include "rt/async_player.hpp"
 #include "rt/checksum.hpp"
-#include "rt/player.hpp"
 #include "routing/schedule_export.hpp"
 #include "svc/session.hpp"
 #include "trees/sbt.hpp"
@@ -68,16 +67,6 @@ TEST(RtArena, BlocksAreCacheLineAlignedAndCanonical) {
     }
 }
 
-TEST(RtArena, BarrierMovePlayForwardsViewsWithZeroCopies) {
-    const Plan plan =
-        compile_plan(broadcast_schedule(4, 2), DataMode::move, kBlock, 2);
-    Player player(plan);
-    const PlayStats stats = player.play();
-    ASSERT_TRUE(stats.clean());
-    EXPECT_EQ(stats.bytes_copied, 0u);
-    expect_all_views_in_arena(plan, player);
-}
-
 TEST(RtArena, AsyncMovePlayForwardsViewsWithZeroCopies) {
     const Plan plan =
         compile_plan(broadcast_schedule(5, 2), DataMode::move, kBlock, 2);
@@ -112,7 +101,7 @@ TEST(RtArena, CombinePlansUseDistinctAccumulatorStorage) {
     // Combine mode has no arena: accumulators mutate in place, so a view
     // of another node's slot would go stale mid-flight.
     EXPECT_TRUE(plan.arena.empty());
-    Player player(plan);
+    AsyncPlayer player(plan);
     const PlayStats stats = player.play();
     ASSERT_TRUE(stats.clean());
     // Copy-through: every sent block was staged into the ring.

@@ -1,10 +1,11 @@
-// Differential tests of the dependency-driven AsyncPlayer against the
-// two-barrier-per-cycle Player: for every schedule family the repo can
-// export, at every cube size n = 3..8, both engines must finish clean
-// (zero channel faults, zero checksum failures, one delivery per
-// scheduled send) and leave byte-identical final memory — including
-// combine-mode reduction, where the plan's slot-ordering edges pin the
-// floating-point accumulation order to the barrier oracle's.
+// Tests of the dependency-driven AsyncPlayer, the runtime's one
+// in-process engine: for every schedule family the repo can export, at
+// every cube size n = 3..8, a run must finish clean (zero channel faults,
+// zero checksum failures, one delivery per scheduled send) and leave the
+// final memory the runtime's verification rule expects (rt/expected.hpp):
+// every move slot holds its packet's arena block, and a combine run holds
+// the image of the schedule evaluated cycle by cycle, so a stealing run
+// that let an accumulation overtake a same-cycle send fails the rule.
 //
 // The AsyncPlayer steals only on copy-through runs with blocks of at
 // least 8 KiB (async_player.hpp); every other case below pins the serial
@@ -17,16 +18,15 @@
 #include "ft/injector.hpp"
 #include "rt/expected.hpp"
 #include "rt/plan.hpp"
-#include "rt/player.hpp"
 #include "rt/threads.hpp"
 #include "routing/schedule_export.hpp"
+#include "sim/cycle.hpp"
 #include "trees/bst.hpp"
 #include "trees/sbt.hpp"
 #include "trees/tcbt.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -44,179 +44,185 @@ constexpr std::size_t kBlock = 8;
 /// The smallest block the AsyncPlayer steals for: 1024 doubles = 8 KiB.
 constexpr std::size_t kStealBlock = 1024;
 
-/// Runs `schedule` through both engines and asserts clean stats, a
-/// byte-identical final memory image, slot by slot, and that the async
-/// engine ran in `expected` mode. `hooked` installs an inert fault hook
-/// (the injector of an empty FaultPlan) on both engines, which makes a
-/// move plan deliver copy-through.
-void expect_engines_agree(const Schedule& schedule, DataMode mode,
+/// Plays `plan` on the AsyncPlayer (with an inert fault hook — the
+/// injector of an empty FaultPlan, which makes a move plan deliver
+/// copy-through — when `hooked`) and asserts clean stats, one delivery
+/// per scheduled send and the `expected` mode; then `accepts` judges the
+/// final memory by the rule.
+template <class Rule>
+void expect_run_verified(const Plan& plan, std::uint64_t sends,
+                         ExecMode expected, bool hooked, Rule accepts) {
+    ft::FaultInjector hook{ft::FaultPlan{}};
+    hook.arm(plan);
+    AsyncPlayer player(plan);
+    if (hooked) {
+        player.set_fault_hook(&hook);
+    }
+    const PlayStats stats = player.play();
+    EXPECT_TRUE(stats.clean());
+    EXPECT_EQ(stats.channel_faults, 0u);
+    EXPECT_EQ(stats.blocks_delivered, sends);
+    EXPECT_EQ(stats.mode, expected);
+    EXPECT_TRUE(accepts(player)) << "the rule rejects the final memory";
+}
+
+/// A move schedule, proven by the cycle executor under `model`, plays
+/// verified: every slot ends holding its packet's arena block.
+void expect_move_verified(const Schedule& schedule, PortModel model,
                           std::uint32_t threads, const std::string& label,
                           ExecMode expected = ExecMode::serial,
                           std::size_t block = kBlock, bool hooked = false) {
     SCOPED_TRACE(label + " threads=" + std::to_string(threads) +
                  " block=" + std::to_string(block) +
                  (hooked ? " hooked" : ""));
-    const Plan plan = compile_plan(schedule, mode, block, threads);
-    ft::FaultInjector barrier_hook{ft::FaultPlan{}};
-    ft::FaultInjector async_hook{ft::FaultPlan{}};
-    barrier_hook.arm(plan);
-    async_hook.arm(plan);
-
-    Player barrier_player(plan);
-    if (hooked) {
-        barrier_player.set_fault_hook(&barrier_hook);
-    }
-    const PlayStats ref = barrier_player.play();
-    EXPECT_TRUE(ref.clean());
-    EXPECT_EQ(ref.channel_faults, 0u);
-    EXPECT_EQ(ref.blocks_delivered, schedule.sends.size());
-
-    AsyncPlayer async_player(plan);
-    if (hooked) {
-        async_player.set_fault_hook(&async_hook);
-    }
-    const PlayStats dut = async_player.play();
-    EXPECT_TRUE(dut.clean());
-    EXPECT_EQ(dut.channel_faults, 0u);
-    EXPECT_EQ(dut.blocks_delivered, schedule.sends.size());
-    EXPECT_EQ(dut.mode, expected);
-
-    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const auto a =
-            barrier_player.block(plan.slot_node[s], plan.slot_packet[s]);
-        const auto b =
-            async_player.block(plan.slot_node[s], plan.slot_packet[s]);
-        ASSERT_EQ(a.size(), b.size());
-        ASSERT_EQ(std::memcmp(a.data(), b.data(),
-                              a.size() * sizeof(double)),
-                  0)
-            << "final memory diverges at slot " << s << " (node "
-            << plan.slot_node[s] << ", packet " << plan.slot_packet[s]
-            << ")";
-    }
+    const sim::CycleStats sim = sim::execute_schedule(schedule, model);
+    const Plan plan = compile_plan(schedule, DataMode::move, block, threads);
+    expect_run_verified(plan, schedule.sends.size(), expected, hooked,
+                        [&](const AsyncPlayer& player) {
+                            return check_move_run(plan, sim, player);
+                        });
 }
 
-TEST(RtAsyncVsBarrier, SbtPortOrientedBroadcast) {
+/// A combine schedule reducing into `root` plays verified: the root holds
+/// the exact sums, and every slot the schedule's evaluated image.
+void expect_combine_verified(const Schedule& schedule, node_t root,
+                             std::uint32_t threads, const std::string& label,
+                             ExecMode expected = ExecMode::serial,
+                             std::size_t block = kBlock) {
+    SCOPED_TRACE(label + " threads=" + std::to_string(threads) +
+                 " block=" + std::to_string(block));
+    const Plan plan =
+        compile_plan(schedule, DataMode::combine, block, threads);
+    expect_run_verified(plan, schedule.sends.size(), expected, false,
+                        [&](const AsyncPlayer& player) {
+                            return check_combine_run(plan, schedule, root,
+                                                     {}, player)
+                                .has_value();
+                        });
+}
+
+constexpr PortModel kFull = PortModel::one_port_full_duplex;
+
+TEST(RtAsync, SbtPortOrientedBroadcast) {
     for (hc::dim_t n = 3; n <= 8; ++n) {
-        expect_engines_agree(
+        expect_move_verified(
             routing::make_tree_broadcast(
                 trees::build_sbt(n, 0),
-                BroadcastDiscipline::port_oriented, 4,
-                PortModel::one_port_full_duplex),
-            DataMode::move, 2, "sbt_bcast n=" + std::to_string(n));
+                BroadcastDiscipline::port_oriented, 4, kFull),
+            kFull, 2, "sbt_bcast n=" + std::to_string(n));
     }
 }
 
-TEST(RtAsyncVsBarrier, MsbtBroadcast) {
+TEST(RtAsync, MsbtBroadcast) {
     for (hc::dim_t n = 3; n <= 8; ++n) {
         // The MSBT needs P divisible by n (one sub-stream per ERSBT).
-        expect_engines_agree(
+        expect_move_verified(
             routing::make_msbt_broadcast(n, 0,
                                          static_cast<packet_t>(n) * 2,
-                                         PortModel::one_port_full_duplex),
-            DataMode::move, 2, "msbt_bcast n=" + std::to_string(n));
+                                         kFull),
+            kFull, 2, "msbt_bcast n=" + std::to_string(n));
     }
 }
 
-TEST(RtAsyncVsBarrier, MsbtBroadcastStretchedUnderHalfDuplex) {
+TEST(RtAsync, MsbtBroadcastStretchedUnderHalfDuplex) {
     for (hc::dim_t n = 3; n <= 8; ++n) {
-        expect_engines_agree(
+        expect_move_verified(
             routing::make_msbt_broadcast(n, 1,
                                          static_cast<packet_t>(n) * 2,
                                          PortModel::one_port_half_duplex),
-            DataMode::move, 2, "msbt_bcast_half n=" + std::to_string(n));
+            PortModel::one_port_half_duplex, 2,
+            "msbt_bcast_half n=" + std::to_string(n));
     }
 }
 
-TEST(RtAsyncVsBarrier, PacedTcbtBroadcastOnAllPorts) {
+TEST(RtAsync, PacedTcbtBroadcastOnAllPorts) {
     // build_tcbt's search takes seconds at n = 8; n <= 6 covers the
     // all-port paced shape.
     for (hc::dim_t n = 3; n <= 6; ++n) {
-        expect_engines_agree(
+        expect_move_verified(
             routing::make_tree_broadcast(trees::build_tcbt(n, 0),
                                          BroadcastDiscipline::paced, 5,
                                          PortModel::all_port),
-            DataMode::move, 2, "tcbt_paced n=" + std::to_string(n));
+            PortModel::all_port, 2, "tcbt_paced n=" + std::to_string(n));
     }
 }
 
-TEST(RtAsyncVsBarrier, NonRootSourceBroadcastAndReduce) {
+TEST(RtAsync, NonRootSourceBroadcastAndReduce) {
     for (hc::dim_t n = 3; n <= 8; ++n) {
         const node_t root = (node_t{1} << n) - 3;
         const Schedule forward = routing::make_tree_broadcast(
             trees::build_sbt(n, root), BroadcastDiscipline::port_oriented,
-            2, PortModel::one_port_full_duplex);
-        expect_engines_agree(forward, DataMode::move, 4,
+            2, kFull);
+        expect_move_verified(forward, kFull, 4,
                              "sbt_bcast root=" + std::to_string(root));
-        expect_engines_agree(
-            routing::reverse_broadcast_for_reduce(forward, root),
-            DataMode::combine, 3, "reduce root=" + std::to_string(root));
+        expect_combine_verified(
+            routing::reverse_broadcast_for_reduce(forward, root), root, 3,
+            "reduce root=" + std::to_string(root));
     }
 }
 
-TEST(RtAsyncVsBarrier, SbtDescendingScatter) {
+TEST(RtAsync, SbtDescendingScatter) {
     for (hc::dim_t n = 3; n <= 8; ++n) {
-        expect_engines_agree(
+        expect_move_verified(
             routing::make_tree_scatter(trees::build_sbt(n, 0),
-                                       ScatterPolicy::descending, 2,
-                                       PortModel::one_port_full_duplex),
-            DataMode::move, 2, "sbt_scatter n=" + std::to_string(n));
+                                       ScatterPolicy::descending, 2, kFull),
+            kFull, 2, "sbt_scatter n=" + std::to_string(n));
     }
 }
 
-TEST(RtAsyncVsBarrier, BstCyclicScatter) {
+TEST(RtAsync, BstCyclicScatter) {
     for (hc::dim_t n = 3; n <= 8; ++n) {
-        expect_engines_agree(
+        expect_move_verified(
             routing::make_tree_scatter(trees::build_bst(n, 0),
-                                       ScatterPolicy::cyclic, 2,
-                                       PortModel::one_port_full_duplex),
-            DataMode::move, 2, "bst_scatter n=" + std::to_string(n));
+                                       ScatterPolicy::cyclic, 2, kFull),
+            kFull, 2, "bst_scatter n=" + std::to_string(n));
     }
 }
 
-TEST(RtAsyncVsBarrier, AllPortScatter) {
+TEST(RtAsync, AllPortScatter) {
     for (hc::dim_t n = 3; n <= 8; ++n) {
-        expect_engines_agree(
+        expect_move_verified(
             routing::make_tree_scatter(trees::build_sbt(n, 0),
                                        ScatterPolicy::per_port, 2,
                                        PortModel::all_port),
-            DataMode::move, 2, "per_port_scatter n=" + std::to_string(n));
+            PortModel::all_port, 2,
+            "per_port_scatter n=" + std::to_string(n));
     }
 }
 
-TEST(RtAsyncVsBarrier, SbtAndBstGather) {
+TEST(RtAsync, SbtAndBstGather) {
     for (hc::dim_t n = 3; n <= 8; ++n) {
-        expect_engines_agree(
+        expect_move_verified(
             routing::make_tree_gather(trees::build_sbt(n, 0),
-                                      ScatterPolicy::descending, 2,
-                                      PortModel::one_port_full_duplex),
-            DataMode::move, 2, "sbt_gather n=" + std::to_string(n));
-        expect_engines_agree(
+                                      ScatterPolicy::descending, 2, kFull),
+            kFull, 2, "sbt_gather n=" + std::to_string(n));
+        expect_move_verified(
             routing::make_tree_gather(trees::build_bst(n, 0),
-                                      ScatterPolicy::cyclic, 2,
-                                      PortModel::one_port_full_duplex),
-            DataMode::move, 2, "bst_gather n=" + std::to_string(n));
+                                      ScatterPolicy::cyclic, 2, kFull),
+            kFull, 2, "bst_gather n=" + std::to_string(n));
     }
 }
 
-TEST(RtAsyncVsBarrier, ReduceCombinesInChannelSequenceOrder) {
+TEST(RtAsync, ReduceCombinesInChannelSequenceOrder) {
     for (hc::dim_t n = 3; n <= 8; ++n) {
         const Schedule forward = routing::make_tree_broadcast(
             trees::build_sbt(n, 0), BroadcastDiscipline::port_oriented, 3,
-            PortModel::one_port_full_duplex);
-        expect_engines_agree(
-            routing::reverse_broadcast_for_reduce(forward, 0),
-            DataMode::combine, 2, "reduce n=" + std::to_string(n));
+            kFull);
+        expect_combine_verified(
+            routing::reverse_broadcast_for_reduce(forward, 0), 0, 2,
+            "reduce n=" + std::to_string(n));
     }
 }
 
 /// Recursive-doubling allreduce: in cycle d every node exchanges its
-/// running partial for packet 0 with its neighbor across dimension d.
-/// Listing nodes in ascending order makes the higher node of each pair
-/// lower its receive before its same-cycle send, so under stealing the
-/// engines only agree if the plan's send-side ordering edge pins the send
-/// to the slot's pre-accumulation value (the barrier oracle's sends-first
-/// rule). Small blocks run serial; CombineLargeBlocksSteal steals it.
+/// running partial for packet 0 with its neighbor across dimension d, so
+/// every node, node 0 among them, ends holding the full sum. Listing
+/// nodes in ascending order makes the higher node of each pair lower its
+/// receive before its same-cycle send, so under stealing the run only
+/// matches the rule's image (a cycle's sends read before its receives
+/// accumulate) if the plan's send-side ordering edge pins the send to the
+/// slot's pre-accumulation value. Small blocks run serial;
+/// CombineLargeBlocksSteal steals it.
 Schedule recursive_doubling_allreduce(hc::dim_t n) {
     Schedule s;
     s.n = n;
@@ -233,98 +239,90 @@ Schedule recursive_doubling_allreduce(hc::dim_t n) {
     return s;
 }
 
-TEST(RtAsyncVsBarrier, AllreduceSameCycleBidirectionalExchange) {
+TEST(RtAsync, AllreduceSameCycleBidirectionalExchange) {
     for (hc::dim_t n = 1; n <= 8; ++n) {
         const std::uint32_t threads = n >= 2 ? 4u : 2u;
-        expect_engines_agree(recursive_doubling_allreduce(n),
-                             DataMode::combine, threads,
-                             "allreduce n=" + std::to_string(n));
+        expect_combine_verified(recursive_doubling_allreduce(n), 0, threads,
+                                "allreduce n=" + std::to_string(n));
     }
 }
 
-TEST(RtAsyncVsBarrier, AllgatherAndAlltoall) {
+TEST(RtAsync, AllgatherAndAlltoall) {
     for (hc::dim_t n = 3; n <= 8; ++n) {
-        expect_engines_agree(routing::make_allgather_schedule(n),
-                             DataMode::move, 2,
+        expect_move_verified(routing::make_allgather_schedule(n), kFull, 2,
                              "allgather n=" + std::to_string(n));
-        expect_engines_agree(routing::make_alltoall_schedule(n, 1),
-                             DataMode::move, 2,
-                             "alltoall n=" + std::to_string(n));
+        expect_move_verified(routing::make_alltoall_schedule(n, 1), kFull,
+                             2, "alltoall n=" + std::to_string(n));
     }
 }
 
-TEST(RtAsyncVsBarrier, ZeroCopyRunsSerialAtAnySize) {
+TEST(RtAsync, ZeroCopyRunsSerialAtAnySize) {
     // A zero-copy hop moves no bytes, so no block or plan size pays for
     // stealing: even an n=10 MSBT broadcast of 8 KiB blocks on 4 workers
     // takes the serial walk.
-    expect_engines_agree(
-        routing::make_msbt_broadcast(10, 0, 20,
-                                     PortModel::one_port_full_duplex),
-        DataMode::move, 4, "msbt_bcast n=10", ExecMode::serial, kStealBlock);
+    expect_move_verified(routing::make_msbt_broadcast(10, 0, 20, kFull),
+                         kFull, 4, "msbt_bcast n=10", ExecMode::serial,
+                         kStealBlock);
 }
 
-TEST(RtAsyncVsBarrier, CombineLargeBlocksSteal) {
+TEST(RtAsync, CombineLargeBlocksSteal) {
     for (hc::dim_t n = 4; n <= 6; ++n) {
         const Schedule forward = routing::make_tree_broadcast(
             trees::build_sbt(n, 0), BroadcastDiscipline::port_oriented, 6,
-            PortModel::one_port_full_duplex);
+            kFull);
         const Schedule reduce =
             routing::reverse_broadcast_for_reduce(forward, 0);
         for (const std::uint32_t threads : {3u, 4u}) {
-            expect_engines_agree(reduce, DataMode::combine, threads,
-                                 "reduce n=" + std::to_string(n),
-                                 ExecMode::stealing, kStealBlock);
-            expect_engines_agree(recursive_doubling_allreduce(n),
-                                 DataMode::combine, threads,
-                                 "allreduce n=" + std::to_string(n),
-                                 ExecMode::stealing, kStealBlock);
+            expect_combine_verified(reduce, 0, threads,
+                                    "reduce n=" + std::to_string(n),
+                                    ExecMode::stealing, kStealBlock);
+            expect_combine_verified(recursive_doubling_allreduce(n), 0,
+                                    threads,
+                                    "allreduce n=" + std::to_string(n),
+                                    ExecMode::stealing, kStealBlock);
         }
     }
 }
 
-TEST(RtAsyncVsBarrier, HookedMoveLargeBlocksSteal) {
+TEST(RtAsync, HookedMoveLargeBlocksSteal) {
     for (hc::dim_t n = 4; n <= 6; ++n) {
         const std::string at = " n=" + std::to_string(n);
         for (const std::uint32_t threads : {3u, 4u}) {
-            expect_engines_agree(
+            expect_move_verified(
                 routing::make_msbt_broadcast(
-                    n, 0, static_cast<packet_t>(n) * 2,
-                    PortModel::one_port_full_duplex),
-                DataMode::move, threads, "msbt_bcast" + at,
-                ExecMode::stealing, kStealBlock, /*hooked=*/true);
-            expect_engines_agree(
+                    n, 0, static_cast<packet_t>(n) * 2, kFull),
+                kFull, threads, "msbt_bcast" + at, ExecMode::stealing,
+                kStealBlock, /*hooked=*/true);
+            expect_move_verified(
                 routing::make_tree_scatter(trees::build_sbt(n, 0),
                                            ScatterPolicy::descending, 2,
-                                           PortModel::one_port_full_duplex),
-                DataMode::move, threads, "sbt_scatter" + at,
-                ExecMode::stealing, kStealBlock, /*hooked=*/true);
-            expect_engines_agree(
+                                           kFull),
+                kFull, threads, "sbt_scatter" + at, ExecMode::stealing,
+                kStealBlock, /*hooked=*/true);
+            expect_move_verified(
                 routing::make_tree_gather(trees::build_bst(n, 0),
-                                          ScatterPolicy::cyclic, 2,
-                                          PortModel::one_port_full_duplex),
-                DataMode::move, threads, "bst_gather" + at,
-                ExecMode::stealing, kStealBlock, /*hooked=*/true);
+                                          ScatterPolicy::cyclic, 2, kFull),
+                kFull, threads, "bst_gather" + at, ExecMode::stealing,
+                kStealBlock, /*hooked=*/true);
         }
     }
 }
 
-TEST(RtAsyncVsBarrier, OddWorkerCountsAndSerialPath) {
+TEST(RtAsync, OddWorkerCountsAndSerialPath) {
     // One worker always takes the serial fast path. Three workers give
     // uneven node ownership (2^5 nodes over 3 workers); the zero-copy run
     // stays serial, and the same schedule delivered copy-through with
     // 8 KiB blocks steals across the uneven split.
     const Schedule schedule = routing::make_tree_scatter(
-        trees::build_sbt(5, 0), ScatterPolicy::descending, 2,
-        PortModel::one_port_full_duplex);
+        trees::build_sbt(5, 0), ScatterPolicy::descending, 2, kFull);
     for (const std::uint32_t threads : {1u, 3u}) {
-        expect_engines_agree(schedule, DataMode::move, threads,
-                             "odd_workers");
+        expect_move_verified(schedule, kFull, threads, "odd_workers");
     }
-    expect_engines_agree(schedule, DataMode::move, 3, "odd_workers",
+    expect_move_verified(schedule, kFull, 3, "odd_workers",
                          ExecMode::stealing, kStealBlock, /*hooked=*/true);
 }
 
-TEST(RtAsyncVsBarrier, ModeIsAPureFunctionOfTheRun) {
+TEST(RtAsync, ModeIsAPureFunctionOfTheRun) {
     // Nothing carries over between plays: each run's mode follows from
     // the plan and the run's configuration alone, run after run.
     const Plan plan = compile_plan(
@@ -382,7 +380,7 @@ TEST(RtAsyncVsBarrier, ModeIsAPureFunctionOfTheRun) {
     EXPECT_EQ(mode_of(tiny, kStealBlock, 4), ExecMode::serial);
 }
 
-TEST(RtAsyncVsBarrier, AsyncPlayerIsReusableAcrossRuns) {
+TEST(RtAsync, AsyncPlayerIsReusableAcrossRuns) {
     const Schedule schedule = routing::make_msbt_broadcast(
         4, 0, 8, PortModel::one_port_full_duplex);
     const Plan plan = compile_plan(schedule, DataMode::move, kBlock, 2);
@@ -408,7 +406,7 @@ public:
     std::vector<std::vector<std::uint32_t>> stamps;
 };
 
-TEST(RtAsyncVsBarrier, OnlyRingWalksRewindTheRings) {
+TEST(RtAsync, OnlyRingWalksRewindTheRings) {
     // The ring-free walk skips the rewind; every ring walk (traced,
     // hooked or detecting) still restarts each channel's sequence stamps
     // at 0. Every ring walk's receives check each stamp against the
@@ -465,7 +463,7 @@ TEST(RtAsyncVsBarrier, OnlyRingWalksRewindTheRings) {
     expect_hooked_stamps_from_zero("hooked after traced again");
 }
 
-TEST(RtAsyncVsBarrier, RingsTakeThePlanDepth) {
+TEST(RtAsync, RingsTakeThePlanDepth) {
     // The player's rings are as deep as the plan's capacity edges assume:
     // a shallower plan plays clean in smaller rings.
     const Schedule schedule = routing::make_msbt_broadcast(

@@ -2,9 +2,9 @@
 // final memory is checked against the state the schedule alone implies.
 //
 // Acceptance: every schedule_export family at n = 3..8, plus the
-// recursive-doubling allreduce, on both engines — and the combine
-// evaluator's image is byte-identical to the barrier engine's memory. The
-// reduce and the allreduce also run at 1- and 13-double blocks, the
+// recursive-doubling allreduce, played on the AsyncPlayer, whose cycle
+// count must equal the executor's makespan (a reduction's: its depth).
+// The reduce and the allreduce also run at 1- and 13-double blocks, the
 // payload generator's single-element and ragged-tail rows.
 // Rejection: the cases where the rule is the only defence — a corrupted
 // reduce whose run still reports clean stats (combine descriptors carry no
@@ -17,7 +17,6 @@
 #include "mbr/view.hpp"
 #include "obs/metrics.hpp"
 #include "rt/async_player.hpp"
-#include "rt/player.hpp"
 #include "routing/schedule_export.hpp"
 #include "sim/cycle.hpp"
 #include "trees/bst.hpp"
@@ -41,9 +40,9 @@ using sim::Schedule;
 
 constexpr std::size_t kBlock = 8;
 
-/// Plays a move schedule on both engines (copy-through when `hooked`) and
-/// asserts the rule accepts each run, and that the barrier engine's cycle
-/// count equals the cycle executor's makespan.
+/// Plays a move schedule on the AsyncPlayer (copy-through when `hooked`)
+/// and asserts the rule accepts the run, and that its cycle count equals
+/// the cycle executor's makespan.
 void expect_move_accepted(const Schedule& schedule, PortModel model,
                           const std::string& label, bool hooked = false) {
     SCOPED_TRACE(label + (hooked ? " hooked" : ""));
@@ -52,27 +51,21 @@ void expect_move_accepted(const Schedule& schedule, PortModel model,
     ft::FaultInjector hook{ft::FaultPlan{}};
     hook.arm(plan);
 
-    Player barrier(plan);
     AsyncPlayer async(plan);
     if (hooked) {
-        barrier.set_fault_hook(&hook);
         async.set_fault_hook(&hook);
     }
-    const PlayStats ref = barrier.play();
-    EXPECT_TRUE(ref.clean());
-    EXPECT_EQ(ref.cycles, sim.makespan);
-    EXPECT_TRUE(check_move_run(plan, sim, barrier));
-    hook.rewind();
-    EXPECT_TRUE(async.play().clean());
+    const PlayStats stats = async.play();
+    EXPECT_TRUE(stats.clean());
+    EXPECT_EQ(stats.cycles, sim.makespan);
     EXPECT_TRUE(check_move_run(plan, sim, async));
 }
 
 /// Plays a combine schedule reducing into `root` over `members` (empty =
-/// the full cube) with `block`-double blocks on both engines and asserts
-/// the rule accepts each run, with the evaluator's image equal to the
-/// barrier engine's final memory byte for byte, and that the barrier
-/// engine's cycle count equals the schedule's depth (1 + its last send's
-/// cycle).
+/// the full cube) with `block`-double blocks on the AsyncPlayer and
+/// asserts the rule accepts the run, with the evaluator's image equal to
+/// its final memory byte for byte, and that its cycle count equals the
+/// schedule's depth (1 + its last send's cycle).
 void expect_combine_accepted(const Schedule& schedule, node_t root,
                              const std::string& label,
                              std::span<const node_t> members = {},
@@ -88,14 +81,11 @@ void expect_combine_accepted(const Schedule& schedule, node_t root,
         depth = std::max(depth, send.cycle + 1);
     }
 
-    Player barrier(plan);
-    const PlayStats ref = barrier.play();
-    EXPECT_TRUE(ref.clean());
-    EXPECT_EQ(ref.cycles, depth);
-    EXPECT_TRUE(matches_image(plan, barrier, *image));
-    EXPECT_TRUE(check_combine_run(plan, schedule, root, members, barrier));
     AsyncPlayer async(plan);
-    EXPECT_TRUE(async.play().clean());
+    const PlayStats stats = async.play();
+    EXPECT_TRUE(stats.clean());
+    EXPECT_EQ(stats.cycles, depth);
+    EXPECT_TRUE(matches_image(plan, async, *image));
     EXPECT_TRUE(check_combine_run(plan, schedule, root, members, async));
 }
 
@@ -238,10 +228,8 @@ TEST(RtExpected, RejectsCorruptedReduceThatPlaysClean) {
     ft::FaultPlan faults;
     faults.corrupt(link.from, link.to, 0);
 
-    const auto expect_rejected = [&](const Plan& plan, auto& player,
-                                     const char* engine) {
-        SCOPED_TRACE(std::string(engine) +
-                     " block=" + std::to_string(plan.block_elems));
+    const auto expect_rejected = [&](const Plan& plan, AsyncPlayer& player) {
+        SCOPED_TRACE("block=" + std::to_string(plan.block_elems));
         ft::FaultInjector injector(faults);
         injector.arm(plan);
         player.set_fault_hook(&injector);
@@ -255,10 +243,8 @@ TEST(RtExpected, RejectsCorruptedReduceThatPlaysClean) {
     for (const std::size_t block :
          {kBlock, std::size_t{1}, std::size_t{13}}) {
         const Plan plan = compile_plan(reduce, DataMode::combine, block, 2);
-        Player barrier(plan);
-        expect_rejected(plan, barrier, "barrier");
         AsyncPlayer async(plan);
-        expect_rejected(plan, async, "async");
+        expect_rejected(plan, async);
     }
 }
 
@@ -274,22 +260,16 @@ TEST(RtExpected, RejectsCorruptedCopyThroughMoveFromFinalMemory) {
     ft::FaultPlan faults;
     faults.corrupt(link.from, link.to, pushes / 2);
 
-    const auto expect_rejected = [&](auto& player, const char* engine) {
-        SCOPED_TRACE(engine);
-        ft::FaultInjector injector(faults);
-        injector.arm(plan);
-        player.set_fault_hook(&injector);
-        (void)player.play(); // stats deliberately ignored
-        EXPECT_EQ(injector.corrupted(), 1u);
-        EXPECT_TRUE(slots_are_holdings(plan, sim));
-        EXPECT_TRUE(arena_is_canonical(plan));
-        EXPECT_FALSE(matches_arena(plan, player));
-        EXPECT_FALSE(check_move_run(plan, sim, player));
-    };
-    Player barrier(plan);
-    expect_rejected(barrier, "barrier");
-    AsyncPlayer async(plan);
-    expect_rejected(async, "async");
+    ft::FaultInjector injector(faults);
+    injector.arm(plan);
+    AsyncPlayer player(plan);
+    player.set_fault_hook(&injector);
+    (void)player.play(); // stats deliberately ignored
+    EXPECT_EQ(injector.corrupted(), 1u);
+    EXPECT_TRUE(slots_are_holdings(plan, sim));
+    EXPECT_TRUE(arena_is_canonical(plan));
+    EXPECT_FALSE(matches_arena(plan, player));
+    EXPECT_FALSE(check_move_run(plan, sim, player));
 }
 
 TEST(RtExpected, RejectsPlanCheckedAgainstAnotherSchedulesHoldings) {

@@ -1,5 +1,5 @@
 // Tests for the schedule -> execution-plan compiler: slot assignment,
-// channel numbering, CSR bucketing, and the feasibility checks it shares
+// channel numbering, the cycle CSR, and the feasibility checks it shares
 // with the cycle executor (availability, duplicate delivery, link
 // capacity).
 #include "rt/plan.hpp"
@@ -9,7 +9,6 @@
 #include "routing/schedule_export.hpp"
 #include "rt/async_player.hpp"
 #include "rt/expected.hpp"
-#include "rt/player.hpp"
 #include "trees/bst.hpp"
 #include "trees/sbt.hpp"
 
@@ -39,8 +38,8 @@ TEST(RtPlan, LowersChainIntoSlotsChannelsAndBuckets) {
     EXPECT_EQ(plan.channel_count, 2u);
     EXPECT_EQ(plan.total_slots, 3u); // held by 0, 1 and 3
     EXPECT_EQ(plan.lowered_count(), 2u);
-    EXPECT_EQ(plan.send_begin.back(), 2u);
-    EXPECT_EQ(plan.recv_begin.back(), 2u);
+    // One hop per cycle: the cycle CSR puts hop 0 in cycle 0, hop 1 in 1.
+    EXPECT_EQ(plan.flat_cycle_begin, (std::vector<std::uint32_t>{0, 1, 2}));
     EXPECT_EQ(plan.seeded_slots.size(), 1u); // the initial holder
     EXPECT_NE(plan.slot_of(0, 0), Plan::kNoSlot);
     EXPECT_NE(plan.slot_of(1, 0), Plan::kNoSlot);
@@ -120,38 +119,6 @@ TEST(RtPlan, CombineModeAcceptsDuplicateArrivalsAndSeedsEverySlot) {
     EXPECT_EQ(plan.cycles, stats.makespan);
 }
 
-TEST(RtPlan, BucketsPartitionEverySendByCycleAndOwner) {
-    const sim::Schedule schedule = routing::make_msbt_broadcast(
-        4, 0, 8, sim::PortModel::one_port_full_duplex);
-    const std::uint32_t workers = 3;
-    const Plan plan = compile_plan(schedule, DataMode::move, 2, workers);
-    ASSERT_EQ(plan.send_begin.size(),
-              std::size_t{plan.cycles} * workers + 1);
-    EXPECT_EQ(plan.send_begin.back(), schedule.sends.size());
-    EXPECT_EQ(plan.recv_begin.back(), schedule.sends.size());
-    // Every action sits in the bucket of its cycle and its node's owner;
-    // the node is recovered through the action's slot.
-    const auto send_node = [&plan](std::size_t pos) {
-        return plan.slot_node[plan.bucket_send(pos).slot];
-    };
-    const auto recv_node = [&plan](std::size_t pos) {
-        return plan.slot_node[plan.bucket_recv(pos).slot];
-    };
-    for (std::uint32_t c = 0; c < plan.cycles; ++c) {
-        for (std::uint32_t w = 0; w < workers; ++w) {
-            const std::size_t b = std::size_t{c} * workers + w;
-            for (std::size_t i = plan.send_begin[b];
-                 i < plan.send_begin[b + 1]; ++i) {
-                EXPECT_EQ(plan.owner_of(send_node(i)), w);
-            }
-            for (std::size_t i = plan.recv_begin[b];
-                 i < plan.recv_begin[b + 1]; ++i) {
-                EXPECT_EQ(plan.owner_of(recv_node(i)), w);
-            }
-        }
-    }
-}
-
 TEST(RtPlan, DepGraphChainHasExactEdges) {
     // Two-hop chain, one worker: the send and receive of lowered hop l
     // interleave as ids 2l and 2l+1, so the chain is send 0, recv 1,
@@ -209,7 +176,7 @@ TEST(RtPlan, CombineSameCycleExchangeOrdersSendBeforeAccumulation) {
     // in the same cycle. Listed 1 -> 0 first, node 0's receive lowers
     // *before* its send, so only a send-side edge can order the pair: the
     // send must read slot (0, p)'s pre-accumulation value, matching the
-    // barrier oracle's sends-before-receives rule within a cycle.
+    // rule's sends-before-receives order within a cycle (rt/expected.hpp).
     Schedule s;
     s.n = 1;
     s.packet_count = 1;
@@ -303,11 +270,6 @@ TEST(RtPlan, CompilesAndPlaysBeyondTwentyDimensions) {
 
     const sim::CycleStats expected =
         sim::execute_schedule(chain, sim::PortModel::one_port_full_duplex);
-    Player barrier(plan);
-    const PlayStats b = barrier.play();
-    EXPECT_TRUE(b.clean());
-    EXPECT_EQ(b.blocks_delivered, 3u);
-    EXPECT_TRUE(check_move_run(plan, expected, barrier));
     AsyncPlayer async(plan);
     const PlayStats a = async.play();
     EXPECT_TRUE(a.clean());
@@ -323,7 +285,7 @@ TEST(RtPlanFootprint, ItemizedTotalsAndTrimmedCapacity) {
                                      sim::PortModel::one_port_full_duplex),
         DataMode::move, 16, 3);
     const PlanFootprint f = plan.footprint();
-    EXPECT_EQ(f.total(), f.actions + f.dep_graph + f.buckets + f.slots +
+    EXPECT_EQ(f.total(), f.actions + f.dep_graph + f.cycle_csr + f.slots +
                              f.channels + f.arena + f.digests);
     EXPECT_EQ(f.total(), plan.resident_bytes());
     // The SoA streams dominate `actions`: four u32 words per action.
@@ -338,8 +300,9 @@ TEST(RtPlanFootprint, ItemizedTotalsAndTrimmedCapacity) {
 /// family, at every n in 3..8, the compiled plan (workers=2, block 4,
 /// arena and digest table excluded — both are per-packet payload data,
 /// not encoding) must fit `bytes_per_hop` bytes per lowered hop plus a fixed
-/// allowance. The pins are ~15% above the measured encoding so a field
-/// widening or an accidental AoS mirror fails loudly.
+/// allowance. Each pin is ~15% above the family's worst measured bytes per
+/// hop beyond that allowance over n = 3..8, so a field widening or an
+/// accidental AoS mirror fails loudly.
 struct FootprintPin {
     const char* family;
     Schedule (*make)(dim_t n);
@@ -355,32 +318,32 @@ TEST(RtPlanFootprint, CompactBytesStayPinnedPerFamily) {
                  routing::BroadcastDiscipline::port_oriented, 4,
                  sim::PortModel::one_port_full_duplex);
          },
-         96},
+         62},
         {"msbt_broadcast",
          [](dim_t n) {
              return routing::make_msbt_broadcast(
                  n, 0, static_cast<packet_t>(n) * 2,
                  sim::PortModel::one_port_full_duplex);
          },
-         96},
+         64},
         {"sbt_scatter",
          [](dim_t n) {
              return routing::make_tree_scatter(
                  trees::build_sbt(n, 0), routing::ScatterPolicy::descending,
                  2, sim::PortModel::one_port_full_duplex);
          },
-         96},
+         68},
         {"bst_scatter",
          [](dim_t n) {
              return routing::make_tree_scatter(
                  trees::build_bst(n, 0), routing::ScatterPolicy::cyclic, 2,
                  sim::PortModel::one_port_full_duplex);
          },
-         96},
+         68},
         {"allgather",
-         [](dim_t n) { return routing::make_allgather_schedule(n); }, 76},
+         [](dim_t n) { return routing::make_allgather_schedule(n); }, 72},
         {"alltoall",
-         [](dim_t n) { return routing::make_alltoall_schedule(n, 1); }, 76},
+         [](dim_t n) { return routing::make_alltoall_schedule(n, 1); }, 72},
     };
     for (const FootprintPin& pin : kPins) {
         for (dim_t n = 3; n <= 8; ++n) {
@@ -391,8 +354,8 @@ TEST(RtPlanFootprint, CompactBytesStayPinnedPerFamily) {
             const PlanFootprint f = plan.footprint();
             const std::uint64_t encoding = f.total() - f.arena - f.digests;
             const std::uint64_t hops = plan.lowered_count();
-            // Fixed allowance: cycle/bucket CSR headers, per-node port
-            // bitmaps, per-channel words, slot tables.
+            // Fixed allowance: the cycle CSR, per-node port bitmaps,
+            // per-channel words, slot tables.
             const std::uint64_t fixed =
                 4096 + (std::uint64_t{1} << n) * 8 + plan.channel_count * 4 +
                 plan.total_slots * 24;

@@ -12,7 +12,6 @@
 #include "rt/async_player.hpp"
 #include "rt/checksum.hpp"
 #include "rt/plan.hpp"
-#include "rt/player.hpp"
 #include "rt/pool.hpp"
 #include "routing/schedule_export.hpp"
 #include "sim/cycle.hpp"
@@ -240,7 +239,7 @@ TEST(RtRuntime, PlayerIsReusableAcrossRuns) {
     const sim::Schedule schedule = routing::make_msbt_broadcast(
         3, 0, 6, PortModel::one_port_full_duplex);
     const Plan plan = compile_plan(schedule, DataMode::move, 16, 2);
-    Player player(plan);
+    AsyncPlayer player(plan);
     const PlayStats first = player.play();
     const PlayStats second = player.play();
     EXPECT_TRUE(first.clean());
@@ -256,7 +255,7 @@ TEST(RtRuntime, CleanRunReportsZeroFaultsInEveryCounter) {
     s.initial_holder = {0, 0};
     s.sends = {{0, 0, 1, 0}};
     const Plan plan = compile_plan(s, DataMode::move, 8, 1);
-    Player player(plan);
+    AsyncPlayer player(plan);
     const PlayStats stats = player.play();
     EXPECT_EQ(stats.checksum_failures, 0u);
     EXPECT_EQ(stats.channel_faults, 0u);
@@ -287,8 +286,9 @@ TEST(RtPool, RunsJobsOnResidentThreads) {
 }
 
 TEST(RtPool, PlayOnPoolMatchesSpawnedThreads) {
-    // A combine-mode reduce with 8 KiB blocks is stealing-eligible, so the
-    // async play is dispatched onto the pool as well: one job per engine.
+    // A combine-mode reduce with 8 KiB blocks is stealing-eligible, so a
+    // play given the pool is dispatched onto it as one job, and a play
+    // without one spawns its own threads.
     const sim::Schedule schedule = routing::reverse_broadcast_for_reduce(
         routing::make_tree_broadcast(trees::build_sbt(4, 0),
                                      BroadcastDiscipline::port_oriented, 3,
@@ -296,18 +296,18 @@ TEST(RtPool, PlayOnPoolMatchesSpawnedThreads) {
         0);
     const Plan plan = compile_plan(schedule, DataMode::combine, 1024, 2);
     WorkerPool pool(2);
-    Player player(plan);
+    AsyncPlayer player(plan);
     const PlayStats pooled = player.play(&pool);
+    EXPECT_TRUE(check_combine_run(plan, schedule, 0, {}, player));
     const PlayStats spawned = player.play();
+    EXPECT_TRUE(check_combine_run(plan, schedule, 0, {}, player));
     EXPECT_TRUE(pooled.clean());
+    EXPECT_TRUE(spawned.clean());
+    EXPECT_EQ(pooled.mode, ExecMode::stealing);
+    EXPECT_EQ(spawned.mode, ExecMode::stealing);
     EXPECT_EQ(pooled.blocks_delivered, spawned.blocks_delivered);
     EXPECT_EQ(pooled.cycles, spawned.cycles);
-    AsyncPlayer dut(plan);
-    const PlayStats async_pooled = dut.play(&pool);
-    EXPECT_TRUE(async_pooled.clean());
-    EXPECT_EQ(async_pooled.mode, ExecMode::stealing);
-    EXPECT_EQ(async_pooled.blocks_delivered, pooled.blocks_delivered);
-    EXPECT_EQ(pool.jobs_run(), 2u);
+    EXPECT_EQ(pool.jobs_run(), 1u);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 // rt::TraceRecorder: every executed action of a clean run — one send and
 // one receive per scheduled block — must land on the executing worker's
-// lane with sane timestamps and schedule coordinates, identically under
-// both engines, and export as well-formed chrome://tracing "X" events.
+// lane with sane timestamps and schedule coordinates, and export as
+// well-formed chrome://tracing "X" events.
 #include "rt/tracing.hpp"
 
 #include "ft/fault_model.hpp"
@@ -9,7 +9,6 @@
 #include "routing/schedule_export.hpp"
 #include "rt/async_player.hpp"
 #include "rt/plan.hpp"
-#include "rt/player.hpp"
 #include "trees/sbt.hpp"
 
 #include <gtest/gtest.h>
@@ -50,18 +49,6 @@ void expect_complete_trace(const TraceRecorder& recorder, const Plan& plan,
     EXPECT_EQ(send_events, sends);
 }
 
-TEST(RtTrace, BarrierEngineRecordsEveryAction) {
-    const Schedule schedule = small_schedule();
-    const Plan plan = compile_plan(schedule, DataMode::move, 16, 2);
-    TraceRecorder recorder(plan.workers);
-
-    Player player(plan);
-    player.set_trace(&recorder);
-    const PlayStats stats = player.play();
-    ASSERT_TRUE(stats.clean());
-    expect_complete_trace(recorder, plan, schedule.sends.size());
-}
-
 TEST(RtTrace, AsyncEngineRecordsEveryAction) {
     const Schedule schedule = small_schedule();
     const Plan plan = compile_plan(schedule, DataMode::move, 16, 3);
@@ -79,7 +66,7 @@ TEST(RtTrace, ResetClearsEventsAndDetachedRunsRecordNothing) {
     const Plan plan = compile_plan(schedule, DataMode::move, 16, 2);
     TraceRecorder recorder(plan.workers);
 
-    Player player(plan);
+    AsyncPlayer player(plan);
     player.set_trace(&recorder);
     ASSERT_TRUE(player.play().clean());
     EXPECT_GT(recorder.event_count(), 0u);
@@ -97,12 +84,13 @@ TEST(RtTrace, SharedEpochMergesTwoEnginesIntoOneTimeline) {
     const Plan plan = compile_plan(schedule, DataMode::move, 16, 2);
     TraceRecorder recorder(plan.workers);
 
-    Player barrier(plan);
-    barrier.set_trace(&recorder);
-    ASSERT_TRUE(barrier.play().clean());
-    AsyncPlayer async(plan);
-    async.set_trace(&recorder);
-    ASSERT_TRUE(async.play().clean());
+    // Two players of the plan record into one recorder, on one epoch.
+    AsyncPlayer first(plan);
+    first.set_trace(&recorder);
+    ASSERT_TRUE(first.play().clean());
+    AsyncPlayer second(plan);
+    second.set_trace(&recorder);
+    ASSERT_TRUE(second.play().clean());
 
     EXPECT_EQ(recorder.event_count(), 4 * schedule.sends.size());
 }
@@ -112,7 +100,7 @@ TEST(RtTrace, ChromeExportEmitsWellFormedCompleteEvents) {
     const Plan plan = compile_plan(schedule, DataMode::move, 16, 2);
     TraceRecorder recorder(plan.workers);
 
-    Player player(plan);
+    AsyncPlayer player(plan);
     player.set_trace(&recorder);
     ASSERT_TRUE(player.play().clean());
 
@@ -121,7 +109,7 @@ TEST(RtTrace, ChromeExportEmitsWellFormedCompleteEvents) {
     {
         JsonArrayWriter json(path);
         ASSERT_TRUE(json.ok());
-        recorder.append_chrome_events(json, 7, "barrier");
+        recorder.append_chrome_events(json, 7, "async");
         ASSERT_TRUE(json.close());
     }
 
@@ -147,7 +135,7 @@ TEST(RtTrace, ChromeExportEmitsWellFormedCompleteEvents) {
     };
     EXPECT_EQ(count_of("\"ph\": \"X\""), recorder.event_count());
     EXPECT_EQ(count_of("\"pid\": 7"), recorder.event_count());
-    EXPECT_EQ(count_of("\"cat\": \"barrier\""), recorder.event_count());
+    EXPECT_EQ(count_of("\"cat\": \"async\""), recorder.event_count());
     EXPECT_GT(count_of("\"ts\":"), 0u);
     EXPECT_GT(count_of("\"dur\":"), 0u);
     EXPECT_EQ(count_of("\"name\": \"send c"),
@@ -159,7 +147,7 @@ TEST(RtTrace, WriteChromeTraceIsAStandaloneValidFile) {
     const Plan plan = compile_plan(schedule, DataMode::move, 16, 2);
     TraceRecorder recorder(plan.workers);
 
-    Player player(plan);
+    AsyncPlayer player(plan);
     player.set_trace(&recorder);
     ASSERT_TRUE(player.play().clean());
 
@@ -200,7 +188,7 @@ TEST(RtTrace, AbortedRunFlushesPartialTraceToAbortPath) {
     recorder.set_abort_path(path);
     EXPECT_EQ(recorder.abort_path(), path);
 
-    Player player(plan);
+    AsyncPlayer player(plan);
     player.set_trace(&recorder);
     player.set_detection(
         {.arrival_timeout_us = 1000, .abort_on_fault = true});
