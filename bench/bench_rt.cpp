@@ -17,9 +17,9 @@
 // and over sockets (bench_net).
 //
 // The four move workloads deliver zero-copy, so the engine always runs
-// them serial; the combine-mode `reduce` copies and accumulates every
-// block, which is where it steals (8 KiB blocks and up, see
-// rt/async_player.hpp).
+// them serial; the combine-mode `reduce` accumulates every block, in place
+// on the serial walk (bytes_copied 0) and staged through the rings where
+// it steals (8 KiB blocks and up, see rt/async_player.hpp).
 //
 //   bench_rt --nmin 4 --nmax 8 [--pps 4] [--ppd 2] [--block 32,1024]
 //            [--threads 1,4 (default sweeps 1,2,4,hw)] [--reps 3]

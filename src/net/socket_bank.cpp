@@ -17,6 +17,7 @@ SocketChannelBank::SocketChannelBank(const rt::Plan& plan,
       dest_(plan.channel_count, 0), send_seq_(plan.channel_count, 0) {
     HCUBE_ENSURE_MSG(rank < plan.workers,
                      "rank outside the plan's worker range");
+    inner_.ensure_inline_storage();
     for (std::uint32_t c = 0; c < plan.channel_count; ++c) {
         const std::uint32_t from = plan.owner_of(plan.channel_from(c));
         const std::uint32_t to = plan.owner_of(plan.channel_to(c));

@@ -207,13 +207,31 @@ void AsyncPlayer::run_serial(PlayStats& stats) {
                          detect_,       arbiter_,
                          trace_,        detect_.enabled(),
                          copy_through_};
-    // Zero-copy move traffic with no tracer and no detector needs no ring
-    // at all when there is only one executing thread: the rings exist to
-    // hand descriptors across threads, and here the hop *is* the view
-    // assignment. The integrity check gets stronger, not weaker — instead
-    // of comparing the descriptor's digest word (published from the same
-    // table it is checked against), the forwarded view must be the
-    // packet's canonical arena block, pointer-identical.
+    // With one executing thread and no tracer, detector or hook, the
+    // rings only hand blocks from a slot to a slot, so the ring-free walks
+    // do that directly.
+    if (ring_free() && copy_through_) {
+        // In-place combining: no send reads a slot its own cycle
+        // accumulates into, so hop i adds the sender's slot — the value
+        // the ring walk would have staged — straight into the receiver's,
+        // and every slot's accumulations keep lowered order. Nothing is
+        // staged, so bytes_copied stays 0.
+        const std::size_t blk = plan_.block_elems;
+        double* const memory = memory_.data();
+        const std::uint32_t hops = plan_.lowered_count();
+        for (std::uint32_t i = 0; i < hops; ++i) {
+            simd::accumulate(memory + plan_.lowered_recv(i).slot * blk,
+                             memory + plan_.lowered_send(i).slot * blk, blk);
+        }
+        stats.blocks_sent += hops;
+        stats.blocks_delivered += hops;
+        return;
+    }
+    // Zero-copy move traffic: the hop *is* the view assignment. The
+    // integrity check gets stronger, not weaker — instead of comparing the
+    // descriptor's digest word (published from the same table it is
+    // checked against), the forwarded view must be the packet's canonical
+    // arena block, pointer-identical.
     if (ring_free()) {
         for (std::uint32_t cycle = 0; cycle < plan_.cycles; ++cycle) {
             const std::uint32_t lo = plan_.flat_cycle_begin[cycle];
@@ -301,17 +319,6 @@ void AsyncPlayer::run_stealing(WorkerPool* pool, PlayStats& stats) {
 
 PlayStats AsyncPlayer::play(WorkerPool* pool) {
     prepare_views();
-    // A ring walk rewinds the bank so its sequence stamps restart at 0;
-    // the ring-free walk never reads the bank and skips the rewind.
-    if (!ring_free()) {
-        channels_.reset();
-    }
-    arbiter_.reset();
-    if (trace_ != nullptr) {
-        HCUBE_ENSURE_MSG(trace_->workers() >= plan_.workers,
-                         "trace recorder has fewer lanes than plan workers");
-    }
-
     const std::uint32_t total = plan_.action_count();
     // A pure function of the run (see the header): steal only where the
     // per-hop copies of a copy-through play can pay for the dispatch.
@@ -320,6 +327,21 @@ PlayStats AsyncPlayer::play(WorkerPool* pool) {
         plan_.block_elems * sizeof(double) < kStealBlockBytes ||
         std::uint64_t{total} <
             std::uint64_t{kSerialActionsPerWorker} * plan_.workers;
+    // A ring walk (stealing, or serial but not ring-free) rewinds the bank
+    // so its sequence stamps restart at 0, staging through storage the
+    // first copy-through walk allocates; the ring-free walks never read
+    // the bank.
+    if (!serial || !ring_free()) {
+        if (copy_through_) {
+            channels_.ensure_inline_storage();
+        }
+        channels_.reset();
+    }
+    arbiter_.reset();
+    if (trace_ != nullptr) {
+        HCUBE_ENSURE_MSG(trace_->workers() >= plan_.workers,
+                         "trace recorder has fewer lanes than plan workers");
+    }
 
     PlayStats stats;
     const auto start = std::chrono::steady_clock::now();

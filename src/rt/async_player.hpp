@@ -42,6 +42,15 @@
 // plan and the run's configuration — nothing carries over between plays —
 // and PlayStats::mode reports it (docs/RUNTIME.md § The serial fast path
 // and the mode rule).
+//
+// A serial walk touches no ring at all when nothing needs one: on a
+// zero-copy run a hop is a view assignment, and on an unhooked combine run
+// of an in-place plan (Plan::in_place: no cycle's send reads a slot that
+// cycle accumulates into) a hop adds the sender's slot into the
+// receiver's. Only the other plays — stealing, traced, detecting or hooked
+// ones, and combine plays of plans that are not in place — walk the rings;
+// they rewind them first, and the first of them allocates a combine bank's
+// staged payload.
 #pragma once
 
 #include "ft/fault_model.hpp"
@@ -107,7 +116,9 @@ class AsyncPlayer {
 public:
     /// Allocates node-local block memory and a channel bank of
     /// plan.async_depth ring slots per link (the depth the plan's capacity
-    /// edges guard). The plan must outlive the player.
+    /// edges guard). A combine bank's staged payload is allocated by the
+    /// first play that walks the rings, not here. The plan must outlive
+    /// the player.
     explicit AsyncPlayer(const Plan& plan);
 
     /// Enables fault detection (and, per config, the abort-and-drain
@@ -159,19 +170,23 @@ public:
     }
 
     /// Exact heap bytes this engine keeps resident between runs (channel
-    /// rings, slot views, copy-through storage, live dep counters) — what a
-    /// byte-budgeted cache charges for keeping the player warm. The plan,
-    /// digest table included, is accounted by Plan::resident_bytes().
+    /// rings, staged payload once a ring walk allocated it, slot views,
+    /// copy-through storage, live dep counters) — what a byte-budgeted
+    /// cache charges for keeping the player warm. The plan, digest table
+    /// included, is accounted by Plan::resident_bytes().
     [[nodiscard]] std::uint64_t resident_bytes() const noexcept;
 
 private:
     struct Worker;
 
     void prepare_views();
-    /// This run takes the serial walk that touches no ring: zero-copy,
-    /// untraced and undetected (decided after prepare_views()).
+    /// A serial walk of this run touches no ring: it is zero-copy, or an
+    /// unhooked combine run of an in-place plan, and untraced and
+    /// undetected (decided after prepare_views()).
     [[nodiscard]] bool ring_free() const noexcept {
-        return !copy_through_ && trace_ == nullptr && !detect_.enabled();
+        const bool unstaged =
+            !copy_through_ || (plan_.in_place && !channels_.hooked());
+        return unstaged && trace_ == nullptr && !detect_.enabled();
     }
     /// The single-thread walk; accumulates into `stats`.
     void run_serial(PlayStats& stats);

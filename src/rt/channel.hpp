@@ -19,11 +19,16 @@
 // pops (the plan's immutable block arena provides this for move-mode
 // traffic). Two situations *require* the classic copy-through instead,
 // because the producer's block is mutable after the push: combining
-// reductions (the producer's slot keeps accumulating) and fault injection
-// (the hook corrupts the staged bytes, which must not alias the canonical
-// arena). For those the bank stages the payload into channel-owned inline
-// storage and the descriptor points at the staged copy — exactly the old
-// two-copies-per-hop protocol, preserved bit for bit.
+// reductions that go through the rings (the producer's slot keeps
+// accumulating) and fault injection (the hook corrupts the staged bytes,
+// which must not alias the canonical arena). For those the bank stages the
+// payload into channel-owned inline storage and the descriptor points at
+// the staged copy — exactly the old two-copies-per-hop protocol, preserved
+// bit for bit. A combining reduction need not touch a ring at all: the
+// AsyncPlayer's serial walk of an in-place plan (Plan::in_place) adds slot
+// to slot. So the staging is allocated only when a walk first needs it
+// (ensure_inline_storage), and a player that only walks in place never
+// holds it.
 //
 // Every slot is stamped with its push sequence number (the k-th push on a
 // channel is sequence k), which lets an asynchronous consumer assert it is
@@ -60,9 +65,10 @@ public:
     };
 
     /// `capacity` slots per channel (rounded up to a power of two), each
-    /// slot holding one block descriptor. With `inline_payload` the bank
-    /// also owns one staged block of `block_elems` doubles per slot and
-    /// every push copies through it (combine-mode snapshot semantics).
+    /// slot holding one block descriptor. With `inline_payload` every push
+    /// copies through one staged block of `block_elems` doubles per slot
+    /// (combine-mode snapshot semantics); that staging is allocated by
+    /// ensure_inline_storage(), which must run before the first push.
     ChannelBank(std::uint32_t channels, std::uint32_t capacity,
                 std::size_t block_elems, bool inline_payload = false)
         : channels_(channels), capacity_(std::bit_ceil(
@@ -74,9 +80,6 @@ public:
           seqs_(std::size_t{channels} * capacity_, 0),
           checksums_(std::size_t{channels} * capacity_, 0) {
         HCUBE_ENSURE(block_elems >= 1);
-        if (inline_always_) {
-            ensure_inline_storage();
-        }
     }
 
     [[nodiscard]] std::uint32_t channel_count() const noexcept {
@@ -96,6 +99,8 @@ public:
     [[nodiscard]] bool inline_active() const noexcept {
         return inline_always_ || hook_ != nullptr;
     }
+    /// True while a fault-injection hook is installed.
+    [[nodiscard]] bool hooked() const noexcept { return hook_ != nullptr; }
 
     /// Producer side: publishes a descriptor for `block`. False only when
     /// the channel is full (a runtime invariant violation for
@@ -228,6 +233,18 @@ public:
         }
     }
 
+    /// Allocates the staged-payload backing on first need. Callers run
+    /// before worker threads exist (a walk's setup, hook install, a socket
+    /// bank's construction, or a test's first push), so the one-time
+    /// resize is not racy; once sized it is never reallocated and
+    /// consumers only ever reach it through slot views.
+    void ensure_inline_storage() {
+        if (payload_.empty()) {
+            payload_.resize(std::size_t{channels_} * capacity_ *
+                            block_elems_);
+        }
+    }
+
 private:
     struct alignas(64) PaddedCounter {
         std::atomic<std::uint32_t> v{0};
@@ -236,17 +253,6 @@ private:
     [[nodiscard]] std::size_t slot_index(std::uint32_t channel,
                                          std::uint32_t pos) const noexcept {
         return std::size_t{channel} * capacity_ + (pos & (capacity_ - 1));
-    }
-
-    /// Allocates the staged-payload backing on first need. Callers run
-    /// before worker threads exist (ctor, hook install, or a test's first
-    /// push), so the one-time resize is not racy; once sized it is never
-    /// reallocated and consumers only ever reach it through slot views.
-    void ensure_inline_storage() {
-        if (payload_.empty()) {
-            payload_.resize(std::size_t{channels_} * capacity_ *
-                            block_elems_);
-        }
     }
 
     [[nodiscard]] bool push_impl(std::uint32_t channel, std::uint32_t packet,

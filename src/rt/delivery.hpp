@@ -20,6 +20,12 @@
 //     and delivery memcpys (move) or accumulates (combine) into the
 //     player's slot memory, which `views` points into. Every copied byte
 //     is counted in PlayStats::bytes_copied.
+//
+// Neither helper runs on the AsyncPlayer's ring-free serial walks (a view
+// assignment per zero-copy hop, one accumulate per in-place combine hop;
+// rt/async_player.hpp). A combine run that goes through the rings still
+// needs copy-through here: the producer's slot keeps accumulating after
+// the push.
 #pragma once
 
 #include "rt/async_player.hpp" // PlayStats

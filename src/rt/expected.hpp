@@ -64,7 +64,10 @@ namespace hcube::rt {
 /// combine plan `plan` must leave: `schedule` evaluated cycle by cycle in
 /// exact arithmetic from contribution-seeded slots, a cycle's sends reading
 /// before its receives accumulate. nullopt when a send's endpoint has no
-/// slot in the plan.
+/// slot in the plan. The image keeps that per-cycle snapshot even for a
+/// plan marked Plan::in_place, and never reads the flag: a plan wrongly
+/// marked in place then leaves memory this image rejects, instead of
+/// agreeing with a walk that made the same mistake.
 [[nodiscard]] std::optional<std::vector<double>>
 combine_image(const Plan& plan, const sim::Schedule& schedule);
 

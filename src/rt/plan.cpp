@@ -65,6 +65,9 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
     plan.mode = mode;
     plan.workers = workers;
     plan.async_depth = std::bit_ceil(async_depth);
+    // Cleared below by the first same-cycle pair of a send from a slot and
+    // a receive into it, in either lowered order.
+    plan.in_place = mode == DataMode::combine;
 
     // ---- member partition (incomplete cubes) --------------------------
     // A full member span compiles exactly like no span at all: node_owner
@@ -309,6 +312,7 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
             }
             if (a < arrivals.size()) {
                 edges.emplace_back(l, arrivals[a] | kRecvBit);
+                plan.in_place = false;
             }
             if (a > 0) {
                 edges.emplace_back(arrivals[a - 1] | kRecvBit, l);
@@ -329,6 +333,9 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
             }
             for (const std::uint32_t s2 : slot_sends[dst_slot]) {
                 edges.emplace_back(s2, l | kRecvBit);
+                if (low_sends[s2].cycle == send.cycle) {
+                    plan.in_place = false;
+                }
             }
             slot_sends[dst_slot].clear();
             slot_recvs[dst_slot].push_back(l);
@@ -468,7 +475,11 @@ void seed_plan_memory(const Plan& plan, std::span<double> memory) {
     HCUBE_ENSURE(memory.size() ==
                  static_cast<std::size_t>(plan.total_slots) *
                      plan.block_elems);
-    std::fill(memory.begin(), memory.end(), 0.0);
+    // A combine plan seeds every slot, so only a plan with unseeded slots
+    // (a move plan's receivers) pays for the zero fill.
+    if (plan.seeded_slots.size() != plan.total_slots) {
+        std::fill(memory.begin(), memory.end(), 0.0);
+    }
     for (const std::uint64_t slot : plan.seeded_slots) {
         const std::span<double> block =
             memory.subspan(static_cast<std::size_t>(slot) * plan.block_elems,

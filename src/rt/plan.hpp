@@ -44,6 +44,8 @@
 //   combine — duplicate arrivals accumulate elementwise into the slot, and
 //             every node's slot is pre-seeded with its own contribution:
 //             the reduction semantics of a reversed broadcast schedule.
+//             A plan that never sends from a slot in the cycle it
+//             accumulates into is marked `in_place` (Plan::in_place).
 #pragma once
 
 #include "hc/types.hpp"
@@ -110,6 +112,13 @@ struct Plan {
     packet_t packet_count = 0;
     std::size_t block_elems = 0;
     DataMode mode = DataMode::move;
+    /// Combine plans only: in no cycle is a send's source slot the
+    /// destination of a receive in that cycle, so each hop may accumulate
+    /// the sender's slot straight into the receiver's, in lowered order,
+    /// with nothing staged (the AsyncPlayer's in-place walk). Every
+    /// reversed broadcast qualifies (store-and-forward); a same-cycle
+    /// pairwise exchange does not. False in move mode.
+    bool in_place = false;
     std::uint32_t workers = 1;
 
     /// Per-node owning worker for plans compiled over a member subset

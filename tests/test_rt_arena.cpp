@@ -1,8 +1,9 @@
 // Lifetime and aliasing tests of the zero-copy delivery path: move-mode
 // plays must end with every held slot *pointing into the plan's immutable
 // block arena* (pure view forwarding, zero payload memcpys), while combine
-// plays and fault-hooked runs must fall back to copy-through storage that
-// never aliases the arena. Replays — both on a raw player and through the
+// plays (in place, or copy-through when they walk the rings) and
+// fault-hooked runs must use player-owned storage that never aliases the
+// arena. Replays — both on a raw player and through the
 // service layer's plan cache — must leave the arena bit-identical.
 //
 // Suites are named Rt*/Svc* so the sanitizer CI jobs
@@ -92,23 +93,6 @@ TEST(RtArena, ReplayLeavesTheArenaBitIdentical) {
         << "a play mutated the immutable arena";
 }
 
-TEST(RtArena, CombinePlansUseDistinctAccumulatorStorage) {
-    const Schedule forward = broadcast_schedule(3, 2);
-    const Schedule reduction =
-        routing::reverse_broadcast_for_reduce(forward, 0);
-    const Plan plan =
-        compile_plan(reduction, DataMode::combine, kBlock, 2);
-    // Combine mode has no arena: accumulators mutate in place, so a view
-    // of another node's slot would go stale mid-flight.
-    EXPECT_TRUE(plan.arena.empty());
-    AsyncPlayer player(plan);
-    const PlayStats stats = player.play();
-    ASSERT_TRUE(stats.clean());
-    // Copy-through: every sent block was staged into the ring.
-    EXPECT_EQ(stats.bytes_copied,
-              stats.blocks_delivered * kBlock * sizeof(double));
-}
-
 /// A hook that delivers everything untouched — its mere presence must
 /// force copy-through (a hook may mutate staged bytes, which must never
 /// alias the immutable arena).
@@ -119,6 +103,33 @@ public:
         return ft::PushVerdict::deliver;
     }
 };
+
+TEST(RtArena, CombinePlansUseDistinctAccumulatorStorage) {
+    const Schedule forward = broadcast_schedule(3, 2);
+    const Schedule reduction =
+        routing::reverse_broadcast_for_reduce(forward, 0);
+    const Plan plan =
+        compile_plan(reduction, DataMode::combine, kBlock, 2);
+    // Combine mode has no arena: accumulators mutate in place, so a view
+    // of another node's slot would go stale mid-flight.
+    EXPECT_TRUE(plan.arena.empty());
+    ASSERT_TRUE(plan.in_place);
+    AsyncPlayer player(plan);
+    // The in-place walk adds slot to slot: nothing is staged.
+    const PlayStats in_place = player.play();
+    ASSERT_TRUE(in_place.clean());
+    EXPECT_EQ(in_place.blocks_delivered, reduction.sends.size());
+    EXPECT_EQ(in_place.bytes_copied, 0u);
+    // A hooked play of the same plan walks the rings, and every sent block
+    // is staged into one.
+    PassThroughHook hook;
+    player.set_fault_hook(&hook);
+    const PlayStats hooked = player.play();
+    ASSERT_TRUE(hooked.clean());
+    EXPECT_EQ(hooked.blocks_delivered, reduction.sends.size());
+    EXPECT_EQ(hooked.bytes_copied,
+              hooked.blocks_delivered * kBlock * sizeof(double));
+}
 
 TEST(RtArena, FaultHookForcesCopyThroughAndClearingRestoresZeroCopy) {
     const Plan plan =

@@ -10,23 +10,30 @@
 // The AsyncPlayer steals only on copy-through runs with blocks of at
 // least 8 KiB (async_player.hpp); every other case below pins the serial
 // walk, and the copy-through cases with 1024-double blocks pin stealing.
+// A serial reduce of an in-place plan adds slot to slot with no ring; the
+// in-place cases below pin that it leaves the ring walk's bytes, that
+// only ring walks rewind or allocate the rings, and which plans are in
+// place.
 // These suites are named Rt* so the tsan CI job (ctest -R '^Rt') runs
 // them under ThreadSanitizer, which is where the work-stealing engine's
 // synchronization actually gets exercised.
 #include "rt/async_player.hpp"
 
 #include "ft/injector.hpp"
+#include "mbr/view.hpp"
 #include "rt/expected.hpp"
 #include "rt/plan.hpp"
 #include "rt/threads.hpp"
 #include "routing/schedule_export.hpp"
 #include "sim/cycle.hpp"
+#include "svc/signature.hpp"
 #include "trees/bst.hpp"
 #include "trees/sbt.hpp"
 #include "trees/tcbt.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -406,26 +413,24 @@ public:
     std::vector<std::vector<std::uint32_t>> stamps;
 };
 
-TEST(RtAsync, OnlyRingWalksRewindTheRings) {
-    // The ring-free walk skips the rewind; every ring walk (traced,
-    // hooked or detecting) still restarts each channel's sequence stamps
-    // at 0. Every ring walk's receives check each stamp against the
-    // plan's (a stale stamp counts a channel fault), and a hooked walk's
-    // pushes are recorded too.
-    const Schedule schedule = routing::make_msbt_broadcast(
-        4, 0, 8, PortModel::one_port_full_duplex);
-    const sim::CycleStats sim =
-        sim::execute_schedule(schedule, PortModel::one_port_full_duplex);
-    const Plan plan = compile_plan(schedule, DataMode::move, kBlock, 2);
+/// Plays `plan` on one player through plain, traced, hooked and
+/// detecting runs, each of which must run in mode `expected`, play clean
+/// with one delivery per scheduled send, and be accepted by `accepts`.
+/// Every ring walk's receives check each stamp against the plan's (a stale
+/// stamp counts a channel fault), and a hooked walk's pushes are recorded
+/// too.
+template <class Rule>
+void expect_ring_walks_rewind(const Plan& plan, std::uint64_t sends,
+                              ExecMode expected, Rule accepts) {
     AsyncPlayer player(plan);
     TraceRecorder trace(plan.workers);
     const auto expect_verified = [&](const char* run) {
         SCOPED_TRACE(run);
         const PlayStats stats = player.play();
         EXPECT_TRUE(stats.clean());
-        EXPECT_EQ(stats.mode, ExecMode::serial);
-        EXPECT_EQ(stats.blocks_delivered, schedule.sends.size());
-        EXPECT_TRUE(check_move_run(plan, sim, player));
+        EXPECT_EQ(stats.mode, expected);
+        EXPECT_EQ(stats.blocks_delivered, sends);
+        EXPECT_TRUE(accepts(player));
     };
     const auto expect_hooked_stamps_from_zero = [&](const char* run) {
         StampRecorder hook(plan.channel_count);
@@ -439,7 +444,7 @@ TEST(RtAsync, OnlyRingWalksRewindTheRings) {
             }
             pushes += stamps.size();
         }
-        EXPECT_EQ(pushes, schedule.sends.size()) << run;
+        EXPECT_EQ(pushes, sends) << run;
     };
 
     const auto expect_traced = [&](const char* run) {
@@ -447,20 +452,257 @@ TEST(RtAsync, OnlyRingWalksRewindTheRings) {
         player.set_trace(&trace);
         expect_verified(run);
         player.set_trace(nullptr);
-        EXPECT_EQ(trace.event_count(), 2 * schedule.sends.size()) << run;
+        EXPECT_EQ(trace.event_count(), 2 * sends) << run;
     };
 
-    expect_verified("ring-free");
+    expect_verified("plain");
     expect_traced("traced");
     expect_hooked_stamps_from_zero("hooked after traced");
-    expect_verified("ring-free again");
+    expect_verified("plain again");
     // Every kind of ring walk follows another ring walk once.
     player.set_detection(
         {.arrival_timeout_us = 500000, .abort_on_fault = true});
-    expect_verified("detecting after ring-free");
+    expect_verified("detecting after plain");
     player.set_detection({});
     expect_traced("traced after detecting");
     expect_hooked_stamps_from_zero("hooked after traced again");
+}
+
+TEST(RtAsync, OnlyRingWalksRewindTheRings) {
+    // The ring-free walks (zero-copy, and in-place combining on one
+    // thread) skip the rewind; every ring walk (traced, hooked, detecting
+    // or stealing) still restarts each channel's sequence stamps at 0.
+    const Schedule schedule = routing::make_msbt_broadcast(
+        4, 0, 8, PortModel::one_port_full_duplex);
+    const sim::CycleStats sim =
+        sim::execute_schedule(schedule, PortModel::one_port_full_duplex);
+    const Plan move = compile_plan(schedule, DataMode::move, kBlock, 2);
+    {
+        SCOPED_TRACE("zero-copy broadcast");
+        expect_ring_walks_rewind(move, schedule.sends.size(),
+                                 ExecMode::serial,
+                                 [&](const AsyncPlayer& player) {
+                                     return check_move_run(move, sim,
+                                                           player);
+                                 });
+    }
+    // An in-place reduce. With small blocks its plain plays walk in place
+    // and every ring walk follows one; with 8 KiB blocks on 4 workers every
+    // play steals, the plain ones included, and those must rewind although
+    // the plan is in place.
+    const Schedule reduce = routing::reverse_broadcast_for_reduce(
+        routing::make_tree_broadcast(trees::build_sbt(6, 0),
+                                     BroadcastDiscipline::port_oriented, 2,
+                                     kFull),
+        0);
+    const struct {
+        std::size_t block;
+        std::uint32_t threads;
+        ExecMode mode;
+    } runs[] = {{kBlock, 2, ExecMode::serial},
+                {kStealBlock, 4, ExecMode::stealing}};
+    for (const auto& run : runs) {
+        SCOPED_TRACE("reduce block=" + std::to_string(run.block));
+        const Plan plan =
+            compile_plan(reduce, DataMode::combine, run.block, run.threads);
+        ASSERT_TRUE(plan.in_place);
+        expect_ring_walks_rewind(plan, reduce.sends.size(), run.mode,
+                                 [&](const AsyncPlayer& player) {
+                                     return check_combine_run(plan, reduce,
+                                                              0, {}, player)
+                                         .has_value();
+                                 });
+    }
+}
+
+/// One combine plan of `reduce` played by two players: plainly, which
+/// walks in place, and traced, which walks the rings. Both must play clean
+/// and leave byte-identical memories that the rule accepts.
+void expect_in_place_matches_ring_walk(const Schedule& reduce, node_t root,
+                                       const std::vector<node_t>& members,
+                                       std::size_t block,
+                                       const std::string& label) {
+    SCOPED_TRACE(label + " block=" + std::to_string(block));
+    const Plan plan = compile_plan(reduce, DataMode::combine, block, 2, 8,
+                                   PlanLayout::automatic, members);
+    ASSERT_TRUE(plan.in_place);
+    const std::uint64_t sends = reduce.sends.size();
+    AsyncPlayer in_place(plan);
+    AsyncPlayer ring(plan);
+    TraceRecorder trace(plan.workers);
+    ring.set_trace(&trace);
+    const PlayStats direct = in_place.play();
+    const PlayStats staged = ring.play();
+    for (const PlayStats& stats : {direct, staged}) {
+        EXPECT_TRUE(stats.clean());
+        EXPECT_EQ(stats.mode, ExecMode::serial);
+        EXPECT_EQ(stats.blocks_sent, sends);
+        EXPECT_EQ(stats.blocks_delivered, sends);
+    }
+    EXPECT_EQ(direct.bytes_copied, 0u);
+    EXPECT_EQ(staged.bytes_copied, sends * block * sizeof(double));
+    EXPECT_EQ(trace.event_count(), 2 * sends);
+    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
+        const std::span<const double> a = in_place.slot_block(s);
+        const std::span<const double> b = ring.slot_block(s);
+        ASSERT_EQ(a.size(), block);
+        ASSERT_EQ(b.size(), block);
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), block * sizeof(double)), 0)
+            << "slot " << s;
+    }
+    EXPECT_TRUE(check_combine_run(plan, reduce, root, members, in_place));
+    EXPECT_TRUE(check_combine_run(plan, reduce, root, members, ring));
+}
+
+TEST(RtAsync, InPlaceWalkMatchesTheRingWalk) {
+    for (hc::dim_t n = 3; n <= 8; ++n) {
+        mbr::View view(n);
+        view.leave(1);
+        view.leave((node_t{1} << n) - 2);
+        for (packet_t packets = 1; packets <= 3; ++packets) {
+            const std::string at = " n=" + std::to_string(n) +
+                                   " packets=" + std::to_string(packets);
+            const Schedule reduce = routing::reverse_broadcast_for_reduce(
+                routing::make_tree_broadcast(
+                    trees::build_sbt(n, 5),
+                    BroadcastDiscipline::port_oriented, packets, kFull),
+                5);
+            // The member reduction over a view with two holes.
+            const Schedule member_reduce =
+                routing::reverse_broadcast_for_reduce(
+                    routing::make_member_broadcast(
+                        view, 0, BroadcastDiscipline::port_oriented,
+                        packets, kFull),
+                    0);
+            for (const std::size_t block :
+                 {std::size_t{1}, kBlock, std::size_t{13}}) {
+                expect_in_place_matches_ring_walk(reduce, 5, {}, block,
+                                                  "reduce" + at);
+                expect_in_place_matches_ring_walk(member_reduce, 0,
+                                                  view.members(), block,
+                                                  "member_reduce" + at);
+            }
+        }
+    }
+}
+
+TEST(RtAsync, EveryServiceReduceIsInPlace) {
+    // Reversed broadcasts are store-and-forward: no node forwards a
+    // partial sum in the cycle it accumulates into it, under every port
+    // model, from every root, over full and holed views.
+    for (hc::dim_t n = 1; n <= 10; ++n) {
+        const node_t last = (node_t{1} << n) - 1;
+        // Two holes leave a connected member set from n = 3 on.
+        mbr::View holed(n);
+        if (n >= 3) {
+            holed.leave(1);
+            holed.leave(last - 1);
+        }
+        const std::vector<node_t> members = holed.members();
+        for (const PortModel model :
+             {PortModel::one_port_half_duplex, kFull, PortModel::all_port}) {
+            for (packet_t packets = 1; packets <= 4; ++packets) {
+                svc::Signature sig;
+                sig.op = svc::Op::reduce;
+                sig.n = n;
+                sig.packets = packets;
+                sig.block_elems = 4;
+                sig.model = model;
+                const std::string at =
+                    " n=" + std::to_string(n) +
+                    " packets=" + std::to_string(packets) + " model=" +
+                    std::string(sim::to_string(model));
+                for (const node_t root : {node_t{0}, last, node_t{5} & last}) {
+                    sig.root = root;
+                    const svc::GeneratedSchedule full =
+                        svc::make_schedule(sig);
+                    ASSERT_EQ(full.mode, DataMode::combine);
+                    EXPECT_TRUE(compile_plan(full.exec, DataMode::combine,
+                                             sig.block_elems, 1)
+                                    .in_place)
+                        << "full view root=" << root << at;
+                }
+                if (n < 3) {
+                    continue;
+                }
+                for (const node_t root :
+                     {members.front(), members[members.size() / 2],
+                      members.back()}) {
+                    sig.root = root;
+                    const svc::GeneratedSchedule member =
+                        svc::make_schedule(sig, holed);
+                    EXPECT_TRUE(compile_plan(member.exec, DataMode::combine,
+                                             sig.block_elems, 1, 8,
+                                             PlanLayout::automatic, members)
+                                    .in_place)
+                        << "holed view root=" << root << at;
+                }
+            }
+        }
+    }
+    // The recursive-doubling allreduce exchanges partial sums within one
+    // cycle, so it is not in place: its plain serial play still walks the
+    // rings, staging every block, and verifies.
+    for (hc::dim_t n = 1; n <= 8; ++n) {
+        SCOPED_TRACE("allreduce n=" + std::to_string(n));
+        const Schedule allreduce = recursive_doubling_allreduce(n);
+        const Plan plan =
+            compile_plan(allreduce, DataMode::combine, kBlock, 2);
+        EXPECT_FALSE(plan.in_place);
+        AsyncPlayer player(plan);
+        const PlayStats stats = player.play();
+        EXPECT_TRUE(stats.clean());
+        EXPECT_EQ(stats.mode, ExecMode::serial);
+        EXPECT_EQ(stats.blocks_delivered, allreduce.sends.size());
+        EXPECT_EQ(stats.bytes_copied,
+                  allreduce.sends.size() * kBlock * sizeof(double));
+        EXPECT_TRUE(check_combine_run(plan, allreduce, 0, {}, player));
+    }
+}
+
+TEST(RtAsync, RingWalksAllocateTheCombineStaging) {
+    // A serial in-place reduce never walks the rings, so its player holds
+    // no staged ring payload; the first traced, hooked or detecting play
+    // allocates exactly one staged block per ring slot.
+    const Plan plan = compile_plan(
+        routing::reverse_broadcast_for_reduce(
+            routing::make_tree_broadcast(trees::build_sbt(5, 0),
+                                         BroadcastDiscipline::port_oriented,
+                                         2, kFull),
+            0),
+        DataMode::combine, kBlock, 2);
+    ASSERT_TRUE(plan.in_place);
+    const std::uint64_t staging = std::uint64_t{plan.channel_count} *
+                                  plan.async_depth * plan.block_elems *
+                                  sizeof(double);
+    TraceRecorder trace(plan.workers);
+    StampRecorder hook(plan.channel_count);
+    const auto expect_staged_by = [&](const char* run, auto configure) {
+        SCOPED_TRACE(run);
+        AsyncPlayer player(plan);
+        const std::uint64_t bare = player.resident_bytes();
+        for (int k = 0; k < 2; ++k) {
+            const PlayStats stats = player.play();
+            ASSERT_TRUE(stats.clean());
+            EXPECT_EQ(stats.bytes_copied, 0u);
+        }
+        EXPECT_EQ(player.resident_bytes(), bare)
+            << "an in-place play allocated ring payload";
+        configure(player);
+        const PlayStats walked = player.play();
+        ASSERT_TRUE(walked.clean());
+        EXPECT_GT(walked.bytes_copied, 0u);
+        EXPECT_EQ(player.resident_bytes(), bare + staging);
+    };
+    expect_staged_by("traced",
+                     [&](AsyncPlayer& player) { player.set_trace(&trace); });
+    expect_staged_by("hooked", [&](AsyncPlayer& player) {
+        player.set_fault_hook(&hook);
+    });
+    expect_staged_by("detecting", [](AsyncPlayer& player) {
+        player.set_detection(
+            {.arrival_timeout_us = 500000, .abort_on_fault = true});
+    });
 }
 
 TEST(RtAsync, RingsTakeThePlanDepth) {
